@@ -22,8 +22,10 @@ from ..analysis.stats import mean
 from ..analysis.tables import format_series
 from ..errors import ExperimentError
 from ..layering.layers import ExponentialLayerScheme
-from ..protocols import make_protocol
-from ..simulator.engine import LayeredSessionSimulator
+from ..protocols import PROTOCOL_FACTORIES, make_protocol
+# Called through the module so that wrappers patched onto it (span tracers)
+# see the group call.
+from ..simulator import engine as session_engine
 from ..simulator.rng import spawn_run_entropy
 from ..simulator.loss import BernoulliLoss, GilbertElliottLoss, LossProcess, NoLoss
 from .api import ExperimentSpec, Verdict
@@ -55,6 +57,28 @@ class BurstinessSpec(ExperimentSpec):
     repetitions: Optional[int] = None
     base_seed: int = 0
     protocols: Optional[Sequence[str]] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.protocols is not None:
+            _check_protocols(self.protocols)
+
+
+def _check_protocols(protocols: Sequence[str]) -> None:
+    """Reject a ``protocols`` value that is not a non-empty list of known names."""
+    if not isinstance(protocols, (list, tuple)) or not protocols:
+        raise ExperimentError(
+            f"protocols must be a non-empty list of protocol names, got {protocols!r}"
+        )
+    unknown = [
+        name for name in protocols
+        if not isinstance(name, str) or name.lower() not in PROTOCOL_FACTORIES
+    ]
+    if unknown:
+        raise ExperimentError(
+            f"protocols: unknown protocol(s) {unknown}; "
+            f"choose from {sorted(PROTOCOL_FACTORIES)}"
+        )
 
 
 _PRESETS = {
@@ -114,12 +138,23 @@ class BurstinessResult:
         )
 
     @property
+    def judges_ordering(self) -> bool:
+        """Whether the sweep ran both protocols the ordering claim compares."""
+        return {"coordinated", "uncoordinated"} <= self.redundancy.keys()
+
+    @property
     def ordering_preserved(self) -> bool:
-        """Coordinated stays at or below Uncoordinated for every burst length."""
+        """Coordinated stays at or below Uncoordinated for every burst length.
+
+        Vacuously true when the sweep did not run both protocols.
+        """
+        if not self.judges_ordering:
+            return True
         return all(
-            self.redundancy["coordinated"][index]
-            <= self.redundancy["uncoordinated"][index] + 0.25
-            for index in range(len(self.burst_lengths))
+            coordinated <= uncoordinated + 0.25
+            for coordinated, uncoordinated in zip(
+                self.redundancy["coordinated"], self.redundancy["uncoordinated"]
+            )
         )
 
     def max_shift_from_bernoulli(self, protocol: str) -> float:
@@ -139,37 +174,43 @@ def run_burstiness(
     protocols: Sequence[str] = PROTOCOLS,
     engine: str = "bitpacked",
 ) -> BurstinessResult:
-    """Sweep the fan-out loss burst length at a fixed average loss rate."""
+    """Sweep the fan-out loss burst length at a fixed average loss rate.
+
+    Every (burst length, repetition) run of one protocol shares the session
+    geometry, so all of them ride one stacked batched scan
+    (:func:`repro.simulator.engine.simulate_session_group`); each result is
+    bit for bit what the run would give solo.
+    """
+    _check_protocols(protocols)
     result = BurstinessResult(
         average_loss_rate=average_loss_rate,
         burst_lengths=tuple(burst_lengths),
         num_receivers=num_receivers,
     )
     seeds = spawn_run_entropy(base_seed, repetitions)
+    shared_loss = BernoulliLoss(shared_loss_rate) if shared_loss_rate > 0 else NoLoss()
     for protocol_name in protocols:
-        curve: List[float] = []
-        for burst_length in burst_lengths:
-            redundancies = []
-            for repetition in range(repetitions):
-                independent = [
+        simulators = [
+            session_engine.LayeredSessionSimulator(
+                protocol=make_protocol(protocol_name),
+                num_receivers=num_receivers,
+                shared_loss=shared_loss,
+                independent_loss=[
                     gilbert_for_average_loss(average_loss_rate, burst_length)
                     for _ in range(num_receivers)
-                ]
-                simulator = LayeredSessionSimulator(
-                    protocol=make_protocol(protocol_name),
-                    num_receivers=num_receivers,
-                    shared_loss=BernoulliLoss(shared_loss_rate)
-                    if shared_loss_rate > 0
-                    else NoLoss(),
-                    independent_loss=independent,
-                    scheme=ExponentialLayerScheme(8),
-                    duration_units=duration_units,
-                    engine=engine,
-                )
-                run = simulator.run(seed=seeds[repetition])
-                redundancies.append(run.redundancy)
-            curve.append(mean(redundancies))
-        result.redundancy[protocol_name] = curve
+                ],
+                scheme=ExponentialLayerScheme(8),
+                duration_units=duration_units,
+                engine=engine,
+            )
+            for burst_length in burst_lengths
+        ]
+        grouped = session_engine.simulate_session_group(
+            simulators, [seeds] * len(simulators)
+        )
+        result.redundancy[protocol_name] = [
+            mean([run.redundancy for run in runs]) for runs in grouped
+        ]
     return result
 
 
@@ -203,6 +244,10 @@ def _records(result: BurstinessResult) -> List[Dict[str, object]]:
 
 
 def _verdict(result: BurstinessResult) -> Verdict:
+    if not result.judges_ordering:
+        return Verdict(
+            True, "ordering not judged (needs coordinated and uncoordinated)"
+        )
     ok = result.ordering_preserved
     return Verdict(
         ok, "protocol ordering robust to burstiness" if ok else "shape differs"

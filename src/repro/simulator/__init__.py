@@ -8,7 +8,7 @@
   session on a modified star (with the per-packet reference loop as
   ``engine="reference"``), measuring shared-link redundancy;
 * :mod:`~repro.simulator.rng` — counter-based Philox streams (RNG scheme
-  4): per-run stream families and per-receiver draw streams;
+  5): per-run stream families and per-receiver draw streams;
 * :mod:`~repro.simulator.star` — Figure 7 experiment configurations;
 * :mod:`~repro.simulator.metrics` — replication and summary statistics.
 """

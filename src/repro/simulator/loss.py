@@ -9,10 +9,16 @@ the per-receiver fan-out links of the modified-star topologies.
 A two-state :class:`GilbertElliottLoss` process is provided as an extension
 for studying bursty loss (the paper cites the temporal-dependence
 measurements of Yajnik et al. as motivation for the Bernoulli choice); it is
-exercised by the loss-correlation ablation but not needed for Figure 8.
+exercised by the burstiness ablation but not needed for Figure 8.
+
+Every process here is *split-invariant* (see :class:`LossProcess`), which
+is what lets the batched engine sample a whole chunk of time units in one
+call while the reference loop samples the same stream unit by unit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,16 +35,17 @@ class LossProcess:
     ``sample_array`` draws ``n`` consecutive outcomes at once (used for the
     per-receiver fan-out links which are mutually independent but share a
     random generator).
-    """
 
-    #: Whether ``sample_array`` is *split-invariant*: drawing ``n1 + n2``
-    #: outcomes in one call consumes the generator exactly like two calls of
-    #: ``n1`` and ``n2`` and produces the same values.  Memoryless processes
-    #: (Bernoulli) are; block-sampling stateful processes (Gilbert–Elliott)
-    #: are not.  The batched engine samples split-invariant processes one
-    #: chunk at a time and everything else unit by unit, which keeps seeded
-    #: results identical across engines and chunk sizes (RNG scheme 4).
-    splittable: bool = False
+    **Contract: the array forms are split-invariant.**  Drawing ``n1 + n2``
+    outcomes in one ``sample_array``/``sample_positions`` call must produce
+    the same values as two calls of ``n1`` and ``n2`` on the same generator,
+    for any partition of the packets into calls.  The engines rely on it:
+    the batched engine samples a whole chunk of time units per call, the
+    reference loop one unit per call, and seeded results must not depend on
+    the engine or its chunk size.  The per-packet default below satisfies
+    the contract trivially; processes that sample in blocks carry their
+    in-progress block across calls as state, and ``copy()`` resets it.
+    """
 
     def sample(self, rng: np.random.Generator) -> bool:
         raise NotImplementedError
@@ -52,10 +59,10 @@ class LossProcess:
 
         Consumes the generator exactly like :meth:`sample_array` (the
         default literally wraps it), so the two forms are interchangeable
-        mid-stream.  Sparse-friendly processes (Bernoulli) override this
-        natively and implement :meth:`sample_array` on top, letting the
-        batched engine scatter a handful of loss positions instead of
-        materialising dense outcome matrices.
+        mid-stream.  Sparse-friendly processes (Bernoulli, Gilbert–Elliott)
+        override this natively and implement :meth:`sample_array` on top,
+        letting the batched engine scatter a handful of loss positions
+        instead of materialising dense outcome matrices.
         """
         return np.nonzero(self.sample_array(rng, n))[0]
 
@@ -71,8 +78,6 @@ class LossProcess:
 
 class NoLoss(LossProcess):
     """A lossless link."""
-
-    splittable = True
 
     def sample(self, rng: np.random.Generator) -> bool:
         return False
@@ -111,8 +116,6 @@ class BernoulliLoss(LossProcess):
     Single draws through ``sample`` use a plain uniform and a different
     stream position; the engines only ever consume the array form.
     """
-
-    splittable = True
 
     #: Gaps drawn per refill.  Part of the scheme-4 stream layout: the
     #: batch size must not depend on the caller's array sizes, or the two
@@ -168,6 +171,29 @@ class BernoulliLoss(LossProcess):
         return f"BernoulliLoss({self.probability})"
 
 
+def _bernoulli_positions(
+    rng: np.random.Generator, probability: float, total: int
+) -> np.ndarray:
+    """Loss positions of a Bernoulli(``probability``) process over ``total`` packets.
+
+    Gap-sampled: geometric inter-loss gaps are drawn in blocks sized from
+    the expected loss count (a function of the arguments alone, so the
+    stream consumption is too) until they run past ``total``.
+    """
+    expected = probability * total
+    block = int(expected + 4.0 * math.sqrt(expected)) + 16
+    positions = np.cumsum(rng.geometric(probability, block)) - 1
+    parts = [positions]
+    last = int(positions[-1])
+    while last < total:
+        more = np.cumsum(rng.geometric(probability, block)) + last
+        parts.append(more)
+        last = int(more[-1])
+    if len(parts) > 1:
+        positions = np.concatenate(parts)
+    return positions[: int(np.searchsorted(positions, total))]
+
+
 class GilbertElliottLoss(LossProcess):
     """Two-state bursty loss process (good/bad states with per-state loss rates).
 
@@ -177,7 +203,32 @@ class GilbertElliottLoss(LossProcess):
         Per-packet transition probabilities between the good and bad states.
     loss_good, loss_bad:
         Loss probability while in each state (classically 0 and 1).
+
+    The chain starts in the good state; every packet first takes a
+    transition, then draws its loss from the (new) state.  :meth:`sample`
+    steps exactly that definition, one packet per call.
+
+    The array forms (RNG scheme 5) build the same process from *sojourns*.
+    The dwell in a Markov state is geometric, so the state sequence is a
+    series of runs with geometric lengths, drawn ``_SOJOURN_BATCH`` at a
+    time.  Inside a run the losses are a Bernoulli process at the state's
+    loss rate: a rate of 0 clears nothing, a rate of 1 clears the whole run,
+    and any other rate is gap-sampled (one geometric draw per loss) over
+    the batch's runs of that state laid end to end.  Sojourns and loss
+    positions generated past the caller's ``n`` carry over to the next
+    call as process state, and a batch's content depends only on the state
+    it starts from, so the outcomes are split-invariant bit for bit.  Work
+    scales with state changes plus losses, not packets.  ``copy()`` resets
+    the carried state; ``_in_bad_state`` is the chain state after the last
+    consumed packet.
     """
+
+    #: Sojourns drawn per refill.  Part of the scheme-5 stream layout: a
+    #: refill's content must never depend on the caller's ``n``.
+    _SOJOURN_BATCH = 256
+    #: Packets one refill covers once the chain sits in an absorbing state
+    #: (``p_good_to_bad == 0``: the good state is never left).
+    _ABSORBING_SPAN = 4096
 
     def __init__(
         self,
@@ -200,9 +251,40 @@ class GilbertElliottLoss(LossProcess):
         self.p_bad_to_good = float(p_bad_to_good)
         self.loss_good = float(loss_good)
         self.loss_bad = float(loss_bad)
+        # Alternating per-sojourn states and switch probabilities of a
+        # batch that starts in the good (index 0) or bad (index 1) state.
+        alternating = np.arange(self._SOJOURN_BATCH) % 2 == 1
+        self._batch_states = (alternating, ~alternating)
+        self._batch_switch = tuple(
+            np.where(states, self.p_bad_to_good, self.p_good_to_bad)
+            for states in self._batch_states
+        )
         self._in_bad_state = False
+        self._discard_carried()
+
+    def _discard_carried(self) -> None:
+        """Forget the generated sojourns and losses past the consumed packets.
+
+        The chain is memoryless, so generating afresh from
+        ``_in_bad_state`` continues the process exactly.
+        """
+        # Absolute packet indices: the next packet to consume and the end of
+        # the generated sojourns.
+        self._next = 0
+        self._frontier = 0
+        # Pending runs (absolute exclusive ends and states, the first one
+        # holding the last consumed packet) and pending loss positions.
+        self._run_ends = np.zeros(0, dtype=np.int64)
+        self._run_bad = np.zeros(0, dtype=bool)
+        self._losses = np.zeros(0, dtype=np.int64)
+        # State of the last generated packet, and whether its sojourn is
+        # complete (every refill but an absorbing one ends on a transition).
+        self._tail_bad = self._in_bad_state
+        self._tail_closed = False
 
     def sample(self, rng: np.random.Generator) -> bool:
+        if self._frontier:
+            self._discard_carried()
         # Transition first, then draw loss from the (new) state.
         if self._in_bad_state:
             if rng.random() < self.p_bad_to_good:
@@ -210,45 +292,92 @@ class GilbertElliottLoss(LossProcess):
         else:
             if rng.random() < self.p_good_to_bad:
                 self._in_bad_state = True
+        self._tail_bad = self._in_bad_state
         loss_probability = self.loss_bad if self._in_bad_state else self.loss_good
         return bool(rng.random() < loss_probability)
 
-    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` consecutive outcomes by sampling sojourn blocks.
-
-        Instead of two generator calls per packet, the state sequence is
-        built from geometrically distributed sojourn lengths (the dwell time
-        in a Markov state is geometric, and the geometric distribution's
-        memorylessness lets a block that overruns the array be discarded),
-        then all per-packet loss draws happen in one vectorised comparison.
-        Statistically identical to ``n`` calls of :meth:`sample`; the
-        per-call random stream differs.  The chain state advances by ``n``
-        steps, exactly as ``n`` single samples would.
-        """
+    def sample_positions(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n <= 0:
-            return np.zeros(0, dtype=bool)
-        in_bad = np.empty(n, dtype=bool)
-        position = 0
-        state = self._in_bad_state
-        while position < n:
-            p_switch = self.p_bad_to_good if state else self.p_good_to_bad
-            if p_switch <= 0.0:
-                in_bad[position:] = state
-                position = n
-                break
-            # Packets until (and including) the next transition; the first
-            # ``dwell - 1`` packets stay in the current state.
-            dwell = int(rng.geometric(p_switch))
-            stay = min(dwell - 1, n - position)
-            in_bad[position:position + stay] = state
-            position += stay
-            if position < n:
-                state = not state
-                in_bad[position] = state
-                position += 1
-        self._in_bad_state = bool(in_bad[n - 1])
-        loss_probability = np.where(in_bad, self.loss_bad, self.loss_good)
-        return rng.random(n) < loss_probability
+            return np.zeros(0, dtype=np.int64)
+        start = self._next
+        stop = start + n
+        if self._frontier < stop:
+            self._extend(rng, stop)
+        losses = self._losses
+        cut = int(np.searchsorted(losses, stop))
+        self._losses = losses[cut:]
+        # Zero-length runs never hold a packet: ``side="right"`` skips them.
+        run = int(np.searchsorted(self._run_ends, stop - 1, side="right"))
+        self._in_bad_state = bool(self._run_bad[run])
+        self._run_ends = self._run_ends[run:]
+        self._run_bad = self._run_bad[run:]
+        self._next = stop
+        return losses[:cut] - start
+
+    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        out = np.zeros(max(n, 0), dtype=bool)
+        out[self.sample_positions(rng, n)] = True
+        return out
+
+    def _extend(self, rng: np.random.Generator, stop: int) -> None:
+        """Refill whole sojourn batches until they cover packet ``stop - 1``."""
+        ends, bad, losses = [self._run_ends], [self._run_bad], [self._losses]
+        while self._frontier < stop:
+            batch_ends, batch_bad, batch_losses = self._refill(rng)
+            ends.append(batch_ends)
+            bad.append(batch_bad)
+            losses.append(batch_losses)
+        self._run_ends = np.concatenate(ends)
+        self._run_bad = np.concatenate(bad)
+        self._losses = np.concatenate(losses)
+
+    def _refill(self, rng: np.random.Generator) -> tuple:
+        """One batch of sojourns past the frontier: (run ends, run states, losses)."""
+        # A complete tail sojourn is followed by a transition.
+        state = self._tail_bad != self._tail_closed
+        if not state and self.p_good_to_bad == 0.0:
+            # Absorbing: the chain never leaves the good state.
+            lengths = np.array([self._ABSORBING_SPAN], dtype=np.int64)
+            states = np.array([state])
+            self._tail_closed = False
+        else:
+            lengths = rng.geometric(self._batch_switch[state])
+            states = self._batch_states[state]
+            if not self._tail_closed:
+                # The sojourn in progress already holds the last generated
+                # packet: by memorylessness one fewer than a fresh dwell
+                # remains (possibly none).
+                lengths[0] -= 1
+            self._tail_closed = True
+        self._tail_bad = bool(states[-1])
+        ends = self._frontier + np.cumsum(lengths)
+        self._frontier = int(ends[-1])
+        starts = ends - lengths
+        lost = []
+        for bad, rate in ((False, self.loss_good), (True, self.loss_bad)):
+            if rate == 0.0:
+                continue
+            mine = states == bad
+            run_lengths = lengths[mine]
+            # This state's runs laid end to end on a virtual time line.
+            virtual_ends = np.cumsum(run_lengths)
+            total = int(virtual_ends[-1]) if virtual_ends.size else 0
+            if total == 0:
+                continue
+            shift = starts[mine] - (virtual_ends - run_lengths)
+            if rate == 1.0:
+                lost.append(np.repeat(shift, run_lengths) + np.arange(total))
+            else:
+                virtual = _bernoulli_positions(rng, rate, total)
+                run = np.searchsorted(virtual_ends, virtual, side="right")
+                lost.append(virtual + shift[run])
+        if not lost:
+            positions = np.zeros(0, dtype=np.int64)
+        elif len(lost) == 1:
+            positions = lost[0]
+        else:
+            positions = np.sort(np.concatenate(lost))
+        return ends, states, positions
 
     @property
     def average_loss_rate(self) -> float:

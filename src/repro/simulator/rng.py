@@ -23,10 +23,10 @@ whole chunk of every stream in one call, the per-packet reference engine
 draws unit by unit, and both read bit-identical values — splitting a
 Philox stream's ``random`` calls never changes the values produced (the
 generator consumes its 64-bit counter blocks strictly sequentially; see
-``tests/simulator/test_loss.py``).  Stateful loss processes such as
-Gilbert–Elliott remain unit-granular in both engines (their block-sampling
-construction is not split-invariant), which keeps results independent of
-the batched engine's ``chunk_units`` knob.
+``tests/simulator/test_loss.py``).  Loss processes that sample in blocks
+keep the same property by carrying their in-progress block across calls
+(Gilbert–Elliott sojourns since RNG scheme 5), which keeps results
+independent of the batched engine's ``chunk_units`` knob.
 
 Keying the join draws per ``(seed, receiver)`` is what lets the batched
 scan materialise only the draws a receiver actually reaches: between two

@@ -11,6 +11,7 @@ from repro.experiments import (
     run_burstiness,
     run_leave_latency,
 )
+from repro.experiments.registry import get_experiment
 from repro.simulator import BernoulliLoss, GilbertElliottLoss
 
 
@@ -90,3 +91,20 @@ class TestBurstinessExperiment:
         assert result.ordering_preserved
         assert "burst length" in result.table()
         assert result.max_shift_from_bernoulli("coordinated") < 1.5
+
+    def test_protocol_subset_is_judged_without_the_missing_protocols(self):
+        result = get_experiment("burstiness").run(
+            protocols=("deterministic",),
+            burst_lengths=(1.0, 4.0),
+            num_receivers=8,
+            duration_units=100,
+            repetitions=1,
+        )
+        assert result.verdict.ok
+        assert {record["protocol"] for record in result.records} == {"deterministic"}
+
+    def test_unknown_protocol_is_a_typed_error_naming_the_field(self):
+        with pytest.raises(ExperimentError, match="protocols"):
+            get_experiment("burstiness").make_spec(protocols=("deterministic", "bogus"))
+        with pytest.raises(ExperimentError, match="protocols"):
+            run_burstiness(protocols=("bogus",), repetitions=1, duration_units=100)

@@ -6,7 +6,7 @@ optional numba ``compiled`` lowering (NumPy packed fallback when numba is
 absent) — must reproduce each other *exactly* for any seed: all of them
 lower the one :class:`repro.protocols.kernel.ScanKernel` decision sequence
 and consume the same pre-sampled counter-based random streams
-(``RNG_SCHEME_VERSION = 4``), so every measured quantity — shared-link
+(``RNG_SCHEME_VERSION = 5``), so every measured quantity — shared-link
 packet counts, per-receiver reception counts, and the subscription-level
 statistics — has to match to the last bit.  The same holds for the stacked
 fast paths (``run_many``, ``simulate_session_group`` and
@@ -210,6 +210,28 @@ class TestStackedRuns:
                                   independent=rate, num_receivers=11,
                                   num_layers=6).run(seed=seed)
                 assert_identical(solo, result)
+
+    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_session_group_with_bursty_per_receiver_losses(self, protocol, engine):
+        # The burstiness sweep's shape: per-receiver process lists that
+        # differ in burstiness (Bernoulli included) ride one stacked scan.
+        def variants(which):
+            processes = (
+                lambda: GilbertElliottLoss(0.02, 0.3, loss_good=0.01),
+                lambda: GilbertElliottLoss(0.1, 0.5, loss_bad=0.8),
+                lambda: BernoulliLoss(0.05),
+            )
+            return [
+                _simulator(protocol, which, num_receivers=9,
+                           independent_loss=[make() for _ in range(9)])
+                for make in processes
+            ]
+
+        grouped = simulate_session_group(variants(engine), [SEEDS[:3]] * 3)
+        for solo_simulator, results in zip(variants("reference"), grouped):
+            for seed, result in zip(SEEDS[:3], results):
+                assert_identical(solo_simulator.run(seed=seed), result)
 
     @pytest.mark.parametrize("engine", SCAN_ENGINES)
     def test_star_redundancy_group_matches_pointwise(self, engine):

@@ -9,7 +9,9 @@ and asserts that every engine in the kernel registry (``reference``,
 ``batched``, ``bitpacked`` and ``compiled``) serialises to byte-identical
 JSON payloads, shrinking any disagreement to a minimal repro.  The experiment-level check asserts byte-identical
 ``canonical_json()`` envelopes, which is exactly the document the PR-6
-result store addresses and the figures are plotted from.
+result store addresses and the figures are plotted from.  A separate
+property pins per-receiver Gilbert–Elliott lists to byte-identical payloads
+across ``chunk_units`` and scan-window widths as well as engines.
 
 The second half property-tests the fused multi-event drain's conservation
 invariants on every chunk the bit-packed scan processes: per-receiver
@@ -39,6 +41,7 @@ from repro.experiments.registry import get_experiment
 from repro.layering import ExponentialLayerScheme
 from repro.protocols import base as protocol_base
 from repro.protocols import make_protocol
+from repro.protocols.kernel import SCAN_ENGINES
 from repro.simulator import (
     ENGINES,
     BernoulliLoss,
@@ -73,12 +76,24 @@ def loss_specs(include_none: bool = True) -> st.SearchStrategy:
     return st.one_of(options)
 
 
+def gilbert_specs() -> st.SearchStrategy:
+    """Gilbert–Elliott specs with lossy good states and an absorbing one."""
+    return st.tuples(
+        st.just("ge"),
+        st.sampled_from((0.0, 0.01, 0.05, 0.2)),
+        st.sampled_from((0.1, 0.3, 0.8)),
+        st.sampled_from((1.0, 0.7)),
+        st.sampled_from((0.0, 0.05)),
+    )
+
+
 def _build_loss(spec):
     if spec[0] == "none":
         return NoLoss()
     if spec[0] == "bernoulli":
         return BernoulliLoss(spec[1])
-    return GilbertElliottLoss(spec[1], spec[2], loss_bad=spec[3])
+    loss_good = spec[4] if len(spec) > 4 else 0.0
+    return GilbertElliottLoss(spec[1], spec[2], loss_good=loss_good, loss_bad=spec[3])
 
 
 @st.composite
@@ -105,7 +120,7 @@ def scenarios(draw):
     }
 
 
-def build_simulator(scenario, engine) -> LayeredSessionSimulator:
+def build_simulator(scenario, engine, chunk_units=None) -> LayeredSessionSimulator:
     independent = scenario["independent"]
     if independent[0] == "per-receiver":
         independent_loss = [_build_loss(spec) for spec in independent[1]]
@@ -120,6 +135,7 @@ def build_simulator(scenario, engine) -> LayeredSessionSimulator:
         duration_units=scenario["duration"],
         leave_latency=scenario["leave_latency"],
         engine=engine,
+        chunk_units=chunk_units,
     )
 
 
@@ -232,6 +248,52 @@ class TestDifferentialFuzzer:
             payloads[engine] = result.canonical_json()
         for engine in ENGINES:
             assert payloads[engine] == payloads["reference"], engine
+
+
+class TestGilbertElliottChunkSplitInvariance:
+    """Per-receiver Gilbert–Elliott lists are sampled a whole chunk per call
+    (RNG scheme 5), so payloads must not depend on the chunk size, the scan
+    window width or the engine."""
+
+    @settings(max_examples=25)
+    @given(
+        protocol=st.sampled_from(PROTOCOLS),
+        num_receivers=st.integers(2, 6),
+        num_layers=st.integers(2, 6),
+        duration=st.sampled_from(DURATIONS),
+        shared=loss_specs(),
+        processes=st.lists(gilbert_specs(), min_size=6, max_size=6),
+        chunk_units=st.sampled_from((1, 3, 8, 13)),
+        window=st.sampled_from((0, 1, 2, 5)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_ge_payloads_independent_of_chunking(
+        self, protocol, num_receivers, num_layers, duration, shared, processes,
+        chunk_units, window, seed,
+    ):
+        scenario = {
+            "protocol": protocol,
+            "num_receivers": num_receivers,
+            "num_layers": num_layers,
+            "duration": duration,
+            "leave_latency": 0.0,
+            "shared": shared,
+            "independent": ("per-receiver", tuple(processes[:num_receivers])),
+        }
+
+        def payload(engine, chunk=None, window_units=None):
+            simulator = build_simulator(scenario, engine, chunk_units=chunk)
+            if window_units is not None:
+                simulator.scan_window_units = window_units
+            return result_payload(simulator.run(seed=seed))
+
+        reference = payload("reference")
+        for engine in ENGINES:
+            assert payload(engine) == reference, engine
+        for engine in SCAN_ENGINES:
+            assert payload(engine, chunk_units, window) == reference, (
+                engine, chunk_units, window,
+            )
 
 
 def _capture_packed_chunks(simulator, seed):

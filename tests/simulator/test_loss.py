@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.simulator import BernoulliLoss, GilbertElliottLoss, NoLoss
@@ -111,16 +113,75 @@ class TestSamplePositions:
         assert NoLoss().sample_positions(rng, 50).size == 0
 
 
-class TestSplitInvariance:
-    """RNG scheme 4 contract: split-invariant (``splittable``) processes
-    produce bit-identical outcomes however the packets are partitioned into
-    calls, which is what lets the batched engine sample whole chunks while
-    the reference engine samples unit by unit."""
+#: Gilbert–Elliott parameters (p_good_to_bad, p_bad_to_good, loss_good,
+#: loss_bad) covering every in-run loss branch and the absorbing state.
+GILBERT_PARAMS = st.one_of(
+    # Both states lossy, neither certain: gap-sampled in both.
+    st.tuples(
+        st.sampled_from((0.01, 0.2, 0.9)),
+        st.sampled_from((0.05, 0.5, 1.0)),
+        st.sampled_from((0.02, 0.3)),
+        st.sampled_from((0.4, 0.95)),
+    ),
+    # The classical all-or-nothing states.
+    st.tuples(
+        st.sampled_from((0.01, 0.3)), st.sampled_from((0.1, 1.0)),
+        st.just(0.0), st.just(1.0),
+    ),
+    # Absorbing good state: the chain never leaves it.
+    st.tuples(
+        st.just(0.0), st.sampled_from((0.0, 0.5)),
+        st.sampled_from((0.0, 0.1, 1.0)), st.just(1.0),
+    ),
+    # Long dwells: one sojourn spans many calls.
+    st.tuples(
+        st.sampled_from((0.0005, 0.002)), st.sampled_from((0.001, 0.004)),
+        st.sampled_from((0.0, 0.05)), st.sampled_from((0.7, 1.0)),
+    ),
+)
 
-    def test_flags(self):
-        assert BernoulliLoss(0.1).splittable
-        assert NoLoss().splittable
-        assert not GilbertElliottLoss(0.1, 0.5).splittable
+
+class TestSplitInvariance:
+    """The :class:`LossProcess` contract: every process produces
+    bit-identical outcomes however the packets are partitioned into calls,
+    which is what lets the batched engine sample whole chunks while the
+    reference engine samples unit by unit."""
+
+    @given(
+        params=GILBERT_PARAMS,
+        sizes=st.lists(st.integers(0, 900), min_size=1, max_size=10),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gilbert_elliott_outcomes_independent_of_call_partition(
+        self, params, sizes, seed
+    ):
+        whole_process = GilbertElliottLoss(*params)
+        whole = whole_process.sample_array(np.random.default_rng(seed), sum(sizes))
+        process = GilbertElliottLoss(*params)
+        rng = np.random.default_rng(seed)
+        parts = []
+        for index, size in enumerate(sizes):
+            # Alternate the two array forms: they are interchangeable mid-stream.
+            if index % 2:
+                parts.append(process.sample_array(rng, size))
+            else:
+                dense = np.zeros(size, dtype=bool)
+                dense[process.sample_positions(rng, size)] = True
+                parts.append(dense)
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert process._in_bad_state == whole_process._in_bad_state
+
+    def test_gilbert_elliott_copy_resets_carried_sojourn(self):
+        params = dict(p_good_to_bad=0.01, p_bad_to_good=0.05, loss_good=0.02, loss_bad=0.9)
+        process = GilbertElliottLoss(**params)
+        process.sample_array(np.random.default_rng(0), 333)
+        clone = process.copy()
+        fresh = GilbertElliottLoss(**params)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        assert np.array_equal(
+            clone.sample_array(rng_a, 5000), fresh.sample_array(rng_b, 5000)
+        )
+        assert clone._in_bad_state == fresh._in_bad_state
 
     @pytest.mark.parametrize("probability", [0.01, 0.2, 0.9])
     def test_bernoulli_outcomes_independent_of_call_granularity(self, probability):

@@ -131,6 +131,10 @@ class TestRun:
         completed = _run_cli("run", "figure1", "--engine", "warp-drive")
         assert completed.returncode != 0
 
+    def test_run_rejects_unknown_burstiness_protocol(self, capsys):
+        assert main(["run", "burstiness", "--set", 'protocols=["bogus"]']) == 2
+        assert "protocols" in capsys.readouterr().err
+
     def test_main_callable_in_process(self, capsys):
         assert main(["run", "figure1", "--format", "json"]) == 0
         [data] = json.loads(capsys.readouterr().out)
