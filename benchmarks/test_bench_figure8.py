@@ -12,11 +12,11 @@ shape (Coordinated lowest and below ~2.5, redundancy rising with independent
 loss, everything below 5) is already stable.  Pass larger parameters to
 :func:`repro.experiments.run_figure8_panel` for paper scale.
 
-The panels run on the time-unit-batched engine, which stacks each
-protocol's loss sweep and repetitions into one event scan; the ``slow``
-engine-comparison benchmarks pit it against the per-packet reference loop
-and the bit-packed (uint64 + popcount) scan on reduced workloads for both
-shared-loss regimes (identical results, very different wall time — see
+The panels run on the default ``bitpacked`` engine, which stacks each
+protocol's loss sweep and repetitions into one bit-packed event scan; the
+``slow`` engine-comparison benchmarks pit it against the per-packet
+reference loop on reduced workloads for both shared-loss regimes
+(identical results, very different wall time — see
 ``docs/performance.md`` for recorded numbers).
 """
 
@@ -25,16 +25,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.figure8 import run_figure8_panel
-from repro.protocols.kernel import have_numba
-
-#: Engine axis of the comparison benches.  The compiled engine only runs
-#: where numba is installed — without it the lowering falls back to the
-#: bit-packed NumPy primitives and the measurement would just duplicate
-#: the ``bitpacked`` row under a misleading name.
-_COMPILED = pytest.param(
-    "compiled",
-    marks=pytest.mark.skipif(not have_numba(), reason="numba not installed"),
-)
+from repro.protocols.kernel import ENGINES
 
 INDEPENDENT_LOSS_RATES = (0.005, 0.02, 0.05, 0.08, 0.1)
 NUM_RECEIVERS = 60
@@ -42,7 +33,7 @@ DURATION_UNITS = 1200
 REPETITIONS = 3
 
 
-def _run_panel(shared_loss_rate: float, engine: str = "batched", duration: int = DURATION_UNITS):
+def _run_panel(shared_loss_rate: float, engine: str = "bitpacked", duration: int = DURATION_UNITS):
     return run_figure8_panel(
         shared_loss_rate=shared_loss_rate,
         independent_loss_rates=INDEPENDENT_LOSS_RATES,
@@ -76,30 +67,26 @@ def test_bench_figure8b_high_shared_loss(benchmark):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ("batched", "reference", "bitpacked", _COMPILED))
+@pytest.mark.parametrize("engine", ENGINES)
 def test_bench_figure8_engine_comparison(benchmark, engine):
-    """Every engine on a reduced high-shared-loss panel (same results).
+    """Both engines on a reduced high-shared-loss panel (same results).
 
-    The scan engines get three rounds (their gap is small, so one noisy
-    round could invert the recorded ordering); the reference loop is 4-5x
-    off and one round suffices.  The compiled engine gets a warmup round
-    so numba's one-time JIT compilation never pollutes the measurement.
+    The scan gets three rounds; the reference loop is several times slower
+    and one round suffices.
     """
     panel = benchmark.pedantic(
         _run_panel, args=(0.05,), kwargs={"engine": engine, "duration": 400},
         rounds=1 if engine == "reference" else 3, iterations=1,
-        warmup_rounds=1 if engine == "compiled" else 0,
     )
     _check_panel(panel, coordinated_cap=2.6)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ("batched", "bitpacked", _COMPILED))
+@pytest.mark.parametrize("engine", ENGINES)
 def test_bench_figure8a_engine_comparison(benchmark, engine):
-    """Scan engines on the low-shared-loss panel (a), the bit-packed win case."""
+    """Both engines on the low-shared-loss panel (a)."""
     panel = benchmark.pedantic(
         _run_panel, args=(0.0001,), kwargs={"engine": engine, "duration": 400},
-        rounds=3, iterations=1,
-        warmup_rounds=1 if engine == "compiled" else 0,
+        rounds=1 if engine == "reference" else 3, iterations=1,
     )
     _check_panel(panel, coordinated_cap=2.6)

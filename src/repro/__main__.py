@@ -56,6 +56,7 @@ from .experiments.api import ENGINES, SCALES, ExperimentSpec
 from .experiments.registry import Experiment, all_experiments, select_experiments
 from .experiments.runner import run_specs, shard_tasks
 from .experiments.store import ResultStore
+from .protocols.kernel import ENGINE_ALIASES
 
 __all__ = ["main"]
 
@@ -411,11 +412,13 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
+        type=lambda name: ENGINE_ALIASES.get(name, name),
         choices=ENGINES,
         default="bitpacked",
         help="simulation engine for the packet-level experiments "
         "(identical results; 'reference' is the slow per-packet loop, "
-        "'bitpacked' the uint64+popcount scan)",
+        "'bitpacked' the uint64+popcount scan; the retired names "
+        "'batched' and 'compiled' select 'bitpacked')",
     )
     parser.add_argument(
         "--set",

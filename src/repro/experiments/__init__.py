@@ -53,7 +53,7 @@ from .mixed_sessions import (
     MixedSessionsSpec,
     run_mixed_sessions,
 )
-from .parallel import default_jobs, parallel_map, run_star_repetitions, task_seeds
+from .parallel import default_jobs, run_star_repetitions, task_seeds
 from .registry import (
     Experiment,
     all_experiments,
@@ -144,7 +144,6 @@ __all__ = [
     "TopologyOutcome",
     "run_scalefree_bottleneck",
     "default_jobs",
-    "parallel_map",
     "run_star_repetitions",
     "task_seeds",
     "EXPERIMENT_KEYS",

@@ -20,6 +20,12 @@ Every experiment in this package is described by three first-class objects:
 The registry tying specs to runnable experiments lives in
 :mod:`repro.experiments.registry`; the CLI on top of both is
 ``python -m repro`` (``list`` / ``run`` / ``verify``).
+
+The ``engine`` field names one of the two simulation engines
+(:data:`ENGINES`: the bit-packed chunk scan and the per-packet reference
+loop).  The retired names ``"batched"`` and ``"compiled"`` are accepted and
+resolved to ``"bitpacked"`` on construction, so specs and stored results
+that still name them keep decoding.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ExperimentError
-from ..protocols.kernel import ENGINES
+from ..protocols.kernel import ENGINES, resolve_engine
 
 __all__ = [
     "SCALES",
@@ -48,9 +54,8 @@ SCALES: Tuple[str, ...] = ("reduced", "paper")
 # Recognised simulation engines: ``ENGINES`` (imported above) comes from
 # the one registry in ``repro.protocols.kernel`` (also re-exported by
 # ``repro.simulator.engine``): the bit-packed scan (uint64 words +
-# popcount, the default), the dense batched scan, the per-packet
-# reference loop, and the optional numba-compiled packed scan.  All
-# bit-for-bit identical for any seed.
+# popcount, the default) and the per-packet reference loop, bit-for-bit
+# identical for any seed.
 
 #: Version of the ``ExperimentResult.to_dict`` JSON layout.  Bump when the
 #: envelope's keys change shape; ``from_dict`` rejects unknown versions.
@@ -113,12 +118,12 @@ class ExperimentSpec:
         Worker processes for experiments that fan out internally (Figure
         8's point sweep).  Results are identical for every value.
     engine:
-        Simulation engine for the packet-level experiments — any name in
-        :data:`ENGINES` (``"bitpacked"``, the default, ``"batched"``,
-        ``"reference"`` or ``"compiled"``); ignored by the closed-form
-        experiments.  Results are identical for every value, so the field
-        is execution-only and excluded from canonical JSON — cache entries
-        address identically whichever engine wrote them.
+        Simulation engine for the packet-level experiments — ``"bitpacked"``
+        (the default) or ``"reference"``; the retired names ``"batched"``
+        and ``"compiled"`` resolve to ``"bitpacked"``.  Ignored by the
+        closed-form experiments.  Results are identical for every value,
+        so the field is execution-only and excluded from canonical JSON —
+        cache entries address identically whichever engine wrote them.
     """
 
     scale: str = "reduced"
@@ -132,10 +137,12 @@ class ExperimentSpec:
             )
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise ExperimentError(f"jobs must be a positive integer, got {self.jobs!r}")
-        if self.engine not in ENGINES:
+        try:
+            object.__setattr__(self, "engine", resolve_engine(self.engine))
+        except ValueError:
             raise ExperimentError(
                 f"unknown engine {self.engine!r}; expected one of {list(ENGINES)}"
-            )
+            ) from None
 
     @property
     def paper_scale(self) -> bool:

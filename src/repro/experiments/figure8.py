@@ -34,7 +34,7 @@ from ..protocols import make_protocol
 from ..simulator.metrics import RedundancyMeasurement
 from ..simulator.star import star_redundancy, star_redundancy_group, uniform_star
 from .api import ExperimentSpec, Verdict
-from .parallel import parallel_map
+from .resilient import resilient_map
 from .registry import Experiment, register
 
 __all__ = [
@@ -293,7 +293,7 @@ def run_figure8_panel(
         for protocol_name in protocols
         for independent_loss in independent_loss_rates
     ]
-    panel.points.extend(parallel_map(_run_figure8_point, tasks, jobs=jobs))
+    panel.points.extend(resilient_map(_run_figure8_point, tasks, jobs=jobs))
     return panel
 
 

@@ -1,21 +1,17 @@
-"""Multi-process fan-out for experiment sweeps with deterministic seeding.
+"""Deterministic seeding and worker counts for experiment sweeps.
 
 The figure-level experiments are embarrassingly parallel: every
 ``(protocol, loss-rate)`` point of a Figure-8 panel, and every experiment of
 :func:`~repro.experiments.runner.run_all`, is an independent computation
-with its own fixed seeds.  This module provides a small deterministic
-executor on top of :class:`concurrent.futures.ProcessPoolExecutor`:
+with its own fixed seeds.  Process fan-out itself is
+:func:`repro.experiments.resilient.resilient_map` (order-preserving,
+fail-fast, with retries and worker-crash recovery; ``jobs=1`` runs
+in-process).  This module holds what the sweeps share on top of it:
 
-* :func:`parallel_map` — apply a picklable function to a list of argument
-  tuples, preserving input order; ``jobs=1`` (the default everywhere)
-  degrades to a plain loop in-process, so serial behaviour is unchanged.
-  Experiment-level fan-out (:func:`repro.experiments.runner.run_specs`)
-  rides on this: each worker receives a plain ``(key, spec)`` pair and
-  resolves the registered experiment after import, so only frozen spec
-  dataclasses — never closures — cross the process boundary.
+* :func:`default_jobs` — a worker count that respects CPU affinity;
 * :func:`task_seeds` — the canonical per-task seed schedule: one spawned
   ``SeedSequence`` child per task (RNG scheme 4), shared by serial and
-  parallel paths so that the two produce identical results.
+  parallel paths so that the two produce identical results;
 * :func:`run_star_repetitions` — fan the repetitions of one modified-star
   redundancy measurement across workers.
 
@@ -29,13 +25,13 @@ with ``jobs=N`` is bit-identical to ``jobs=1`` (smoke-tested in
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import List
 
-from ..errors import ExecutionError, SimulationError
+from ..errors import SimulationError
 from ..simulator.rng import spawn_run_entropy
+from .resilient import resilient_map
 
-__all__ = ["default_jobs", "parallel_map", "task_seeds", "run_star_repetitions"]
+__all__ = ["default_jobs", "task_seeds", "run_star_repetitions"]
 
 
 def default_jobs() -> int:
@@ -71,54 +67,6 @@ def task_seeds(base_seed: int, num_tasks: int) -> List[int]:
     return spawn_run_entropy(base_seed, num_tasks)
 
 
-def parallel_map(
-    function: Callable[..., Any],
-    argument_tuples: Sequence[Tuple],
-    jobs: int = 1,
-) -> List[Any]:
-    """Apply ``function`` to each argument tuple, preserving input order.
-
-    With ``jobs <= 1`` (or a single task) this is a plain in-process loop;
-    otherwise tasks are distributed over a process pool.  ``function`` and
-    all arguments/results must be picklable for the multi-process path.
-
-    Failure semantics are fail-fast: the first task exception cancels every
-    pending future and re-raises as :class:`~repro.errors.ExecutionError`
-    naming the failing task's index and arguments (the original exception
-    rides along as ``__cause__``), instead of silently draining the rest of
-    the sweep first.  For retries, per-task timeouts, and crash recovery
-    use :func:`repro.experiments.resilient.resilient_map`.
-    """
-    if jobs < 0:
-        raise SimulationError(f"jobs must be non-negative, got {jobs}")
-    tasks = list(argument_tuples)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [function(*arguments) for arguments in tasks]
-    workers = min(jobs, len(tasks), default_jobs())
-    results: List[Any] = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        future_index = {
-            executor.submit(function, *arguments): index
-            for index, arguments in enumerate(tasks)
-        }
-        pending = set(future_index)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = future_index[future]
-                try:
-                    results[index] = future.result()
-                except Exception as error:
-                    for unfinished in pending:
-                        unfinished.cancel()
-                    raise ExecutionError(
-                        f"parallel task {index} "
-                        f"({getattr(function, '__name__', function)!s}"
-                        f"{tasks[index]!r}) failed: {error}"
-                    ) from error
-    return results
-
-
 def _star_repetition(protocol_name: str, config, seed: int):
     """Worker: one seeded run of a modified-star simulation."""
     from ..protocols import make_protocol
@@ -143,7 +91,7 @@ def run_star_repetitions(
     payload picklable and gives every worker a fresh protocol.
     """
     seeds = task_seeds(base_seed, repetitions)
-    return parallel_map(
+    return resilient_map(
         _star_repetition,
         [(protocol_name, config, seed) for seed in seeds],
         jobs=jobs,

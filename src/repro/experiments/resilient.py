@@ -6,10 +6,10 @@ Two public surfaces share one dispatch engine:
   (``repro serve`` keeps one alive for the lifetime of the daemon).
   ``submit`` returns a :class:`TaskHandle`; tasks settle independently,
   so a permanent failure fails its own handle without stopping the pool.
-* :func:`resilient_map` — the batch form, with the same contract as
-  :func:`repro.experiments.parallel.parallel_map` (apply a picklable
-  function to argument tuples, preserving input order) plus fail-fast
-  error reporting.  It is a thin wrapper over a short-lived pool.
+* :func:`resilient_map` — the batch form: apply a picklable function to
+  argument tuples, preserving input order, with fail-fast error
+  reporting.  It is a thin wrapper over a short-lived pool, and the one
+  process fan-out every sweep uses (``jobs <= 1`` runs in-process).
 
 Both survive the failure modes that turn a multi-hour sweep into a
 restart-from-zero:
@@ -63,6 +63,7 @@ work (fail-fast) rather than draining it.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import traceback
@@ -74,7 +75,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..errors import ExecutionError, SimulationError, TaskTimeoutError
 
-__all__ = ["TaskFailure", "TaskHandle", "ResilientPool", "resilient_map"]
+__all__ = [
+    "TaskFailure",
+    "TaskHandle",
+    "ResilientPool",
+    "check_task_limits",
+    "resilient_map",
+]
 
 
 #: Sentinel distinguishing "use the pool default" from an explicit
@@ -85,6 +92,29 @@ _UNSET = object()
 #: blocks in ``concurrent.futures.wait`` before re-checking submissions,
 #: deadlines, and the stop flag.
 _POLL_SECONDS = 0.05
+
+
+def check_task_limits(timeout: Any, retries: Any) -> None:
+    """Validate per-task ``timeout`` (seconds, or ``None``) and ``retries``.
+
+    Both arrive from outside (pool defaults, ``repro serve`` requests), so
+    a boolean — an ``int`` subclass — or a non-finite timeout is refused
+    with a :class:`~repro.errors.SimulationError` naming the field instead
+    of silently meaning ``1`` or "no deadline".
+    """
+    if timeout is not None and (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, (int, float))
+        or not math.isfinite(timeout)
+        or timeout <= 0
+    ):
+        raise SimulationError(
+            f"timeout must be positive and finite (seconds), got {timeout!r}"
+        )
+    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+        raise SimulationError(
+            f"retries must be a non-negative integer, got {retries!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -329,10 +359,7 @@ class ResilientPool:
     ) -> None:
         if jobs < 0:
             raise SimulationError(f"jobs must be non-negative, got {jobs}")
-        if retries < 0:
-            raise SimulationError(f"retries must be non-negative, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise SimulationError(f"timeout must be positive, got {timeout}")
+        check_task_limits(timeout, retries)
         self._function = function
         # Honour ``jobs`` literally: worker processes time-share on small
         # machines, and the CLI layer already defaults to default_jobs()
@@ -392,11 +419,7 @@ class ResilientPool:
         """
         task_timeout = self._default_timeout if timeout is _UNSET else timeout
         task_retries = self._default_retries if retries is _UNSET else retries
-        if task_timeout is not None:
-            if not isinstance(task_timeout, (int, float)) or task_timeout <= 0:
-                raise SimulationError(f"timeout must be positive, got {task_timeout!r}")
-        if not isinstance(task_retries, int) or task_retries < 0:
-            raise SimulationError(f"retries must be non-negative, got {task_retries!r}")
+        check_task_limits(task_timeout, task_retries)
         with self._lock:
             if self._stop or self._draining:
                 raise ExecutionError("cannot submit to a worker pool that is shutting down")
@@ -753,8 +776,10 @@ def resilient_map(
     Parameters
     ----------
     function, argument_tuples, jobs:
-        As in :func:`repro.experiments.parallel.parallel_map`; ``jobs <= 1``
-        (or a single task) runs in-process.
+        ``function`` is applied to each argument tuple; it and all
+        arguments/results must be picklable for the multi-process path.
+        ``jobs <= 1`` (or a single task) runs in-process; otherwise
+        ``min(jobs, len(argument_tuples))`` worker processes run them.
     timeout:
         Per-task wall-clock budget in seconds (pool path only).  A task
         exceeding it is charged a failed attempt; the pool is rebuilt if
@@ -786,10 +811,7 @@ def resilient_map(
     """
     if jobs < 0:
         raise SimulationError(f"jobs must be non-negative, got {jobs}")
-    if retries < 0:
-        raise SimulationError(f"retries must be non-negative, got {retries}")
-    if timeout is not None and timeout <= 0:
-        raise SimulationError(f"timeout must be positive, got {timeout}")
+    check_task_limits(timeout, retries)
     tasks = list(argument_tuples)
     results: List[Any] = [None] * len(tasks)
     if jobs <= 1 or len(tasks) <= 1:

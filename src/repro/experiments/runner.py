@@ -31,6 +31,7 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError, ReproError
+from ..protocols.kernel import ENGINE_ALIASES
 from .api import ENGINES, ExperimentResult, ExperimentSpec
 from .registry import experiment_keys, get_experiment, select_experiments
 from .resilient import resilient_map
@@ -165,7 +166,7 @@ def run_all(
     jobs:
         Number of worker processes.  ``1`` (the default) runs everything
         in-process; larger values fan the experiments out via
-        :func:`repro.experiments.parallel.parallel_map` (and Figure 8
+        :func:`repro.experiments.resilient.resilient_map` (and Figure 8
         additionally fans its point sweep).  All experiments use fixed
         seeds, so results and verdicts are independent of ``jobs`` apart
         from each verdict's trailing ``(<elapsed>s)`` timing suffix.
@@ -220,10 +221,12 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--engine",
+        type=lambda name: ENGINE_ALIASES.get(name, name),
         choices=ENGINES,
         default="bitpacked",
         help="simulation engine for the packet-level experiments "
-        "(identical results; 'reference' is the slow per-packet loop)",
+        "(identical results; 'reference' is the slow per-packet loop; the "
+        "retired names 'batched' and 'compiled' select 'bitpacked')",
     )
     args = parser.parse_args(argv)
 

@@ -51,7 +51,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from ..errors import ExperimentError, ReproError
 from .registry import experiment_keys, get_experiment
-from .resilient import ResilientPool, TaskHandle
+from .resilient import ResilientPool, TaskHandle, check_task_limits
 from .runner import _run_task
 from .store import ResultStore
 
@@ -241,11 +241,12 @@ class ExperimentService:
         include_result = bool(payload.get("include_result", True))
         address = self.store.key_for(key, spec)
 
-        submit_kwargs: Dict[str, Any] = {}
-        if "timeout" in payload:
-            submit_kwargs["timeout"] = payload["timeout"]
-        if "retries" in payload:
-            submit_kwargs["retries"] = payload["retries"]
+        submit_kwargs: Dict[str, Any] = {
+            name: payload[name] for name in ("timeout", "retries") if name in payload
+        }
+        # Refuse bad knobs before any counter moves or task is recorded: a
+        # rejected request is neither a miss nor a simulation.
+        check_task_limits(submit_kwargs.get("timeout"), submit_kwargs.get("retries", 0))
 
         with self._lock:
             if self._draining:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import ProtocolError
 from ..layering.layers import LayerScheme
-from .scan import ChunkResult, UnitChunk, scan_chunk, scan_chunk_bitpacked
+from .scan import ChunkResult, UnitChunk, scan_chunk_bitpacked
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type annotations
@@ -66,10 +66,14 @@ class LayeredProtocol(abc.ABC):
     #: Human-readable protocol name (used in experiment tables).
     name: str = "abstract"
 
-    #: Whether the protocol implements the time-unit-batched engine path
-    #: (:meth:`step_chunk` and the ``scan_*`` hooks).  The simulation engine
-    #: falls back to the per-packet reference loop when this is false, so
-    #: custom protocol subclasses keep working unmodified.
+    #: Whether the protocol runs on the ``bitpacked`` engine's chunk path:
+    #: either it implements the packed ``scan_*`` hooks the default
+    #: :meth:`step_chunk` drives — the window join locator
+    #: :meth:`scan_first_join_packed` *and* the exact chain-join locator
+    #: :meth:`scan_chain_join_packed` — or it overrides :meth:`step_chunk`
+    #: itself.  The simulation engine falls back to the per-packet
+    #: reference loop when this is false, so custom protocol subclasses
+    #: keep working unmodified.
     supports_batched_units: bool = False
 
     #: Whether the protocol's state is strictly per-receiver, allowing the
@@ -81,27 +85,12 @@ class LayeredProtocol(abc.ABC):
 
     #: Whether the protocol's batched path reads the dense per-packet loss
     #: matrices (``UnitChunk.shared_lost`` / ``independent_lost``).  The
-    #: generic event scan only needs the combined ``receivable`` matrix,
-    #: which the engine builds by scattering sparse loss positions;
-    #: protocols that inspect raw loss outcomes (the active-node group
-    #: drain) set this true and get the dense arrays materialised.
+    #: chunk scan only needs the packed ``receivable`` words, which the
+    #: engine builds by scattering sparse loss positions; protocols that
+    #: inspect raw loss outcomes (the active-node group drain) set this
+    #: true, override :meth:`step_chunk`, and get the dense arrays
+    #: materialised instead.
     needs_dense_losses: bool = False
-
-    #: Whether the protocol implements the bit-packed scan path
-    #: (:meth:`scan_first_join_packed`).  ``engine="bitpacked"`` only packs
-    #: chunks for protocols that declare this; everything else runs the
-    #: dense batched scan (or the reference loop) under that engine
-    #: setting, with identical results.
-    supports_bitpacked: bool = False
-
-    #: Whether the protocol implements the exact in-chain join locator
-    #: (:meth:`scan_chain_join_packed`).  When true, the bit-packed scan's
-    #: multi-event chain drain consumes *joins* as well as congestion
-    #: events, so a whole window of events drains in one chain pass with a
-    #: single join-hook call per window; when false, the chain breaks on
-    #: any plausible join (:meth:`scan_chain_gap`) and the per-generation
-    #: segment hook re-evaluates exactly.
-    supports_chain_join: bool = False
 
     def stacking_key(self) -> tuple:
         """Identity for run stacking: two protocol instances may drive
@@ -176,7 +165,7 @@ class LayeredProtocol(abc.ABC):
 
         Called by the per-packet reference loop once per unit with the
         run's dedicated protocol stream, immediately after the unit's loss
-        outcomes are sampled.  The batched engine does **not** call this
+        outcomes are sampled.  The chunk engine does **not** call this
         hook (since RNG scheme 4 it samples no per-unit protocol
         randomness): a subclass that pre-samples draws here must leave
         ``supports_batched_units`` false so every engine setting routes it
@@ -191,75 +180,27 @@ class LayeredProtocol(abc.ABC):
         num_units: int = 1,
         packets_per_unit: int = 0,
     ) -> None:
-        """Prepare per-chunk scratch state (batched engine only).
+        """Prepare per-chunk scratch state (chunk engine only).
 
-        Called by the batched engine before each chunk's loss sampling;
+        Called by the chunk engine before each chunk's loss sampling;
         protocols with per-chunk scratch buffers size them here.
         ``num_runs`` tells them how many stacked run blocks the chunk's
         receiver rows are laid out in.
         """
 
     # ------------------------------------------------------------------
-    # batched (time-unit chunk) path
+    # chunk path (the bitpacked engine)
     # ------------------------------------------------------------------
     def step_chunk(self, chunk: UnitChunk, levels: np.ndarray) -> ChunkResult:
         """Advance the session through one chunk of time units.
 
         ``levels`` is updated in place.  The default implementation runs the
-        generic per-receiver event scan (:func:`repro.protocols.scan.scan_chunk`)
-        driven by the ``scan_*`` hooks below; protocols whose receivers are
-        *not* independent (the active-node group protocol) override it.
-        A chunk assembled with packed matrices (``engine="bitpacked"``)
-        carries ``receivable_packed`` instead of ``receivable`` and runs
-        the popcount scan, bit-for-bit identical to the dense one.
+        per-receiver event scan
+        (:func:`repro.protocols.scan.scan_chunk_bitpacked`) driven by the
+        ``scan_*`` hooks below; protocols whose receivers are *not*
+        independent (the active-node group protocol) override it.
         """
-        if chunk.receivable_packed is not None:
-            return scan_chunk_bitpacked(self, chunk, levels)
-        return scan_chunk(self, chunk, levels)
-
-    def scan_boundary(
-        self,
-        chunk: UnitChunk,
-        lo: int,
-        act: np.ndarray,
-        levels_act: np.ndarray,
-        pos: np.ndarray,
-    ) -> int:
-        """Column (exclusive) the current scan window must not cross.
-
-        Protocols whose joins happen at designated packets (the Coordinated
-        sync points) bound the window at the next packet where a join is
-        plausible, so :meth:`scan_first_join` only ever has to evaluate the
-        window's final column.  The default imposes no bound.
-        """
-        return chunk.num_packets
-
-    def scan_first_join(
-        self,
-        chunk: UnitChunk,
-        cols: np.ndarray,
-        act: np.ndarray,
-        levels_act: np.ndarray,
-        received: np.ndarray,
-        pos: np.ndarray,
-        fresh: bool = True,
-    ):
-        """First join-triggering packet per receiver under frozen state.
-
-        ``cols`` are the packet columns in view, ``act`` the active
-        receivers, ``levels_act`` their current levels and ``received`` the
-        receiver-major ``(len(act), len(cols))`` reception matrix (already
-        masked to each receiver's unconsumed columns).  Return ``None``
-        when no join is possible, else ``(has_join, index)`` arrays over
-        ``act`` with the first candidate's position within ``cols``.  Only
-        the first event per receiver is acted upon and later candidates are
-        recomputed after every state change, so implementations may assume
-        state is frozen.
-        """
-        raise ProtocolError(
-            f"protocol {self.name!r} declares supports_batched_units but does "
-            "not implement scan_first_join()"
-        )
+        return scan_chunk_bitpacked(self, chunk, levels)
 
     def scan_first_join_packed(
         self,
@@ -268,64 +209,33 @@ class LayeredProtocol(abc.ABC):
         act: np.ndarray,
         levels_act: np.ndarray,
         pos: np.ndarray,
-        fresh: bool = True,
-        cong=None,
+        cong,
     ):
-        """Bit-packed counterpart of :meth:`scan_first_join`.
+        """First join-triggering packet per receiver under frozen state.
 
-        ``view`` is a :class:`repro.protocols.bitpack.PackedWindow` whose
-        rows follow ``act``; instead of a dense reception matrix the hook
-        reads masked popcounts (row counts, prefix counts, k-th set bit).
-        Return ``None`` when no join is possible, else ``(has_join,
-        column)`` arrays over ``act`` — columns are *absolute* chunk
-        columns, unlike the dense hook's window-relative indices.  Only
-        protocols declaring ``supports_bitpacked`` are ever called here.
+        ``view`` is a :class:`repro.protocols.bitpack.PackedWindow` over
+        the window's packed reception rows, which follow ``act`` (the
+        receivers in view; ``levels_act`` their current levels, ``pos``
+        their scan positions) and are already masked to each receiver's
+        unconsumed columns; the hook reads masked popcounts (row counts,
+        prefix counts, k-th set bit).  Return ``None`` when no join is
+        possible, else ``(has_join, column)`` arrays over ``act`` with the
+        first candidate's *absolute* chunk column.  Only the first event
+        per receiver is acted upon, so implementations may assume state is
+        frozen.
 
-        ``cong`` optionally carries the scan's cached first-congestion
-        candidates as ``(has_cong, e_cong)`` arrays over ``act``.  A join
-        at or past a row's congestion candidate is never consumed — the
-        scan always takes the earlier event — so the hook may report
-        ``has_join=False`` for such rows and skip locating their join
-        columns (typically one cheap prefix popcount against ``e_cong``
-        replaces an exact rank selection).  ``e_cong`` is undefined where
-        ``has_cong`` is False.
+        ``cong`` carries the scan's cached first-congestion candidates as
+        ``(has_cong, e_cong)`` arrays over ``act``.  A join at or past a
+        row's congestion candidate is never consumed — the scan always
+        takes the earlier event — so the hook may report ``has_join=False``
+        for such rows and skip locating their join columns (typically one
+        cheap prefix popcount against ``e_cong`` replaces an exact rank
+        selection).  ``e_cong`` is undefined where ``has_cong`` is False.
         """
         raise ProtocolError(
-            f"protocol {self.name!r} declares supports_bitpacked but does "
+            f"protocol {self.name!r} declares supports_batched_units but does "
             "not implement scan_first_join_packed()"
         )
-
-    def scan_chain_gap(
-        self,
-        chunk: UnitChunk,
-        rows: np.ndarray,
-        levels_rows: np.ndarray,
-        gap_counts: np.ndarray,
-        gap_lo: np.ndarray,
-        gap_hi: np.ndarray,
-    ):
-        """Could a join fire strictly inside each row's event-free gap?
-
-        The scans' multi-event chain drain consumes a row's whole run of
-        congestion events in one pass instead of one event per iteration;
-        before consuming the next congestion column it must certify that no
-        join interrupts the gap leading up to it.  The hook is called only
-        for rows whose most recently consumed column was a congestion
-        event, so join-progress state is freshly reset (the Deterministic
-        and Coordinated counters are zero) or freshly re-armed (the
-        Uncoordinated countdown).  ``gap_counts[r]`` holds row ``r``'s
-        receptions strictly inside ``(gap_lo[r], gap_hi[r])`` at its
-        current level ``levels_rows[r]``; both bounds are absolute chunk
-        columns and both are congestion columns for the row (not received).
-
-        Return a boolean mask over ``rows`` that is True whenever a join
-        *could* fire inside the gap — a spurious True merely breaks the
-        chain (the single-event path re-evaluates exactly), so conservative
-        approximations are safe; a spurious False would corrupt results.
-        Return ``None`` to veto chaining entirely — the default, which
-        keeps custom protocol subclasses on the single-event path.
-        """
-        return None
 
     def scan_chain_join_packed(
         self,
@@ -340,14 +250,17 @@ class LayeredProtocol(abc.ABC):
     ):
         """Locate each chained row's first join inside its gap, exactly.
 
-        The exact counterpart of :meth:`scan_chain_gap`, called by the
-        bit-packed scan's chain drain for rows whose join-progress state
-        was freshly reset or re-armed by their most recently consumed
-        event.  ``words`` holds the rows' packed receptions (bits below
-        each row's position already cleared; bits at or past ``gap_hi``
-        may be set and must be ignored), ``gap_counts[r]`` the receptions
-        strictly inside ``(gap_lo[r], gap_hi[r])``.  ``gap_hi`` is either
-        the row's next congestion column (not received) or the exclusive
+        Called by the scan's multi-event chain drain for rows whose
+        join-progress state was freshly reset (the Deterministic and
+        Coordinated counters are zero) or re-armed (the Uncoordinated
+        countdown) by their most recently consumed event.  ``words`` holds
+        the rows' packed receptions (bits below each row's position already
+        cleared; bits at or past ``gap_hi`` may be set and must be
+        ignored), ``gap_counts[r]`` the receptions strictly inside
+        ``(gap_lo[r], gap_hi[r])`` at the row's current level
+        ``levels_rows[r]``.  Both bounds are absolute chunk columns;
+        ``gap_lo`` is the consumed event's column and ``gap_hi`` either the
+        row's next congestion column (not received) or the exclusive
         window end when no congestion candidate remains.
 
         Return ``(has_join, join_col, join_bulk)``: a boolean mask over
@@ -355,10 +268,12 @@ class LayeredProtocol(abc.ABC):
         join, and its receptions up to and including that column
         (``join_col``/``join_bulk`` are unread where ``has_join`` is
         false).  Both directions must be exact — this hook *consumes* the
-        join.  Only protocols declaring ``supports_chain_join`` are ever
-        called here.
+        join.
         """
-        raise NotImplementedError  # pragma: no cover - guarded by the flag
+        raise ProtocolError(
+            f"protocol {self.name!r} declares supports_batched_units but does "
+            "not implement scan_chain_join_packed()"
+        )
 
     def scan_bulk_received(self, receivers: np.ndarray, counts: np.ndarray) -> None:
         """Receivers got ``counts`` packets with no join/leave in between.

@@ -1,19 +1,18 @@
 """Bit-packed boolean matrices for the scan engine (uint64 words + popcount).
 
-The batched event scan (:mod:`repro.protocols.scan`) spends its time on
+The chunk event scan (:mod:`repro.protocols.scan`) spends its time on
 receiver-major boolean matrices — ``receivable``, per-window ``recv`` and
-``cong`` — whose reductions (first-congestion candidates, bulk reception
-counts, segment refreshes) read one byte per packet column.  Per-receiver
-loss indicators are single bits, so the ``engine="bitpacked"`` scan packs
-64 packet columns into one ``uint64`` word (receiver-major: row ``r``,
+``cong`` — whose reductions are first-congestion candidates, bulk
+reception counts and segment refreshes.  Per-receiver loss indicators are
+single bits, so the scan packs 64 packet columns into one ``uint64`` word (receiver-major: row ``r``,
 word ``w`` holds columns ``64*w .. 64*w+63``, column ``c`` at bit
 ``c % 64``) and replaces the boolean reductions with masked popcounts.
 This module holds the packing primitives; they are deliberately dependency
 free so property tests can exercise them against dense NumPy equivalents.
 
 Every helper is exact integer/bit arithmetic — no floating point — so the
-packed scan's event sequence is bit-for-bit the dense scan's
-(``tests/simulator/test_engine_equivalence.py`` holds the proof
+packed scan's event sequence is bit-for-bit the per-packet reference
+loop's (``tests/simulator/test_engine_equivalence.py`` holds the proof
 obligations; ``tests/protocols/test_bitpack.py`` the per-helper ones).
 
 Popcounts use :func:`numpy.bitwise_count` where available (NumPy >= 2.0)
@@ -39,7 +38,6 @@ __all__ = [
     "clear_bits",
     "clear_cols",
     "clear_cols_and_bits",
-    "counts_between",
     "first_set",
     "kth_set",
     "ones_rows",
@@ -323,35 +321,6 @@ def tail_mask(
         bases = word_base(base_col, num_words)
     keep = np.clip(stop - bases, 0, WORD_BITS)
     return _LOW_MASKS[keep]
-
-
-def counts_between(
-    words: np.ndarray,
-    base_col: int,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    bases: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Set bits per row at absolute columns in ``[starts[r], stops[r])``.
-
-    The chain drain's gap accounting: one row of the window's reception
-    bits, one sorted pair of event-column boundaries per row, one masked
-    popcount — the range mask is the conjunction of the :func:`start_masks`
-    and :func:`tail_mask` table gathers.  Columns left of ``base_col`` are
-    treated as excluded; empty ranges (``stops <= starts``) count zero.
-    """
-    if bases is None:
-        bases = word_base(base_col, words.shape[-1])
-    lo = starts[:, None] - bases[None, :]
-    np.maximum(lo, 0, out=lo)
-    np.minimum(lo, WORD_BITS, out=lo)
-    hi = stops[:, None] - bases[None, :]
-    np.maximum(hi, 0, out=hi)
-    np.minimum(hi, WORD_BITS, out=hi)
-    sel = _HIGH_MASKS[lo]
-    sel &= _LOW_MASKS[hi]
-    sel &= words
-    return row_counts(sel)
 
 
 def _cumulative_counts(words: np.ndarray) -> np.ndarray:

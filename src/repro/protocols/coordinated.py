@@ -51,8 +51,6 @@ class CoordinatedProtocol(LayeredProtocol):
     name = "coordinated"
     supports_batched_units = True
     supports_stacked_runs = True
-    supports_bitpacked = True
-    supports_chain_join = True
 
     def __init__(self, sync_threshold_fraction: float = 0.5) -> None:
         super().__init__()
@@ -87,99 +85,16 @@ class CoordinatedProtocol(LayeredProtocol):
         return received & at_sync_level & ready
 
     # ------------------------------------------------------------------
-    # batched-scan hooks
+    # packed scan hooks
     # ------------------------------------------------------------------
-    def scan_boundary(self, chunk, lo, act, levels_act, pos):
-        """End the scan window at the next *plausible* sync point.
-
-        A level-``i`` receiver cannot join before its counter reaches the
-        gate, and the counter cannot grow faster than the packets it can
-        observe, so sync points the observed-packet bound rules out for
-        every receiver are skipped wholesale.  The window ends just after
-        the first surviving sync point, which is therefore the only column
-        :meth:`scan_first_join` has to inspect.
-
-        The bit-packed scan is exempt: its join hook inspects every sync
-        point of a window in one vectorised pass (prefix popcounts), so
-        wide windows beat the per-sync-point window establishments the
-        pruning would force.
-        """
-        if chunk.receivable_packed is not None:
-            return chunk.num_packets
-        sync_cols = chunk.sync_cols
-        start = np.searchsorted(sync_cols, lo)
-        if start >= sync_cols.size:
-            return chunk.num_packets
-        ahead = sync_cols[start:]
-        gate = self.sync_threshold_fraction * self.join_threshold(levels_act)
-        headroom = gate - self._received_since_event[act]
-        eligible = chunk.sync_ok[start:][:, levels_act] & (levels_act < chunk.num_layers)[None, :]
-        observed = (
-            chunk.observed_before[levels_act[None, :], ahead[:, None] + 1]
-            - chunk.observed_before[levels_act, pos][None, :]
-        )
-        plausible = (eligible & (observed >= headroom[None, :])).any(axis=1)
-        index = int(plausible.argmax())
-        if not plausible[index]:
-            return chunk.num_packets
-        return int(ahead[index]) + 1
-
-    def scan_first_join(self, chunk, cols, act, levels_act, received, pos, fresh=True):
-        if fresh:
-            # Whole-window call: scan_boundary already ruled out every sync
-            # point before the window's final column under the receivers'
-            # current state (counters only shrink until their next event,
-            # which triggers the exhaustive re-check below), so the
-            # per-packet join rule collapses to one vector test there.
-            sync_col = int(cols[-1])
-            where = np.searchsorted(chunk.sync_cols, sync_col)
-            if where >= chunk.sync_cols.size or chunk.sync_cols[where] != sync_col:
-                return None
-            at_sync = chunk.sync_ok[where, levels_act]
-            if not at_sync.any():
-                return None
-            gate = self.sync_threshold_fraction * self.join_threshold(levels_act)
-            counters = self._received_since_event[act]
-            totals = received.sum(axis=1, dtype=np.int64)
-            has_join = (
-                received[:, -1]
-                & at_sync
-                & (counters + totals >= gate)
-                & (levels_act < chunk.num_layers)
-            )
-            return has_join, np.full(act.size, cols.size - 1, dtype=np.int64)
-        # Post-event re-check for a few receivers: a leave may have lowered
-        # the gate below what the window boundary assumed, so every sync
-        # point still ahead inside the window must be inspected.
-        s_lo = np.searchsorted(chunk.sync_cols, cols[0])
-        s_hi = np.searchsorted(chunk.sync_cols, cols[-1], side="right")
-        if s_lo == s_hi:
-            return None
-        sync_sel = chunk.sync_cols[s_lo:s_hi]
-        sync_at = np.searchsorted(cols, sync_sel)
-        at_sync = chunk.sync_ok[s_lo:s_hi][:, levels_act].T
-        gate = self.sync_threshold_fraction * self.join_threshold(levels_act)
-        counters = self._received_since_event[act]
-        running = received.cumsum(axis=1, dtype=np.int64)[:, sync_at]
-        candidates = (
-            received[:, sync_at]
-            & at_sync
-            & (counters[:, None] + running >= gate[:, None])
-            & (levels_act < chunk.num_layers)[:, None]
-        )
-        first = candidates.argmax(axis=1)
-        has_join = candidates[np.arange(act.size), first]
-        return has_join, sync_at[first]
-
-    def scan_first_join_packed(self, chunk, view, act, levels_act, pos, fresh=True, cong=None):
-        # Packed windows are not boundary-pruned to a single sync point
-        # (see scan_boundary): every sync point inside the view — whether
-        # it is a fresh window or a post-event segment — is inspected in
-        # one vectorised pass.  Reception bits before each row's position
-        # are already masked out of the packed rows, so a sync point a row
-        # has consumed past cannot produce a candidate.
+    def scan_first_join_packed(self, chunk, view, act, levels_act, pos, cong):
+        # Every sync point inside the view is inspected in one vectorised
+        # pass (prefix popcounts), so wide windows need no pruning to a
+        # single sync point.  Reception bits before each row's position are
+        # already masked out of the packed rows, so a sync point a row has
+        # consumed past cannot produce a candidate.
         hi_col = view.col_hi
-        if cong is not None and bool(cong[0].all()):
+        if bool(cong[0].all()):
             # Every row has a congestion candidate; sync points past the
             # latest one can never be consumed (the scan always takes the
             # earlier event), so the inspected range shrinks to match.
@@ -211,31 +126,14 @@ class CoordinatedProtocol(LayeredProtocol):
             return None
         return has_join, sync_sel[first]
 
-    def scan_chain_gap(self, chunk, rows, levels_rows, gap_counts, gap_lo, gap_hi):
-        # A coordinated join needs a sync point strictly inside the gap
-        # (the bounds themselves are congestion columns, so a sync packet
-        # there was lost and cannot trigger) plus enough receptions to
-        # clear the gate, counting from the zeroed post-congestion state.
-        # The count up to any interior sync point is bounded by the whole
-        # gap's count, so the test is conservative: chains only break when
-        # a join is at least plausible, never the other way around.
-        sync_cols = chunk.sync_cols
-        after = np.searchsorted(sync_cols, gap_lo, side="right")
-        before = np.searchsorted(sync_cols, gap_hi, side="left")
-        gate = self.sync_threshold_fraction * self.join_threshold(levels_rows)
-        return (
-            (after < before)
-            & (gap_counts >= gate)
-            & (levels_rows < chunk.num_layers)
-        )
-
     def scan_chain_join_packed(
         self, chunk, words, base_col, rows, levels_rows, gap_counts, gap_lo, gap_hi
     ):
-        # Exact counterpart of scan_chain_gap: with the counter zeroed by
-        # the consumed event, a row joins at the first sync point strictly
-        # inside its gap that it received, that admits its level, and
-        # whose in-gap running reception count clears the gate.  Bits
+        # With the counter zeroed by the consumed event, a row joins at the
+        # first sync point strictly inside its gap (the bounds themselves
+        # are the consumed event and a lost packet or the window end) that
+        # it received, that admits its level, and whose in-gap running
+        # reception count clears the gate.  Bits
         # below each row's position are already cleared, so the prefix
         # popcount at a sync point *is* the counter the per-packet rule
         # would hold there.

@@ -29,8 +29,6 @@ class DeterministicProtocol(LayeredProtocol):
     name = "deterministic"
     supports_batched_units = True
     supports_stacked_runs = True
-    supports_bitpacked = True
-    supports_chain_join = True
 
     # Join-progress state (the received-since-event counter) and its
     # per-packet/scan maintenance are the LayeredProtocol base defaults.
@@ -48,46 +46,16 @@ class DeterministicProtocol(LayeredProtocol):
         return received & (self._received_since_event >= thresholds)
 
     # ------------------------------------------------------------------
-    # batched-scan hooks
+    # packed scan hooks
     # ------------------------------------------------------------------
-    def scan_first_join(self, chunk, cols, act, levels_act, received, pos, fresh=True):
+    def scan_first_join_packed(self, chunk, view, act, levels_act, pos, cong):
         # The counter a receiver would hold just after a packet (with state
         # frozen) is counter + (receptions so far); a join fires once it
         # reaches the 2^(2(i-1)) threshold — exactly the per-packet rule.
-        # Only receivers whose counter can cross the threshold within the
-        # window need the (small) cumulative scan.
-        counters = self._received_since_event[act]
-        thresholds = self.join_threshold(levels_act)
-        # The visible column count bounds the receptions a row can add, so
-        # rows whose counter deficit exceeds it are pruned before the
-        # (much costlier) per-row reception counts.
-        maybe = (counters + received.shape[1] >= thresholds) & (
-            levels_act < chunk.num_layers
-        )
-        if not maybe.any():
-            return None
-        midx = np.nonzero(maybe)[0]
-        totals = np.zeros(act.size, dtype=np.int64)
-        totals[midx] = received[midx].sum(axis=1, dtype=np.int64)
-        reachable = maybe & (counters + totals >= thresholds)
-        if not reachable.any():
-            return None
-        ridx = np.nonzero(reachable)[0]
-        part = received[ridx]
-        running = part.cumsum(axis=1, dtype=np.int64)
-        candidates = part & (counters[ridx][:, None] + running >= thresholds[ridx][:, None])
-        first = candidates.argmax(axis=1)
-        has_join = np.zeros(act.size, dtype=bool)
-        index = np.zeros(act.size, dtype=np.int64)
-        has_join[ridx] = candidates[np.arange(ridx.size), first]
-        index[ridx] = first
-        return has_join, index
-
-    def scan_first_join_packed(self, chunk, view, act, levels_act, pos, fresh=True, cong=None):
-        # Packed mirror of scan_first_join: the join fires at the k-th
-        # reception, where k is the smallest count lifting the frozen
-        # counter to the 2^(2(i-1)) threshold — the k-th set bit of the
-        # row instead of a dense cumulative scan.
+        # So the join is the k-th reception, where k is the smallest count
+        # lifting the frozen counter to the threshold: the k-th set bit of
+        # the row.  The observable column count bounds the receptions a
+        # row can add, which prunes rows before any popcount.
         counters = self._received_since_event[act]
         thresholds = self.join_threshold(levels_act)
         maybe = (counters + view.num_obs_cols >= thresholds) & (
@@ -100,17 +68,14 @@ class DeterministicProtocol(LayeredProtocol):
         # remaining packet need collapses to integer arithmetic.
         need = thresholds[midx].astype(np.int64) - counters[midx]
         np.maximum(need, 1, out=need)
-        if cong is None:
-            avail = view.counts(midx)
-        else:
-            # Only a join strictly before the row's congestion candidate is
-            # ever consumed, so count receptions up to there (the whole
-            # window where no candidate exists) — one prefix popcount
-            # instead of an exact rank selection for rows whose join the
-            # scan would discard anyway.
-            has_cong, e_cong = cong
-            limit = np.where(has_cong[midx], e_cong[midx], view.col_hi)
-            avail = view.prefix_counts(midx, limit)
+        # Only a join strictly before the row's congestion candidate is
+        # ever consumed, so count receptions up to there (the whole window
+        # where no candidate exists) — one prefix popcount instead of an
+        # exact rank selection for rows whose join the scan would discard
+        # anyway.
+        has_cong, e_cong = cong
+        limit = np.where(has_cong[midx], e_cong[midx], view.col_hi)
+        avail = view.prefix_counts(midx, limit)
         fire = avail >= need
         if not fire.any():
             return None
@@ -121,23 +86,15 @@ class DeterministicProtocol(LayeredProtocol):
         index[ridx] = view.kth_set(ridx, need[fire])
         return has_join, index
 
-    def scan_chain_gap(self, chunk, rows, levels_rows, gap_counts, gap_lo, gap_hi):
-        # The counter is zero right after the consumed congestion event, so
-        # the join fires inside the gap exactly when its receptions reach
-        # the fixed 2^(2(i-1)) threshold — an exact test, not a
-        # conservative one.
-        return (levels_rows < chunk.num_layers) & (
-            gap_counts >= self.join_threshold(levels_rows)
-        )
-
     def scan_chain_join_packed(
         self, chunk, words, base_col, rows, levels_rows, gap_counts, gap_lo, gap_hi
     ):
-        # Same zero-counter invariant as scan_chain_gap, made exact in
-        # both directions: the join is the row's threshold-th reception
-        # inside the gap — the threshold-th set bit of its packed row
-        # (bits below the position are cleared, and the join's existence
-        # inside the gap bounds the rank below ``gap_hi``).
+        # The counter is zero right after the consumed event, so the join
+        # fires inside the gap exactly when its receptions reach the fixed
+        # 2^(2(i-1)) threshold: it is the row's threshold-th reception
+        # inside the gap — the threshold-th set bit of its packed row (bits
+        # below the position are cleared, and the join's existence inside
+        # the gap bounds the rank below ``gap_hi``).
         need = self.join_threshold(levels_rows).astype(np.int64)
         has_join = (levels_rows < chunk.num_layers) & (gap_counts >= need)
         col = gap_hi

@@ -1,55 +1,43 @@
-"""Backend-neutral scan kernel: one protocol decision sequence, N lowerings.
+"""The scan kernel: one protocol decision sequence, two engines.
 
 The Section-4 protocol semantics — candidate congestion selection,
 credit/bulk-reception accounting, join/leave transitions, segment refresh,
-window close — used to be encoded three times over: in the per-packet
-reference loop, the dense batched scan and the bit-packed chain drain.
-This module extracts the protocol-visible decision sequence into one
-place, split along a representation boundary:
+window close — are driven from two places: the per-packet reference loop
+(the executable spec) and the bit-packed chunk scan
+(:func:`repro.protocols.scan.scan_chunk_bitpacked`).  This module holds
+what both share, split along a representation boundary:
 
 * :class:`ScanKernel` owns the *semantics*: event ordering (the
   first-event rule), the level-step invariants (a leave only below the
   floor, a join only below the window top), credit accounting, the hook
   dispatch order (``scan_bulk_received`` before ``scan_congested`` /
   ``scan_joined`` / ``scan_left``) and the event record layout the
-  simulator engine reconstructs carriage from.  Both scan lowerings and
-  the per-packet reference loop drive their transitions through it, so
-  the conformance suite checks one semantics instead of three
-  implementations.
-* :class:`BackendOps` subclasses own the *representation*: how a window's
-  reception/congestion state is stored and reduced.  :class:`DenseOps`
-  uses boolean receiver-major matrices (``argmax`` first-hits, masked
-  ``sum`` counts); :class:`PackedOps` uses ``uint64`` words with masked
-  popcounts (:mod:`repro.protocols.bitpack`);
-  :class:`~repro.protocols.compiled.CompiledOps` re-lowers the packed
-  primitives as Numba-jitted single-pass loops.  A backend supplies only
-  these primitives — adding one is a lowering exercise, not a protocol
-  reimplementation.
+  simulator engine reconstructs carriage from.  The scan and the
+  reference loop both drive their transitions through it, so the
+  conformance suite checks one semantics instead of two implementations.
+* :class:`PackedOps` (the :data:`PACKED_OPS` singleton) owns the
+  *representation*: ``uint64`` words with masked popcounts
+  (:mod:`repro.protocols.bitpack`), plus the two fused primitives the
+  chain drain leans on.
 
-The engine registry (:data:`ENGINES`) lives here too, as the single
-source of truth for the simulator, the experiment API and the CLI.
+The engine registry (:data:`ENGINES`, :data:`ENGINE_ALIASES` and
+:func:`resolve_engine`) lives here too, as the single source of truth for
+the simulator, the experiment API, the CLI and the result store.
 
-Adding a backend
-----------------
-1. Subclass :class:`PackedOps` (or :class:`DenseOps`) and override the
-   primitives you can lower better — every override must be bit-exact
-   (same columns, same counts) because the kernel's event sequence is
-   pinned across engines by ``tests/simulator/test_engine_equivalence.py``
-   and the differential fuzzer.
-2. Register the engine name in :data:`ENGINES` (and :data:`PACKED_ENGINES`
-   or :data:`SCAN_ENGINES` as appropriate) and teach
-   :func:`backend_ops_for` to build your ops object.
-3. Nothing else: the scan, the protocols, the experiment API and the CLI
-   all read the registry, and the conformance matrix picks the new name
-   up automatically.
+Changing a lowering
+-------------------
+Every primitive must stay bit-exact (same columns, same counts): the
+kernel's event sequence is pinned against the reference loop by
+``tests/simulator/test_engine_equivalence.py``,
+``tests/protocols/test_kernel_trace.py`` and the differential fuzzer.
+An alternative lowering earns a registry entry only with a recorded
+speedup over ``bitpacked``.
 """
 
 from __future__ import annotations
 
-import importlib.util
-
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,42 +48,39 @@ if TYPE_CHECKING:  # pragma: no cover - import only for type annotations
 
 __all__ = [
     "ENGINES",
-    "PACKED_ENGINES",
-    "SCAN_ENGINES",
-    "BackendOps",
+    "ENGINE_ALIASES",
     "ChunkResult",
-    "DenseOps",
-    "DENSE_OPS",
     "KernelTrace",
     "PackedOps",
     "PACKED_OPS",
     "ScanKernel",
     "backend_ops_for",
-    "have_numba",
+    "resolve_engine",
 ]
 
-#: Every selectable simulation engine, fastest default first.  The single
-#: source of truth: the simulator validates against it, the experiment
-#: API's spec validation imports it, and the CLI builds ``--engine``
-#: choices from it.
-ENGINES: Tuple[str, ...] = ("bitpacked", "batched", "reference", "compiled")
+#: Every selectable simulation engine, default first: the bit-packed chunk
+#: scan and the per-packet reference loop.  The single source of truth: the
+#: simulator validates against it, the experiment API's spec validation
+#: imports it, and the CLI builds ``--engine`` choices from it.
+ENGINES: Tuple[str, ...] = ("bitpacked", "reference")
 
-#: Engines that run the chunked event scan (everything but the per-packet
-#: reference loop).
-SCAN_ENGINES: Tuple[str, ...] = ("bitpacked", "batched", "compiled")
-
-#: Scan engines whose chunks carry bit-packed matrices.
-PACKED_ENGINES: Tuple[str, ...] = ("bitpacked", "compiled")
-
-_HAVE_NUMBA: Optional[bool] = None
+#: Retired engine names and the engine that now runs them.  ``batched``
+#: (a dense boolean scan) and ``compiled`` (a numba lowering of the packed
+#: scan) computed the same bits as ``bitpacked``; specs, stored results and
+#: command lines that still name them keep working.
+ENGINE_ALIASES: Dict[str, str] = {"batched": "bitpacked", "compiled": "bitpacked"}
 
 
-def have_numba() -> bool:
-    """Whether the optional :mod:`numba` dependency is importable."""
-    global _HAVE_NUMBA
-    if _HAVE_NUMBA is None:
-        _HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-    return _HAVE_NUMBA
+def resolve_engine(engine: str) -> str:
+    """The registered engine an engine name selects (aliases resolved).
+
+    Raises :class:`ValueError` for a name that is neither in
+    :data:`ENGINES` nor in :data:`ENGINE_ALIASES`.
+    """
+    resolved = ENGINE_ALIASES.get(engine, engine) if isinstance(engine, str) else engine
+    if resolved not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    return resolved
 
 
 @dataclass
@@ -137,13 +122,13 @@ class KernelTrace:
     sequence of kernel events — (receiver, absolute packet column, kind,
     level before/after, cumulative receptions at record time) — plus the
     running per-receiver reception credit.  The hook-trace equivalence
-    suite (``tests/protocols/test_kernel_trace.py``) asserts all backends
+    suite (``tests/protocols/test_kernel_trace.py``) asserts both engines
     emit the *identical ordered event sequence*, not just identical final
     payloads.
 
     Credits are compared only cumulatively (the per-call bulk granularity
     legitimately differs between a per-packet loop and a windowed scan);
-    the cumulative count at each event record is backend-invariant.
+    the cumulative count at each event record is engine-invariant.
     """
 
     def __init__(self, num_receivers: int) -> None:
@@ -177,9 +162,8 @@ class ScanKernel:
 
     One instance advances one chunk: it owns the received-packet credit
     array, the level-change event records, the hook dispatch order and the
-    level-step invariants.  The scan lowerings
-    (:func:`repro.protocols.scan.scan_chunk` and
-    :func:`~repro.protocols.scan.scan_chunk_bitpacked`) call
+    level-step invariants.  The chunk scan
+    (:func:`repro.protocols.scan.scan_chunk_bitpacked`) calls
     :meth:`credit` / :meth:`congest` / :meth:`join` at each drained event;
     the per-packet reference loop drives the same transitions through
     :meth:`packet_congested` / :meth:`apply_leaves` /
@@ -257,23 +241,17 @@ class ScanKernel:
             self._ev_new.append(levels[lidx])
             self.protocol.scan_left(lidx, levels[lidx])
 
-    def join(self, rows: np.ndarray, cols: np.ndarray, top: int,
-             credit_join: bool = False) -> int:
+    def join(self, rows: np.ndarray, cols: np.ndarray, top: int) -> int:
         """Apply a join at ``cols[i]`` to receiver ``rows[i]``.
 
-        ``credit_join`` additionally credits the join-triggering packet
-        itself (the dense lowering's bulk counts are strictly-before; the
-        packed lowerings fold the join bit into the bulk credit).  Returns
-        the earliest column whose join outgrew ``top`` (the window's layer
-        slice) — the caller must truncate its window there — or ``-1``.
+        The join-triggering packet's own reception is part of the bulk
+        credit the scan passed to :meth:`credit`.  Returns the earliest
+        column whose join outgrew ``top`` (the window's layer slice) — the
+        caller must truncate its window there — or ``-1``.
         """
         if rows.size == 0:
             return -1
         levels = self.levels
-        if credit_join:
-            self.received[rows] += 1
-            if self.trace is not None:
-                self.trace.credit(rows, 1)
         self.protocol.scan_joined(rows, levels[rows] + 1)
         jcols = cols.astype(np.int64, copy=False)
         self._ev_cols.append(jcols)
@@ -348,68 +326,15 @@ class ScanKernel:
         self.protocol.on_join(joins, self.levels)
 
 
-class BackendOps:
-    """Data-representation primitives one engine lowers the kernel with.
-
-    The kernel is representation-blind: everything it needs from a
-    backend is "find the first event candidate", "count receptions in a
-    range" and "rebuild a row's window state" — the narrow surfaces below.
-    Subclasses must be *bit-exact* (same columns, same counts) because the
-    cross-engine conformance matrix pins the kernel's event sequence.
-    """
-
-    #: Representation family: ``"dense"`` boolean matrices or ``"packed"``
-    #: uint64 words.
-    kind = "abstract"
-
-
-class DenseOps(BackendOps):
-    """Dense boolean receiver-major matrices (``engine="batched"``)."""
-
-    kind = "dense"
-
-    @staticmethod
-    def first_true(matrix: np.ndarray):
-        """First true column per row: ``(has, window_index)``."""
-        idx = matrix.argmax(axis=1)
-        has = matrix[np.arange(matrix.shape[0]), idx]
-        return has, idx
-
-    @staticmethod
-    def row_counts(matrix: np.ndarray) -> np.ndarray:
-        """True cells per row (int64)."""
-        return matrix.sum(axis=1, dtype=np.int64)
-
-    @staticmethod
-    def counts_before(rows_matrix: np.ndarray, iota: np.ndarray,
-                      stops: np.ndarray) -> np.ndarray:
-        """True cells per row at window indices strictly before ``stops``."""
-        return (
-            rows_matrix & (iota[None, :] < stops[:, None].astype(np.int32))
-        ).sum(axis=1, dtype=np.int64)
-
-    @staticmethod
-    def range_counts(matrix: np.ndarray, cols: np.ndarray,
-                     starts: np.ndarray, stop: int) -> np.ndarray:
-        """True cells per row at columns in ``[starts[r], stop)``."""
-        return (
-            matrix
-            & (cols[None, :] < np.int32(stop))
-            & (cols[None, :] >= starts[:, None])
-        ).sum(axis=1, dtype=np.int64)
-
-
-class PackedOps(BackendOps):
-    """uint64-packed words + popcount reductions (``engine="bitpacked"``).
+class PackedOps:
+    """uint64-packed words + popcount reductions: the scan's one lowering.
 
     Thin delegation to :mod:`repro.protocols.bitpack`, plus two fused
-    primitives (:meth:`gather_andnot_counts`, :meth:`chain_rebuild`) whose
-    NumPy compositions are the packed drain's hottest temporaries — they
-    are exactly what :class:`~repro.protocols.compiled.CompiledOps`
-    re-lowers as single-pass jitted loops.
+    primitives (:meth:`gather_andnot_counts`, :meth:`chain_rebuild`) that
+    name the packed drain's hottest compositions.  Every primitive must be
+    bit-exact (same columns, same counts): the cross-engine conformance
+    matrix pins the kernel's event sequence.
     """
-
-    kind = "packed"
 
     word_base = staticmethod(bitpack.word_base)
     start_masks = staticmethod(bitpack.start_masks)
@@ -417,7 +342,6 @@ class PackedOps(BackendOps):
     first_set = staticmethod(bitpack.first_set)
     row_counts = staticmethod(bitpack.row_counts)
     prefix_counts = staticmethod(bitpack.prefix_counts)
-    counts_between = staticmethod(bitpack.counts_between)
 
     @staticmethod
     def gather_andnot_counts(recv: np.ndarray, hit: np.ndarray,
@@ -468,27 +392,16 @@ class PackedOps(BackendOps):
         return bitpack.first_set(cong_c, base_ws)
 
 
-#: Shared backend singletons (the ops objects are stateless).
-DENSE_OPS = DenseOps()
+#: The shared lowering singleton (the ops object is stateless).
 PACKED_OPS = PackedOps()
 
 
-def backend_ops_for(engine: str) -> BackendOps:
-    """The ops object an engine lowers the kernel with.
+def backend_ops_for(engine: str) -> PackedOps:
+    """The ops object the scan lowers the kernel with under ``engine``.
 
-    ``engine="compiled"`` degrades gracefully: when :mod:`numba` is not
-    installed the packed NumPy primitives serve in its place (bit-identical
-    results, bitpacked speed), so specs naming the compiled engine stay
-    runnable everywhere.
+    Every engine name — registered or retired alias — maps to
+    :data:`PACKED_OPS` (the reference loop lowers nothing); unknown names
+    raise :class:`ValueError`.
     """
-    if engine in ("batched", "reference"):
-        return DENSE_OPS
-    if engine == "bitpacked":
-        return PACKED_OPS
-    if engine == "compiled":
-        try:
-            from .compiled import COMPILED_OPS
-            return COMPILED_OPS
-        except ImportError:
-            return PACKED_OPS
-    raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    resolve_engine(engine)
+    return PACKED_OPS

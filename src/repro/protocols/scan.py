@@ -1,4 +1,4 @@
-"""Chunked per-receiver event scan — the core of the batched protocol engine.
+"""Chunked per-receiver event scan — the core of the ``bitpacked`` engine.
 
 The Section-4 protocols are *receiver-local*: given the loss outcomes of
 every scheduled packet, one receiver's subscription level and join counters
@@ -22,46 +22,23 @@ carried).  The scan below exploits that:
   counts, join-counter increments), the event itself is applied, and the
   scan continues from the next packet.
 
-Matrices are laid out **receiver-major** — one row per receiver, one column
-per packet — so the per-receiver reductions (first event, bulk counts) run
-along contiguous memory.  Columns are restricted twice over: to packets of
-layers no higher than the highest subscription among active receivers, and
-to a bounded window ahead of the scan front, so per-iteration work tracks
-the event spacing rather than the chunk size.
-
-The high-correlated-loss regime (Figure 8(b)) additionally rides a **fused
-event drain**: a synchronized (shared-loss) event congests many receivers
-at the same column, and the scan drains all of them in a single iteration
-— one vectorised pass applies every receiver's bulk reception credit and
-congestion reaction at once — after which only the window *segment past
-the drained column* is recomputed, with first-congestion candidates cached
-for the untouched rows.  Per-event cost therefore tracks the segment
-between synchronized events instead of the full receiver x window matrix.
-
-**Bit-packed variant (the default engine).**  ``engine="bitpacked"`` runs
-the same event scan on ``uint64``-packed matrices
+Matrices are ``uint64``-packed and laid out **receiver-major**
 (:mod:`repro.protocols.bitpack`): the engine scatters its sparse loss
 positions straight into packed ``receivable`` words, the per-window
 ``recv``/``cong`` matrices are packed bit fields, and every boolean
-reduction becomes a masked popcount — first-congestion candidates via
+reduction is a masked popcount — first-congestion candidates via
 lowest-set-bit isolation, bulk reception credits via prefix popcounts,
 segment refreshes via per-row range masks.  One word carries 64 packet
-columns, so the window matrices shrink 8x and the scan affords windows an
-order of magnitude wider (fewer Python-level iterations) at the same
-memory traffic.  :func:`scan_chunk_bitpacked` mirrors :func:`scan_chunk`
-decision for decision; both are bit-for-bit identical to the reference
-loop for any window or chunk size.
+columns.  Windows are bounded ahead of the scan front, so per-iteration
+work tracks the event spacing rather than the chunk size.
 
-For protocols that implement the exact in-chain join locator
-(:meth:`~repro.protocols.base.LayeredProtocol.scan_chain_join_packed`,
-declared with ``supports_chain_join`` — all three Section-4 protocols),
-the packed scan upgrades the fused drain into a **multi-event chain
-drain**: after one generation pass establishes a window, the chain
-consumes *every* remaining event of the window — correlated-loss
+After one generation pass establishes a window, a **multi-event chain
+drain** consumes *every* remaining event of the window — correlated-loss
 congestions *and* the joins between them — without re-entering the
 generation machinery.  Each chained row's next event is the earlier of
 its cached first-congestion candidate and its exactly-located join
-(rank-select ``kth_set`` for counter/countdown joins, sync-point prefix
+(:meth:`~repro.protocols.base.LayeredProtocol.scan_chain_join_packed`:
+rank-select ``kth_set`` for counter/countdown joins, sync-point prefix
 popcounts for coordinated joins); bulk reception credits come from prefix
 popcounts up to the event column, and only the row's packed suffix past
 the event is rebuilt.  A window therefore costs one generation pass plus
@@ -73,7 +50,7 @@ The scan produces results bit-for-bit identical to the per-packet reference
 engine for any window size or chunk size;
 ``tests/simulator/test_engine_equivalence.py`` holds the conformance
 matrix and ``tests/simulator/test_engine_fuzz.py`` fuzzes generated
-scenarios across all three engines.
+scenarios across both engines.
 """
 
 from __future__ import annotations
@@ -84,18 +61,12 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from . import bitpack
-from .kernel import (
-    ChunkResult,
-    DENSE_OPS,
-    PACKED_OPS,
-    BackendOps,
-    ScanKernel,
-)
+from .kernel import PACKED_OPS, ChunkResult, ScanKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type annotations
     from .base import LayeredProtocol
 
-__all__ = ["UnitChunk", "ChunkResult", "scan_chunk", "scan_chunk_bitpacked"]
+__all__ = ["UnitChunk", "ChunkResult", "scan_chunk_bitpacked"]
 
 _WORD_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE64 = np.uint64(1)
@@ -120,20 +91,16 @@ class UnitChunk:
         receiver-major ``(num_receivers, n)`` for the fan-out links.  When
         several runs are stacked into one chunk, ``shared_lost`` holds one
         row per run.  Only materialised for protocols that declare
-        ``needs_dense_losses`` (the active-node group drain); the generic
-        scan reads ``receivable`` alone, which the engine scatters from
+        ``needs_dense_losses`` (the active-node group drain); the scan
+        reads ``receivable_packed`` alone, which the engine scatters from
         sparse loss positions.
-    receivable:
-        Pre-combined reception outcome (``~shared & ~independent`` per
-        receiver row); computed from the dense loss arrays when absent.
     cols_for_level:
         ``cols_for_level[l]`` lists the packet columns with ``layer <= l``
         — the packets a level-``l`` receiver can observe.
     observed_before:
         ``observed_before[l, c]`` counts the packet columns before ``c``
-        with ``layer <= l`` (shape ``(num_layers + 1, n + 1)``); an upper
-        bound on what a level-``l`` receiver can receive, used to prune
-        unreachable join opportunities.
+        with ``layer <= l`` (shape ``(num_layers + 1, n + 1)``); the
+        engine reads shared-link carriage off it.
     sync_cols / sync_ok:
         Columns of unit-initial packets carrying sender sync marks, and a
         ``(len(sync_cols), num_levels+2)`` table with ``sync_ok[i, l]``
@@ -146,19 +113,13 @@ class UnitChunk:
         unbounded).  Purely a performance knob — results are identical for
         any value.
     receivable_packed / layer_masks_packed:
-        The bit-packed engine's inputs (``None`` elsewhere): ``uint64``
-        words packing ``receivable`` column-wise (column ``c`` at word
-        ``c // 64``, bit ``c % 64``; see :mod:`repro.protocols.bitpack`)
-        and one packed ``layer <= level`` column mask per subscription
-        level (``(num_layers + 1, ceil(n / 64))``).  A chunk carries
-        either the packed or the dense representation, never both;
-        :meth:`~repro.protocols.base.LayeredProtocol.step_chunk`
-        dispatches on which one is present.
-    ops:
-        The :class:`~repro.protocols.kernel.BackendOps` the scan lowers
-        its reductions with — set by the engine to match the chunk's
-        representation (``None`` falls back to the representation's
-        default NumPy ops).
+        The scan's inputs: ``uint64`` words packing the per-receiver
+        reception outcome (``~shared & ~independent``) column-wise (column
+        ``c`` at word ``c // 64``, bit ``c % 64``; see
+        :mod:`repro.protocols.bitpack`) and one packed ``layer <= level``
+        column mask per subscription level (``(num_layers + 1, ceil(n /
+        64))``).  ``None`` for protocols that declare
+        ``needs_dense_losses``, which read the dense arrays instead.
     """
 
     start_unit: int
@@ -174,260 +135,37 @@ class UnitChunk:
     sync_ok: np.ndarray
     times: Optional[np.ndarray] = None
     scan_window: int = 0
-    receivable: Optional[np.ndarray] = None
     receivable_packed: Optional[np.ndarray] = None
     layer_masks_packed: Optional[np.ndarray] = None
-    ops: Optional[BackendOps] = None
 
     @property
     def num_packets(self) -> int:
         return int(self.layers.size)
 
 
-def scan_chunk(
-    protocol: "LayeredProtocol",
-    chunk: UnitChunk,
-    levels: np.ndarray,
-    ops: Optional[BackendOps] = None,
-) -> ChunkResult:
-    """Advance ``levels`` (in place) through one chunk; see module docstring.
-
-    The protocol participates through the hooks
-    :meth:`~repro.protocols.base.LayeredProtocol.scan_first_join` and
-    :meth:`~repro.protocols.base.LayeredProtocol.scan_boundary` (join
-    detection under frozen state) plus the bookkeeping mirrors
-    :meth:`~repro.protocols.base.LayeredProtocol.scan_bulk_received`,
-    :meth:`~repro.protocols.base.LayeredProtocol.scan_congested`,
-    :meth:`~repro.protocols.base.LayeredProtocol.scan_left` and
-    :meth:`~repro.protocols.base.LayeredProtocol.scan_joined`.
-    """
-    num_receivers = levels.size
-    if ops is None:
-        ops = chunk.ops if chunk.ops is not None else DENSE_OPS
-
-    # Receiver-local reception outcome if subscribed: neither link lost it.
-    receivable = chunk.receivable
-    if receivable is None:
-        receivable = ~chunk.independent_lost & ~chunk.shared_lost[None, :]
-
-    kernel = ScanKernel(
-        protocol, levels, num_receivers,
-        col_offset=chunk.start_unit * chunk.packets_per_unit,
-    )
-
-    n = chunk.num_packets
-    window = chunk.scan_window or n
-    # Narrow dtypes keep the broadcast comparisons below memory-light.
-    layers = chunk.layers.astype(np.int16, copy=False)
-
-    everyone = np.arange(num_receivers)
-    pos = np.zeros(num_receivers, dtype=np.int32)
-    lo = 0
-    while lo < n:
-        # ---- establish one window of observable columns -----------------
-        top = int(levels.max())
-        cols_all = chunk.cols_for_level[top]
-        first = np.searchsorted(cols_all, lo) if lo else 0
-        if first >= cols_all.size:
-            break
-        capped = cols_all.size - first > window
-        cols = cols_all[first:first + window]
-        # The window ends just before the next column anyone could observe
-        # (skipping unobservable higher-layer packets costs nothing).
-        window_end = int(cols_all[first + window]) if capped else n
-        boundary = protocol.scan_boundary(chunk, lo, everyone, levels, pos)
-        if boundary < window_end:
-            cols = cols[:np.searchsorted(cols, boundary)]
-            window_end = boundary
-            if cols.size == 0:
-                # Nothing observable before the boundary; hop across.
-                np.maximum(pos, window_end, out=pos)
-                lo = window_end
-                continue
-
-        num_cols = cols.size
-        if int(cols[-1]) - int(cols[0]) + 1 == num_cols:
-            # Contiguous column range (every layer observable): slice views
-            # instead of fancy-index copies.
-            span = slice(int(cols[0]), int(cols[-1]) + 1)
-            layer_row = layers[span][None, :]
-            ok = receivable[:, span]
-        else:
-            layer_row = layers[cols][None, :]
-            ok = receivable[:, cols]
-        sub = layer_row <= levels.astype(np.int16)[:, None]
-        recv = sub & ok
-        cong = sub ^ recv  # subscribed and not received = congested
-        if int(pos.max()) > lo:
-            # Receivers that processed an event past a truncated window
-            # must not see the columns they already consumed.
-            valid = cols[None, :] >= pos[:, None]
-            recv &= valid
-            cong &= valid
-
-        has_join = np.zeros(num_receivers, dtype=bool)
-        e_join = np.zeros(num_receivers, dtype=np.int64)
-        join = protocol.scan_first_join(chunk, cols, everyone, levels, recv, pos, fresh=True)
-        if join is not None:
-            has_join, e_join = join
-
-        # ---- drain the window's events, touching only changed rows ------
-        # First-congestion candidates are cached and refreshed only for the
-        # rows each iteration changed, so per-iteration work tracks the hit
-        # set instead of the full receiver x window matrix.
-        iota = np.arange(num_cols, dtype=np.int32)
-        truncate_at = -1
-        has_cong, e_cong = ops.first_true(cong)
-        while True:
-            has_event = has_cong | has_join
-            if not has_event.any():
-                break
-            was_cong = kernel.first_event(has_cong, e_cong, has_join, e_join)
-            e_slice = np.where(was_cong, e_cong, e_join)
-            hit = np.nonzero(has_event)[0]
-            e_hit = e_slice[hit]
-            event_cols = cols[e_hit]
-            # Receptions strictly before each event column (rows are
-            # already masked below each receiver's position); the
-            # join-triggering packet itself is credited by the kernel.
-            bulk = ops.counts_before(recv[hit], iota, e_hit)
-            kernel.credit(hit, bulk)
-            hit_cong = was_cong[hit]
-            kernel.congest(hit[hit_cong], event_cols[hit_cong])
-            # A join whose receiver outgrew the window's layer slice closes
-            # the window: packets above ``top`` are missing from these
-            # columns, so its scan must resume in a wider window — *before*
-            # the first such join, because the joiner itself has consumed
-            # its column while receivers whose first event came earlier
-            # still need their look at it.
-            truncate_at = kernel.join(
-                hit[~hit_cong], event_cols[~hit_cong], top, credit_join=True
-            )
-            pos[hit] = event_cols + 1
-            if truncate_at >= 0:
-                # Close the window at the earliest hit position: receivers
-                # whose event came earlier may still have unevaluated
-                # events between there and the truncating join, so only
-                # event-free receivers may be bulk-advanced past it.  The
-                # next (wider) window re-examines everything beyond.
-                window_end = int(pos[hit].min())
-                break
-            # ---- multi-event chain drain ----------------------------
-            # Congested rows keep draining forward: with levels only ever
-            # stepping down along a run of congestion events, each lower
-            # level's congestion columns follow from the raw receivable
-            # matrix by masking (no refresh needed), and the protocol
-            # certifies join-free gaps from the gap's reception count alone
-            # (its counters are freshly reset/re-armed after every consumed
-            # event).  A window's worth of correlated-loss columns thus
-            # drains in one pass — one segment refresh and one join-hook
-            # call per *chain* instead of per event.
-            chain = hit[hit_cong]
-            while chain.size:
-                sub_c = layer_row <= levels[chain].astype(np.int16)[:, None]
-                alive = cols[None, :] >= pos[chain][:, None]
-                ok_c = ok[chain]
-                cand = sub_c & ~ok_c
-                cand &= alive
-                has_next, idx = ops.first_true(cand)
-                if not has_next.any():
-                    break
-                chain = chain[has_next]
-                idx = idx[has_next]
-                nxt = cols[idx].astype(np.int64)
-                gap = sub_c[has_next] & ok_c[has_next]
-                gap &= alive[has_next]
-                gap &= iota[None, :] < idx[:, None]
-                n_gap = ops.row_counts(gap)
-                may_join = protocol.scan_chain_gap(
-                    chunk, chain, levels[chain], n_gap,
-                    pos[chain].astype(np.int64) - 1, nxt,
-                )
-                if may_join is None:
-                    break
-                keep = ~may_join
-                chain = chain[keep]
-                if chain.size == 0:
-                    break
-                nxt = nxt[keep]
-                kernel.credit(chain, n_gap[keep])
-                kernel.congest(chain, nxt)
-                pos[chain] = nxt + 1
-            # ---- fused segment refresh ------------------------------
-            # Every hit row's scan resumes at or beyond the earliest
-            # drained column, so only the window segment past it is
-            # recomputed.  Synchronized (shared-loss) events — where most
-            # rows drain the same column at once — therefore cost one
-            # short vectorised segment pass instead of a full-window
-            # recomputation per event generation.
-            resume = int(np.searchsorted(cols, int(pos[hit].min())))
-            recv[hit, :resume] = False
-            cong[hit, :resume] = False
-            if resume == num_cols:
-                # The drained column closed the window for these rows.
-                has_cong[hit] = False
-                has_join[hit] = False
-                continue
-            sub_hit = layer_row[:, resume:] <= levels[hit].astype(np.int16)[:, None]
-            recv_hit = sub_hit & ok[hit, resume:]
-            cong_hit = sub_hit ^ recv_hit
-            valid_hit = cols[None, resume:] >= pos[hit][:, None]
-            recv_hit &= valid_hit
-            cong_hit &= valid_hit
-            recv[hit, resume:] = recv_hit
-            cong[hit, resume:] = cong_hit
-            has_cong[hit], segment_cong = ops.first_true(cong_hit)
-            e_cong[hit] = resume + segment_cong
-            join = protocol.scan_first_join(
-                chunk, cols[resume:], hit, levels[hit], recv_hit, pos[hit], fresh=False
-            )
-            if join is None:
-                has_join[hit] = False
-            else:
-                has_join[hit], segment_join = join
-                e_join[hit] = resume + segment_join
-
-        # ---- close the window: bulk everyone to its end ------------------
-        if truncate_at >= 0:
-            # Hit receivers' rows are stale (the loop broke before their
-            # refresh); their position masks keep their contribution empty,
-            # which is exact because the window closes at the earliest hit.
-            closing = ops.range_counts(recv, cols, pos, window_end)
-        else:
-            closing = ops.row_counts(recv)
-        kernel.credit(everyone, closing)
-        np.maximum(pos, window_end, out=pos)
-        lo = window_end
-
-    return kernel.result()
-
-
 def scan_chunk_bitpacked(
     protocol: "LayeredProtocol",
     chunk: UnitChunk,
     levels: np.ndarray,
-    ops: Optional[BackendOps] = None,
 ) -> ChunkResult:
-    """Advance ``levels`` through one chunk on bit-packed matrices.
+    """Advance ``levels`` (in place) through one chunk; see module docstring.
 
-    Same event scan as :func:`scan_chunk`, decision for decision — window
-    establishment, first-event selection, fused drain, segment refresh and
-    window closing all mirror the dense code — but ``recv``/``cong`` are
-    ``uint64`` words (64 packet columns each) and every reduction is a
-    masked popcount (:mod:`repro.protocols.bitpack`).  Protocols
-    participate through :meth:`~repro.protocols.base.LayeredProtocol.
-    scan_first_join_packed` (a :class:`~repro.protocols.bitpack.
-    PackedWindow` instead of a dense reception matrix) plus the same
-    bookkeeping hooks; event columns are absolute chunk columns
-    throughout, which orders events exactly as the dense scan's
-    window-relative indices do.
+    The protocol participates through the join locators
+    :meth:`~repro.protocols.base.LayeredProtocol.scan_first_join_packed`
+    (on a :class:`~repro.protocols.bitpack.PackedWindow`) and
+    :meth:`~repro.protocols.base.LayeredProtocol.scan_chain_join_packed`
+    plus the bookkeeping mirrors
+    :meth:`~repro.protocols.base.LayeredProtocol.scan_bulk_received`,
+    :meth:`~repro.protocols.base.LayeredProtocol.scan_congested`,
+    :meth:`~repro.protocols.base.LayeredProtocol.scan_left` and
+    :meth:`~repro.protocols.base.LayeredProtocol.scan_joined`.  Event
+    columns are absolute chunk columns throughout.
     """
     num_receivers = levels.size
     okp = chunk.receivable_packed
     level_masks = chunk.layer_masks_packed
     assert okp is not None and level_masks is not None
-    if ops is None:
-        ops = chunk.ops if chunk.ops is not None else PACKED_OPS
+    ops = PACKED_OPS
 
     kernel = ScanKernel(
         protocol, levels, num_receivers,
@@ -454,9 +192,6 @@ def scan_chunk_bitpacked(
         # arbitrarily wide word range (every per-generation mask build
         # pays for those words, observable or not).
         window_end = min(window_end, lo + window)
-        boundary = protocol.scan_boundary(chunk, lo, everyone, levels, pos)
-        if boundary < window_end:
-            window_end = boundary
         hi = int(cols_all.searchsorted(window_end))
         if hi == first:
             # Nothing observable before the window's end; hop across.
@@ -502,7 +237,7 @@ def scan_chunk_bitpacked(
         has_cong, e_cong = ops.first_set(cong, base_col)
         view = bitpack.PackedWindow(recv, base_col, lo, window_end, num_obs, last_obs)
         join = protocol.scan_first_join_packed(
-            chunk, view, everyone, levels, pos, fresh=True, cong=(has_cong, e_cong)
+            chunk, view, everyone, levels, pos, (has_cong, e_cong)
         )
         if join is None:
             has_join = np.zeros(num_receivers, dtype=bool)
@@ -510,12 +245,13 @@ def scan_chunk_bitpacked(
         else:
             has_join, e_join = join
 
-        # ---- drain the window's events, touching only changed rows ------
+        # ---- drain the window's events ---------------------------------
+        # The generation pass above located every row's first event; the
+        # hit rows consume it here, then the chain drain consumes the rest
+        # of their events in the window.
         truncate_at = -1
-        while True:
-            hit = (has_cong | has_join).nonzero()[0]
-            if hit.size == 0:
-                break
+        hit = (has_cong | has_join).nonzero()[0]
+        if hit.size:
             was_cong = kernel.first_event(has_cong, e_cong, has_join, e_join)
             e_col = np.where(was_cong, e_cong, e_join)
             event_cols = e_col[hit]
@@ -537,41 +273,31 @@ def scan_chunk_bitpacked(
                 bulk = credited
             kernel.credit(hit, credited, bulk)
             kernel.congest(hit[hit_cong], event_cols[hit_cong])
-            # A receiver whose join outgrew the window's layer slice closes
-            # the window before the first such join (see scan_chunk).
+            # A join whose receiver outgrew the window's layer slice closes
+            # the window: packets above ``top`` are missing from these
+            # columns, so its scan must resume in a wider window — *before*
+            # the first such join, because receivers whose first event came
+            # earlier still need their look at its column.
             truncate_at = kernel.join(jidx, event_cols[join_rows], top)
             pos[hit] = event_cols + 1
-            if truncate_at >= 0:
-                window_end = int(pos[hit].min())
-                break
-            # ---- fused segment refresh ------------------------------
-            # Hit rows are rebuilt under their new levels and positions —
-            # and only over the words at or past the earliest consumed
-            # column (everything before it is consumed for every hit row),
-            # reusing the consumed-bit mask built above.  Untouched rows
-            # keep their cached first-congestion candidates.
             seg_lo = int(pos[hit].min())
-            if seg_lo > last_obs:
-                # The drained column closed the window for these rows:
-                # every observable column is behind their positions, so
-                # their consumed bits must vanish before the window-close
-                # bulk (the dense scan zeroes the same prefix).
-                recv[hit] = 0
-                has_cong[hit] = False
-                has_join[hit] = False
-                continue
-            w0 = (seg_lo - base_col) >> 6
-            base_w0 = base_col + (w0 << 6)
-            bases_s = bases[w0:]
-            sub_hit = masks_here[levels[hit], w0:]
-            sub_hit &= ahead[:, w0:]
-            sub_hit[:, -1] &= edge_word
-            ok_hit = ok[hit, w0:]
-            recv_hit = sub_hit & ok_hit
-            cong_hit = sub_hit
-            cong_hit ^= recv_hit
-            has_c, e_c = ops.first_set(cong_hit, base_w0)
-            if protocol.supports_chain_join:
+            if truncate_at < 0 and seg_lo <= last_obs:
+                # ---- segment refresh --------------------------------
+                # Hit rows are rebuilt under their new levels and positions
+                # — only over the words at or past the earliest consumed
+                # column (everything before it is consumed for every hit
+                # row), reusing the consumed-bit mask built above.
+                w0 = (seg_lo - base_col) >> 6
+                base_w0 = base_col + (w0 << 6)
+                bases_s = bases[w0:]
+                sub_hit = masks_here[levels[hit], w0:]
+                sub_hit &= ahead[:, w0:]
+                sub_hit[:, -1] &= edge_word
+                ok_hit = ok[hit, w0:]
+                recv_hit = sub_hit & ok_hit
+                cong_hit = sub_hit
+                cong_hit ^= recv_hit
+                has_c, e_c = ops.first_set(cong_hit, base_w0)
                 # ---- exact multi-event chain drain ------------------
                 # Every hit row's join-progress state was freshly reset or
                 # re-armed by the event it just consumed, so the protocol
@@ -582,7 +308,7 @@ def scan_chunk_bitpacked(
                 # consumes joins and congestion events alike until every
                 # row runs out of events, draining the whole window in one
                 # pass — one join-hook call per chain step over the still-
-                # active rows, no per-generation segment refresh at all.
+                # active rows.
                 chain_l = np.arange(hit.size)
                 num_words_s = num_words - w0
                 while chain_l.size:
@@ -631,8 +357,7 @@ def scan_chunk_bitpacked(
                     kernel.credit(rows_g, bulk_c, bulk_c - has_j)
                     kernel.congest(rows_g[~has_j], event[~has_j])
                     # A receiver whose join outgrew the window's layer slice
-                    # closes the window before the first such join (see
-                    # scan_chunk).
+                    # closes the window before the first such join.
                     truncate_at = kernel.join(rows_g[has_j], event[has_j], top)
                     pos[rows_g] = event + 1
                     if truncate_at >= 0:
@@ -645,85 +370,34 @@ def scan_chunk_bitpacked(
                         edge_word, base_ws, bases_s[ws:],
                         ok_hit[:, ws:][chain_l], recv_hit, chain_l, ws,
                     )
-                if truncate_at >= 0:
-                    window_end = int(pos[hit].min())
-                    break
-                # Every hit row is drained: write the final segment state
-                # back for the window-close credit and end the event loop.
-                if w0:
-                    recv[hit, :w0] = 0
-                    recv[hit, w0:] = recv_hit
-                else:
-                    recv[hit] = recv_hit
-                has_cong[hit] = False
-                has_join[hit] = False
-                continue
-            # ---- multi-event chain drain ----------------------------
-            # Congestion-consumed rows keep draining forward: their next
-            # congestion candidate is exactly the refreshed first-set
-            # column just computed, and the protocol certifies join-free
-            # gaps from the gap's reception count alone (its counters are
-            # freshly reset/re-armed after every consumed event).  A
-            # window's worth of correlated-loss columns thus drains in one
-            # pass — only the rows a chain actually advances are rebuilt,
-            # and the join hook runs once per *chain* instead of per event.
-            chain_l = (hit_cong & has_c).nonzero()[0]
-            while chain_l.size:
-                rows_g = hit[chain_l]
-                nxt = e_c[chain_l]
-                n_gap = ops.counts_between(
-                    recv_hit[chain_l], base_w0, pos[rows_g], nxt, bases_s
-                )
-                may_join = protocol.scan_chain_gap(
-                    chunk, rows_g, levels[rows_g], n_gap, pos[rows_g] - 1, nxt
-                )
-                if may_join is None:
-                    break
-                keep = ~may_join
-                chain_l = chain_l[keep]
-                if chain_l.size == 0:
-                    break
-                rows_g = hit[chain_l]
-                nxt = nxt[keep]
-                kernel.credit(rows_g, n_gap[keep])
-                kernel.congest(rows_g, nxt)
-                pos[rows_g] = nxt + 1
-                # Rebuild just the chained rows' segment state under their
-                # new level and position, keeping the candidate cache hot.
-                has_c[chain_l], e_c[chain_l] = ops.chain_rebuild(
-                    masks_here, w0, levels[rows_g], pos[rows_g], edge_word,
-                    base_w0, bases_s, ok_hit[chain_l], recv_hit, chain_l, 0,
-                )
-                chain_l = chain_l[has_c[chain_l]]
-            # ---- write back + one join-hook call per generation -----
-            if w0:
-                recv[hit, :w0] = 0
-                recv[hit, w0:] = recv_hit
-            else:
-                recv[hit] = recv_hit
-            has_cong[hit] = has_c
-            e_cong[hit] = e_c
-            seg_obs = int(
-                chunk.observed_before[top, window_end]
-                - chunk.observed_before[top, seg_lo]
-            )
-            seg_view = bitpack.PackedWindow(
-                recv_hit, base_w0, seg_lo, window_end, seg_obs, last_obs
-            )
-            join = protocol.scan_first_join_packed(
-                chunk, seg_view, hit, levels[hit], pos[hit], fresh=False,
-                cong=(has_c, e_c),
-            )
-            if join is None:
-                has_join[hit] = False
-            else:
-                has_join[hit], e_join[hit] = join
+                if truncate_at < 0:
+                    # Every hit row is drained: write the final segment
+                    # state back for the window-close credit.
+                    if w0:
+                        recv[hit, :w0] = 0
+                        recv[hit, w0:] = recv_hit
+                    else:
+                        recv[hit] = recv_hit
+            elif truncate_at < 0:
+                # The drained column closed the window for these rows:
+                # every observable column is behind their positions, so
+                # their consumed bits must vanish before the window-close
+                # bulk.
+                recv[hit] = 0
+            if truncate_at >= 0:
+                # Close the window at the earliest hit position: receivers
+                # whose event came earlier may still have unevaluated
+                # events between there and the truncating join, so only
+                # event-free receivers may be bulk-advanced past it.  The
+                # next (wider) window re-examines everything beyond.
+                window_end = int(pos[hit].min())
 
         # ---- close the window: bulk everyone to its end ------------------
         if truncate_at >= 0:
-            # Hit receivers' rows are stale (the loop broke before their
+            # Hit receivers' rows are stale (the drain stopped before their
             # refresh); re-applying the position masks keeps their
-            # contribution empty, exactly as in the dense scan.
+            # contribution empty, which is exact because the window closes
+            # at the earliest hit.
             closing_mask = ops.start_masks(
                 np.maximum(pos, lo), base_col, num_words, bases
             )

@@ -53,8 +53,6 @@ class UncoordinatedProtocol(LayeredProtocol):
     name = "uncoordinated"
     supports_batched_units = True
     supports_stacked_runs = True
-    supports_bitpacked = True
-    supports_chain_join = True
 
     def _reset_state(self) -> None:
         super()._reset_state()
@@ -140,68 +138,29 @@ class UncoordinatedProtocol(LayeredProtocol):
             self._rearm(rows, levels[rows])
 
     # ------------------------------------------------------------------
-    # batched-scan hooks
+    # packed scan hooks
     # ------------------------------------------------------------------
-    def scan_first_join(self, chunk, cols, act, levels_act, received, pos, fresh=True):
+    def scan_first_join_packed(self, chunk, view, act, levels_act, pos, cong):
         if self._streams is None:
             raise ProtocolError(
                 "uncoordinated batched scan needs bind_run_streams() to "
                 "attach its per-receiver draw streams"
             )
         countdown = self._countdown[act]
-        # A row cannot join unless its countdown fits in the visible
-        # columns, which prunes the per-row reception counts to the few
-        # candidate rows (top-level sentinels never pass).
-        maybe = countdown <= received.shape[1]
-        if not bool(maybe.any()):
-            return None
-        has_join = np.zeros(act.size, dtype=bool)
-        midx = np.nonzero(maybe)[0]
-        counts = received[midx].sum(axis=1, dtype=np.int64)
-        has_join[midx] = countdown[midx] <= counts
-        if not bool(has_join[midx].any()):
-            return None
-        # The joining packet is each row's countdown-th visible reception.
-        # Countdown 1 — every level-1 receiver, and the overwhelmingly
-        # common case at low levels — is just the first reception; only the
-        # rare deeper countdowns need a cumulative scan.
-        index = np.zeros(act.size, dtype=np.int64)
-        candidates = np.nonzero(has_join)[0]
-        first = candidates[countdown[candidates] == 1]
-        if first.size:
-            index[first] = received[first].argmax(axis=1)
-        deeper = candidates[countdown[candidates] > 1]
-        if deeper.size:
-            part = received[deeper]
-            running = part.cumsum(axis=1, dtype=np.int64)
-            index[deeper] = (
-                (running == countdown[deeper][:, None]) & part
-            ).argmax(axis=1)
-        return has_join, index
-
-    def scan_first_join_packed(self, chunk, view, act, levels_act, pos, fresh=True, cong=None):
-        if self._streams is None:
-            raise ProtocolError(
-                "uncoordinated batched scan needs bind_run_streams() to "
-                "attach its per-receiver draw streams"
-            )
-        countdown = self._countdown[act]
-        # Same candidate pruning as the dense hook: a row cannot join
-        # unless its countdown fits in the observable columns.
+        # A row cannot join unless its countdown fits in the observable
+        # columns, which prunes the popcounts to the few candidate rows
+        # (top-level sentinels never pass).
         maybe = countdown <= view.num_obs_cols
         if not bool(maybe.any()):
             return None
         midx = maybe.nonzero()[0]
-        if cong is None:
-            counts = view.counts(midx)
-        else:
-            # Only a join strictly before the row's congestion candidate
-            # is ever consumed (the scan takes the earlier event), so one
-            # prefix popcount up to there replaces the rank selection for
-            # rows whose join would be discarded.
-            has_cong, e_cong = cong
-            limit = np.where(has_cong[midx], e_cong[midx], view.col_hi)
-            counts = view.prefix_counts(midx, limit)
+        # Only a join strictly before the row's congestion candidate is
+        # ever consumed (the scan takes the earlier event), so one prefix
+        # popcount up to there replaces the rank selection for rows whose
+        # join would be discarded.
+        has_cong, e_cong = cong
+        limit = np.where(has_cong[midx], e_cong[midx], view.col_hi)
+        counts = view.prefix_counts(midx, limit)
         fire = countdown[midx] <= counts
         if not bool(fire.any()):
             return None
@@ -214,22 +173,17 @@ class UncoordinatedProtocol(LayeredProtocol):
         index[candidates] = view.kth_set(candidates, countdown[candidates])
         return has_join, index
 
-    def scan_chain_gap(self, chunk, rows, levels_rows, gap_counts, gap_lo, gap_hi):
-        # The joining packet is each row's countdown-th reception (the
-        # countdown was re-armed by the leave that ended the last gap, or
-        # carried across a level-1 congestion), so the join falls inside
-        # the gap exactly when the countdown fits its reception count.
-        # Top-level rows hold the sentinel and never break the chain.
-        return self._countdown[rows] <= gap_counts
-
     def scan_chain_join_packed(
         self, chunk, words, base_col, rows, levels_rows, gap_counts, gap_lo, gap_hi
     ):
-        # Exact counterpart of scan_chain_gap: the join is the row's
-        # countdown-th reception inside the gap — the countdown-th set bit
-        # of its packed row (bits below the position are cleared, and the
-        # fit inside the gap bounds the rank below ``gap_hi``).  Top-level
-        # rows hold the sentinel and never fire.
+        # The joining packet is each row's countdown-th reception (the
+        # countdown was re-armed by the event that ended the last gap, or
+        # carried across a level-1 congestion), so the join falls inside
+        # the gap exactly when the countdown fits its reception count: it
+        # is the countdown-th set bit of the packed row (bits below the
+        # position are cleared, and the fit inside the gap bounds the rank
+        # below ``gap_hi``).  Top-level rows hold the sentinel and never
+        # fire.
         countdown = self._countdown[rows]
         has_join = countdown <= gap_counts
         col = gap_hi

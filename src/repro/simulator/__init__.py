@@ -4,7 +4,7 @@
   processes;
 * :mod:`~repro.simulator.packets` — the sender's periodic packet schedule
   with sender-coordinated sync marks;
-* :mod:`~repro.simulator.engine` — the time-unit-batched simulation of a
+* :mod:`~repro.simulator.engine` — the chunked, bit-packed simulation of a
   session on a modified star (with the per-packet reference loop as
   ``engine="reference"``), measuring shared-link redundancy;
 * :mod:`~repro.simulator.rng` — counter-based Philox streams (RNG scheme

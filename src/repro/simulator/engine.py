@@ -33,15 +33,18 @@ Two Section-5 "future work" effects are also modelled:
   latency after its last leave expires — a slightly conservative
   approximation that over- rather than under-states carriage.
 
-**Two engines, one behaviour.**  The simulator ships a time-unit-batched
-engine (the default) and the original per-packet reference loop
-(``engine="reference"``).  Both produce bit-for-bit identical results for
-any seed: the batched engine restructures each chunk of time units as a
-per-receiver *event scan* (see :mod:`repro.protocols.scan`) instead of a
-Python-level loop over packets, which is possible because the Section-4
-protocols are receiver-local and the random stream is pre-sampled
-state-independently.  Protocols that do not implement the batched hooks
-transparently fall back to the reference loop.
+**Two engines, one behaviour.**  The simulator ships a chunked engine
+(``engine="bitpacked"``, the default) and the original per-packet
+reference loop (``engine="reference"``), which stays as the executable
+spec.  Both produce bit-for-bit identical results for any seed: the
+chunked engine restructures each chunk of time units as a per-receiver
+*event scan* on bit-packed matrices (see :mod:`repro.protocols.scan`)
+instead of a Python-level loop over packets, which is possible because the
+Section-4 protocols are receiver-local and the random stream is
+pre-sampled state-independently.  Protocols that do not implement the
+chunk hooks transparently fall back to the reference loop.  The retired
+names ``"batched"`` and ``"compiled"`` are accepted as aliases of
+``"bitpacked"`` (:data:`repro.protocols.kernel.ENGINE_ALIASES`).
 
 **Counter-based randomness (RNG scheme 5).**  Every run derives a family
 of independent Philox streams from one ``SeedSequence`` (see
@@ -50,11 +53,11 @@ of independent Philox streams from one ``SeedSequence`` (see
 counter-keyed stream, and the Uncoordinated protocol's join uniforms are
 keyed per receiver and consumed one draw per packet the receiver actually
 receives.  Separating the streams removes the per-unit interleaving of
-schemes 2/3: the batched engine samples whole chunks of each loss stream
+schemes 2/3: the chunked engine samples whole chunks of each loss stream
 in single calls, while the reference loop samples unit by unit from the
 same streams — bit-identical because every loss process is split-invariant
 (the :class:`~repro.simulator.loss.LossProcess` contract).  Per-receiver
-join-draw streams are what let the batched scan materialise only the draws
+join-draw streams are what let the chunk scan materialise only the draws
 its receivers reach instead of the full receiver x scheduled-packet
 matrix.  Scheme 2 introduced per-unit loss pre-sampling, scheme 3
 pre-sampled the Uncoordinated join draws receiver-major per unit, scheme 4
@@ -78,13 +81,7 @@ from ..errors import SimulationError
 from ..layering.layers import ExponentialLayerScheme, LayerScheme
 from ..protocols import bitpack
 from ..protocols.base import LayeredProtocol
-from ..protocols.kernel import (
-    ENGINES,
-    PACKED_ENGINES,
-    SCAN_ENGINES,
-    ScanKernel,
-    backend_ops_for,
-)
+from ..protocols.kernel import ENGINES, ScanKernel, resolve_engine
 from ..protocols.scan import UnitChunk
 from .loss import BernoulliLoss, LossProcess, NoLoss
 from .packets import PacketSchedule
@@ -112,10 +109,10 @@ __all__ = [
 #: differ across versions.
 RNG_SCHEME_VERSION = 5
 
-# The engine registry (``ENGINES``, plus the scan/packed subsets and the
-# per-engine backend-ops factory) lives in :mod:`repro.protocols.kernel` —
-# the single source of truth shared with the experiment API and the CLI —
-# and is re-exported here for backward compatibility.
+# The engine registry (``ENGINES`` and the retired-name aliases) lives in
+# :mod:`repro.protocols.kernel` — the single source of truth shared with
+# the experiment API and the CLI — and is re-exported here for backward
+# compatibility.
 
 IndependentLoss = Union[LossProcess, Sequence[LossProcess]]
 
@@ -237,19 +234,18 @@ class LayeredSessionSimulator:
         idealised instantaneous leaves of Section 4.
     engine:
         ``"bitpacked"`` (the default) runs the per-receiver event scan on
-        uint64-packed matrices with popcount reductions (8x denser
-        windows); ``"batched"`` runs the same scan on dense boolean
-        matrices; ``"reference"`` runs the original per-packet loop.
-        Results are bit-for-bit identical for any seed; protocols without
-        batched support always use the reference loop, and protocols
-        without packed support (the active-node group drain) run the dense
-        scan under ``"bitpacked"``.
+        uint64-packed matrices with popcount reductions; ``"reference"``
+        runs the original per-packet loop.  The retired names
+        ``"batched"`` and ``"compiled"`` select ``"bitpacked"``.  Results
+        are bit-for-bit identical for any seed; protocols without chunk
+        support always use the reference loop, and the active-node group
+        protocol runs its own chunk drain under ``"bitpacked"``.
     chunk_units:
-        Time units the batched engine processes per chunk (performance
+        Time units the chunked engine processes per chunk (performance
         knob only; results do not depend on it).  ``None`` (the default)
         picks 8 units — wider chunks amortise per-chunk assembly but
         inflate the per-generation word range of the packed scan, and 8
-        balances the two on both scan engines.
+        balances the two.
     """
 
     def __init__(
@@ -271,20 +267,18 @@ class LayeredSessionSimulator:
             raise SimulationError(f"duration_units must be >= 2, got {duration_units}")
         if leave_latency < 0:
             raise SimulationError(f"leave_latency must be non-negative, got {leave_latency}")
-        if engine not in ENGINES:
-            raise SimulationError(f"engine must be one of {ENGINES}, got {engine!r}")
+        try:
+            engine = resolve_engine(engine)
+        except ValueError as error:
+            raise SimulationError(str(error)) from None
         if chunk_units is None:
             chunk_units = 8
         if chunk_units < 1:
             raise SimulationError(f"chunk_units must be positive, got {chunk_units}")
         self.engine = engine
-        #: The backend primitives this engine lowers the scan kernel with
-        #: (``engine="compiled"`` resolves to the NumPy packed primitives
-        #: when numba is absent — bit-identical, bitpacked speed).
-        self.backend_ops = backend_ops_for(engine)
         self.chunk_units = int(chunk_units)
         #: Scan-window width in time units (internal performance knob of the
-        #: batched engine; 0 scans each chunk in one unbounded window).
+        #: chunked engine; 0 scans each chunk in one unbounded window).
         self.scan_window_units = 2
         self._chunk_static: Dict[int, Tuple[np.ndarray, List[np.ndarray], np.ndarray]] = {}
         self._packed_static: Dict[int, np.ndarray] = {}
@@ -375,22 +369,21 @@ class LayeredSessionSimulator:
         context: "_RunContext",
         num_units: int,
         packets_per_unit: int,
-        receivable_block: np.ndarray,
+        receivable_block: Optional[np.ndarray],
         shared_dense: Optional[np.ndarray],
         independent_dense: Optional[np.ndarray],
     ) -> None:
-        """Apply one chunk's loss outcomes for this run (batched engine).
+        """Apply one chunk's loss outcomes for this run (chunked engine).
 
         Losses are sparse, so the engine samples their *positions* and
-        clears them out of the pre-set ``receivable`` matrix instead of
-        materialising dense per-packet outcome matrices; the dense forms
-        are only filled in for protocols that declare
-        ``needs_dense_losses``.  Every process is split-invariant, so each
-        stream is sampled for the whole chunk in one call — the same values
-        the reference loop reads unit by unit.  Under ``engine="bitpacked"``
-        the block is a uint64 word matrix, and the shared columns plus every
-        receiver's independent (row, column) pairs are cleared in one fused
-        scatter.
+        clears them out of the pre-set packed ``receivable`` words — the
+        shared columns plus every receiver's independent (row, column)
+        pairs in one fused scatter — instead of materialising dense
+        per-packet outcome matrices; protocols that declare
+        ``needs_dense_losses`` get the dense forms filled in instead.
+        Every process is split-invariant, so each stream is sampled for the
+        whole chunk in one call — the same values the reference loop reads
+        unit by unit.
         """
         n = num_units * packets_per_unit
         receivers = self.num_receivers
@@ -413,12 +406,8 @@ class LayeredSessionSimulator:
             ]
             row = np.repeat(np.arange(receivers), [cols.size for cols in per_row])
             column = np.concatenate(per_row)
-        if receivable_block.dtype == np.uint64:
-            if shared_cols.size or column.size:
-                bitpack.clear_cols_and_bits(receivable_block, shared_cols, row, column)
-        else:
-            receivable_block[:, shared_cols] = False
-            receivable_block[row, column] = False
+        if receivable_block is not None and (shared_cols.size or column.size):
+            bitpack.clear_cols_and_bits(receivable_block, shared_cols, row, column)
         if shared_dense is not None:
             shared_dense[shared_cols] = True
         if independent_dense is not None:
@@ -439,14 +428,14 @@ class LayeredSessionSimulator:
             self.num_receivers, self.scheme, context.streams.protocol_rng
         )
         self.protocol.bind_run_streams([context.streams], self.num_receivers)
-        if self.engine in SCAN_ENGINES and self.protocol.supports_batched_units:
+        if self.engine == "bitpacked" and self.protocol.supports_batched_units:
             return self._run_batched([(self, context)])[0]
         return self._run_reference(context)
 
     def run_many(self, seeds: Sequence[Optional[int]]) -> List[SessionSimulationResult]:
         """Simulate one run per seed; equals ``[run(s) for s in seeds]`` bit for bit.
 
-        When the batched engine drives a protocol whose per-receiver state
+        When the chunked engine drives a protocol whose per-receiver state
         stacks (the three Section-4 protocols), the runs are simulated
         *together* — each run's receivers become an independent block of a
         wider session, with its own random generator and loss samples — so
@@ -459,7 +448,7 @@ class LayeredSessionSimulator:
             return []
         stacked = (
             len(seeds) > 1
-            and self.engine in SCAN_ENGINES
+            and self.engine == "bitpacked"
             and self.protocol.supports_batched_units
             and self.protocol.supports_stacked_runs
         )
@@ -481,7 +470,7 @@ class LayeredSessionSimulator:
         num_layers = self.scheme.num_layers
         levels = np.ones(self.num_receivers, dtype=np.int64)
         # The reference loop drives its per-packet transitions through the
-        # same backend-neutral kernel as the scan engines: hook dispatch
+        # same kernel as the chunk scan: hook dispatch
         # and the level-step invariants live in one place.
         kernel = ScanKernel(self.protocol, levels, self.num_receivers)
         packets_per_unit = self.schedule.packets_per_unit
@@ -583,7 +572,7 @@ class LayeredSessionSimulator:
         )
 
     # ------------------------------------------------------------------
-    # batched engine: one chunk of time units at a time
+    # chunked engine: one chunk of time units at a time
     # ------------------------------------------------------------------
     def _run_batched(
         self, runs: List[Tuple["LayeredSessionSimulator", "_RunContext"]]
@@ -750,7 +739,7 @@ class LayeredSessionSimulator:
                 for level in range(self.scheme.num_layers + 1)
             ]
             # observed_before[l, c]: packet columns before c a level-l
-            # receiver can observe — an upper bound on its receptions.
+            # receiver can observe — the shared-link carriage prefix table.
             observed_before = np.zeros(
                 (self.scheme.num_layers + 1, layers.size + 1), dtype=np.int64
             )
@@ -766,15 +755,13 @@ class LayeredSessionSimulator:
         self.protocol.begin_chunk(num_runs, num_units, packets_per_unit)
         num_packets = num_units * packets_per_unit
         dense = self.protocol.needs_dense_losses
-        packed = (
-            self.engine in PACKED_ENGINES
-            and self.protocol.supports_bitpacked
-            and not dense
-        )
         receivable_packed = None
         layer_masks_packed = None
-        if packed:
-            receivable = None
+        shared_lost = independent_lost = None
+        if dense:
+            shared_lost = np.zeros((num_runs, num_packets), dtype=bool)
+            independent_lost = np.zeros((receivers * num_runs, num_packets), dtype=bool)
+        else:
             receivable_packed = bitpack.ones_rows(receivers * num_runs, num_packets)
             layer_masks_packed = self._packed_static.get(num_units)
             if layer_masks_packed is None:
@@ -783,20 +770,13 @@ class LayeredSessionSimulator:
                     layers[None, :] <= level_rows[:, None]
                 )
                 self._packed_static[num_units] = layer_masks_packed
-        else:
-            receivable = np.ones((receivers * num_runs, num_packets), dtype=bool)
-        shared_lost = np.zeros((num_runs, num_packets), dtype=bool) if dense else None
-        independent_lost = (
-            np.zeros((receivers * num_runs, num_packets), dtype=bool) if dense else None
-        )
-        scatter_target = receivable_packed if packed else receivable
         for run, (simulator, context) in enumerate(runs):
             block = slice(run * receivers, (run + 1) * receivers)
             simulator._scatter_chunk_losses(
                 context,
                 num_units,
                 packets_per_unit,
-                scatter_target[block],
+                None if dense else receivable_packed[block],
                 shared_lost[run] if dense else None,
                 independent_lost[block] if dense else None,
             )
@@ -824,36 +804,21 @@ class LayeredSessionSimulator:
             )
             times = units + offsets
 
-        if packed:
-            # Packed rows cost one byte per 8 columns, so a far larger
-            # column budget keeps the window matrices cache-sized: small
-            # stacks scan multiple whole chunks' columns in one window,
-            # and even ~1000-row sweep stacks get half-chunk windows —
-            # trading matrix bytes for far fewer Python-level window
-            # establishments (still purely a performance knob).  The
-            # exact chain drain consumes every event of a window in one
-            # pass with a single fresh-join hook call, so packed windows
-            # amortise better the wider they get until the clamp.
-            scan_window = max(
-                32,
-                min(
-                    16 * self.scan_window_units * packets_per_unit,
-                    524288 // max(1, receivers * num_runs),
-                ),
-            )
-        else:
-            scan_window = max(
-                32,
-                min(
-                    self.scan_window_units * packets_per_unit,
-                    # Keep one window's matrices cache-sized however many
-                    # runs are stacked (purely a performance knob).  Wide
-                    # stacks run sub-unit windows: the correlated-loss
-                    # regime packs events densely enough that short, hot
-                    # windows beat unit-wide matrices.
-                    32768 // max(1, receivers * num_runs),
-                ),
-            )
+        # Packed rows cost one byte per 8 columns, so a large column
+        # budget keeps the window matrices cache-sized: small stacks scan
+        # multiple whole chunks' columns in one window, and even ~1000-row
+        # sweep stacks get half-chunk windows — trading matrix bytes for
+        # far fewer Python-level window establishments (purely a
+        # performance knob).  The exact chain drain consumes every event of
+        # a window in one pass with a single join-hook call, so windows
+        # amortise better the wider they get until the clamp.
+        scan_window = max(
+            32,
+            min(
+                16 * self.scan_window_units * packets_per_unit,
+                524288 // max(1, receivers * num_runs),
+            ),
+        )
         return UnitChunk(
             start_unit=start_unit,
             num_units=num_units,
@@ -862,7 +827,6 @@ class LayeredSessionSimulator:
             layers=layers,
             shared_lost=shared_for_chunk,
             independent_lost=independent_lost,
-            receivable=receivable,
             receivable_packed=receivable_packed,
             layer_masks_packed=layer_masks_packed,
             cols_for_level=cols_for_level,
@@ -871,7 +835,6 @@ class LayeredSessionSimulator:
             sync_ok=sync_ok,
             times=times,
             scan_window=scan_window,
-            ops=self.backend_ops if packed else None,
         )
 
     def _advertised_carriage(
@@ -1099,7 +1062,7 @@ def simulate_session_group(
     simulators: Sequence[LayeredSessionSimulator],
     seeds: Sequence[Sequence[Optional[int]]],
 ) -> List[List[SessionSimulationResult]]:
-    """Run several simulators' seeded repetitions in one batched scan.
+    """Run several simulators' seeded repetitions in one chunk scan.
 
     The Figure 8 sweep evaluates many (loss-rate, repetition) points that
     share everything but their loss processes; since every run's receivers
@@ -1128,7 +1091,7 @@ def simulate_session_group(
     ]
     stackable = (
         len(flat) > 1
-        and lead.engine in SCAN_ENGINES
+        and lead.engine == "bitpacked"
         and lead.protocol.supports_batched_units
         and lead.protocol.supports_stacked_runs
         and all(_stack_compatible(lead, simulator) for simulator in simulators[1:])

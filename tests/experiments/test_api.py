@@ -114,6 +114,14 @@ class TestSpec:
     def test_engine_validated(self):
         with pytest.raises(ExperimentError):
             ExperimentSpec(engine="warp-drive")
+        with pytest.raises(ExperimentError):
+            ExperimentSpec(engine=["bitpacked"])
+
+    @pytest.mark.parametrize("retired", ("batched", "compiled"))
+    def test_retired_engine_resolves_to_bitpacked(self, retired):
+        spec = ExperimentSpec(engine=retired)
+        assert spec.engine == "bitpacked"
+        assert ExperimentSpec.from_dict(dict(spec.to_dict(), engine=retired)) == spec
 
     def test_engine_list_mirrors_simulator(self):
         # api.ENGINES is a deliberate import-light literal copy of the

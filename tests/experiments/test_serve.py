@@ -256,6 +256,61 @@ class TestStatsAndCoalescing:
             assert stats["counters"]["simulated"] == 1
 
 
+class TestRunRequestValidation:
+    @pytest.mark.parametrize(
+        ("knobs", "field"),
+        (
+            ({"timeout": -1}, "timeout"),
+            ({"timeout": float("nan")}, "timeout"),
+            ({"timeout": float("inf")}, "timeout"),
+            ({"timeout": True}, "timeout"),
+            ({"timeout": "5"}, "timeout"),
+            ({"retries": -1}, "retries"),
+            ({"retries": True}, "retries"),
+            ({"retries": 1.5}, "retries"),
+        ),
+        ids=(
+            "timeout-negative", "timeout-nan", "timeout-inf", "timeout-bool",
+            "timeout-string", "retries-negative", "retries-bool", "retries-float",
+        ),
+    )
+    def test_rejected_knobs_move_no_counter(self, tmp_path, knobs, field):
+        # A bad timeout/retries is refused before the request counts as a
+        # miss or a simulation, and before any task is recorded in flight.
+        log_path = str(tmp_path / "invocations.log")
+        with running_service(tmp_path) as (address, service, _store):
+            response = request(address, dict(_probe_payload(log_path), **knobs))
+            assert response["ok"] is False
+            assert field in response["error"]
+            counters = request(address, {"op": "stats"}, timeout=10.0)["counters"]
+            assert counters["misses"] == 0 and counters["simulated"] == 0
+            assert counters["errors"] == 1
+            assert not service._inflight_tasks
+        assert faults.invocations(log_path) == 0
+
+    def test_valid_knobs_still_run(self, tmp_path):
+        log_path = str(tmp_path / "invocations.log")
+        with running_service(tmp_path) as (address, _service, _store):
+            payload = dict(_probe_payload(log_path), timeout=30, retries=0)
+            assert request(address, payload)["cache"] == "miss"
+            payload = dict(_probe_payload(log_path), timeout=None)
+            assert request(address, payload)["cache"] == "hit"
+
+    @pytest.mark.parametrize("retired", ("batched", "compiled"))
+    def test_retired_engine_name_is_served(self, tmp_path, retired):
+        log_path = str(tmp_path / "invocations.log")
+        with running_service(tmp_path) as (address, _service, _store):
+            response = request(address, _probe_payload(log_path, engine=retired))
+            assert response["ok"] and response["cache"] == "miss"
+            assert response["result"]["spec"]["engine"] == "bitpacked"
+
+    def test_unknown_engine_is_a_typed_error(self, tmp_path):
+        with running_service(tmp_path) as (address, _service, _store):
+            response = request(address, _probe_payload(None, engine="bogus"))
+            assert response["ok"] is False
+            assert "unknown engine 'bogus'" in response["error"]
+
+
 class TestLifecycle:
     def test_shutdown_drains_and_journals_inflight_work(self, tmp_path):
         log_path = str(tmp_path / "invocations.log")

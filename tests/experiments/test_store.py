@@ -9,6 +9,7 @@ bit-identical to an uninterrupted ``jobs=1`` run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 
@@ -81,6 +82,27 @@ class TestRoundTrip:
         cached = store.get(key, requested)
         assert cached is not None
         assert cached.spec.engine == "bitpacked" and cached.spec.jobs == 3
+
+    @pytest.mark.parametrize("retired", ("batched", "compiled"))
+    def test_entry_stored_under_retired_engine_still_hits(self, tmp_path, retired):
+        # Entries written while "batched"/"compiled" were engines carry the
+        # name in their spec echo; it must decode (as the bitpacked alias)
+        # instead of failing validation and being quarantined as corrupt.
+        store = ResultStore(tmp_path)
+        key, spec = _task("figure8_panel", num_receivers=6, duration_units=80,
+                          independent_loss_rates=(0.02,), repetitions=1)
+        path = store.put(key, spec, _run_one(key, spec))
+        entry = json.loads(path.read_text())
+        entry["result"]["spec"]["engine"] = retired
+        entry["payload_sha256"] = hashlib.sha256(
+            json.dumps(entry["result"], sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        path.write_text(json.dumps(entry))
+        fresh = ResultStore(tmp_path)
+        cached = fresh.get(key, spec)
+        assert cached is not None
+        assert fresh.stats.hits == 1 and fresh.stats.quarantined == 0
+        assert path.exists()
 
     def test_put_rejects_mismatched_key(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -1,4 +1,4 @@
-"""Hook-trace equivalence: every backend emits the *same event sequence*.
+"""Hook-trace equivalence: every engine emits the *same event sequence*.
 
 The conformance matrix and the differential fuzzer pin identical final
 payloads; this suite pins something strictly stronger — the ordered
@@ -9,12 +9,12 @@ receptions credited at record time) plus the running reception credit.
 Two engines could in principle agree on the final counters while visiting
 different intermediate states; this suite forbids that by asserting the
 per-receiver event streams are identical element-for-element between the
-per-packet reference loop and every scan lowering in the kernel registry.
+per-packet reference loop and every chunked engine in the kernel registry.
 
 Credit is compared cumulatively: a windowed scan legitimately credits
 receptions in bulk where the reference loop credits packet by packet, but
 the cumulative count *at each recorded event* is part of the protocol
-semantics (join thresholds fire on it) and must be backend-invariant.
+semantics (join thresholds fire on it) and must be engine-invariant.
 
 The ``active-node`` group protocol is excluded by design: it overrides
 ``step_chunk`` wholesale and never passes through the scan kernel.
@@ -141,7 +141,7 @@ class TestHookTraceEquivalence:
         # A congestion signal at level 1 is recorded (old == new) but must
         # not step below the floor — the kernel's leave invariant is
         # visible in the trace.
-        trace = _traced_run("uncoordinated", "batched", 0.4, 0.2, 2,
+        trace = _traced_run("uncoordinated", "bitpacked", 0.4, 0.2, 2,
                             num_layers=3)
         floors = [
             ev

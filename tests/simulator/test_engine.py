@@ -220,10 +220,10 @@ class TestDegenerateRedundancy:
                 engine=engine,
             ).run(seed=7)
 
-        batched, reference = run("batched"), run("reference")
-        assert batched.shared_link_packets == reference.shared_link_packets
-        assert np.array_equal(batched.receiver_packets, reference.receiver_packets)
-        assert batched.redundancy == reference.redundancy == float("inf")
+        bitpacked, reference = run("bitpacked"), run("reference")
+        assert bitpacked.shared_link_packets == reference.shared_link_packets
+        assert np.array_equal(bitpacked.receiver_packets, reference.receiver_packets)
+        assert bitpacked.redundancy == reference.redundancy == float("inf")
 
     def test_idle_link_reports_vacuous_one(self):
         # Only when the link also carried nothing is 1.0 the right answer;

@@ -1,11 +1,9 @@
 """Bit-for-bit conformance of every engine (cross-engine matrix).
 
-The simulator's engines — the per-packet ``reference`` loop, the
-time-unit-batched ``batched`` scan, the uint64 ``bitpacked`` scan and the
-optional numba ``compiled`` lowering (NumPy packed fallback when numba is
-absent) — must reproduce each other *exactly* for any seed: all of them
-lower the one :class:`repro.protocols.kernel.ScanKernel` decision sequence
-and consume the same pre-sampled counter-based random streams
+The simulator's engines — the per-packet ``reference`` loop and the
+uint64 ``bitpacked`` chunk scan — must reproduce each other *exactly* for
+any seed: both drive the one :class:`repro.protocols.kernel.ScanKernel`
+decision sequence and consume the same pre-sampled counter-based random streams
 (``RNG_SCHEME_VERSION = 5``), so every measured quantity — shared-link
 packet counts, per-receiver reception counts, and the subscription-level
 statistics — has to match to the last bit.  The same holds for the stacked
@@ -15,12 +13,10 @@ one scan, and for the experiment API's ``canonical_json()`` envelopes,
 which must be byte-identical across engines (``engine`` is an
 execution-only spec field).
 
-Every scan-engine case below runs against the reference loop, and the scan
-engines are also checked against each other directly, so a drift in any
-single engine — or in the packed reductions of
-:mod:`repro.protocols.bitpack` / the jitted loops of
-:mod:`repro.protocols.compiled` — shows up here first.  The engine lists
-come straight from the kernel registry, so a fifth engine joins the matrix
+Every chunk-engine case below runs against the reference loop, so a drift
+in the scan — or in the packed reductions of
+:mod:`repro.protocols.bitpack` — shows up here first.  The engine lists
+come straight from the kernel registry, so a new engine joins the matrix
 by registering itself.
 """
 
@@ -32,7 +28,12 @@ import pytest
 from repro.experiments.registry import get_experiment
 from repro.layering import ExponentialLayerScheme
 from repro.protocols import make_protocol
-from repro.protocols.kernel import SCAN_ENGINES
+from repro.protocols.kernel import (
+    ENGINE_ALIASES,
+    PACKED_OPS,
+    backend_ops_for,
+    resolve_engine,
+)
 from repro.simulator import (
     ENGINES,
     BernoulliLoss,
@@ -47,9 +48,9 @@ from repro.simulator import (
 
 SEEDS = list(range(10))
 PROTOCOLS = ("uncoordinated", "deterministic", "coordinated")
-# SCAN_ENGINES (imported from the kernel registry) are the chunked engines
-# under test; each is asserted against the reference loop (and thereby
-# against the others).
+#: The chunked engines under test (every registered engine but the
+#: reference loop); each is asserted against the reference loop.
+CHUNK_ENGINES = tuple(engine for engine in ENGINES if engine != "reference")
 #: Loss regimes of the matrix: (shared, independent) Bernoulli rates.
 LOSS_REGIMES = (
     ("mixed", 0.01, 0.05),
@@ -91,7 +92,7 @@ def assert_identical(reference, candidate):
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("regime", LOSS_REGIMES, ids=lambda r: r[0])
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_section4_protocols_match_reference(self, protocol, regime, engine):
@@ -101,25 +102,27 @@ class TestEngineEquivalence:
             candidate = _simulator(protocol, engine, shared, independent).run(seed=seed)
             assert_identical(reference, candidate)
 
+    @pytest.mark.parametrize("retired", sorted(ENGINE_ALIASES))
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("seed", SEEDS[:5])
-    def test_scan_engines_match_each_other(self, protocol, seed):
-        # Transitivity through the reference holds, but the direct check
-        # localises a failure to the packed scan immediately.
-        batched = _simulator(protocol, "batched", 0.03, 0.08).run(seed=seed)
-        bitpacked = _simulator(protocol, "bitpacked", 0.03, 0.08).run(seed=seed)
-        assert_identical(batched, bitpacked)
+    def test_retired_engine_names_match_reference(self, protocol, seed, retired):
+        # The retired names select the engine they alias, which must agree
+        # with the reference loop like any other.
+        candidate = _simulator(protocol, retired, 0.03, 0.08)
+        assert candidate.engine == ENGINE_ALIASES[retired]
+        reference = _simulator(protocol, "reference", 0.03, 0.08).run(seed=seed)
+        assert_identical(reference, candidate.run(seed=seed))
 
-    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_active_node_matches_reference(self, seed, engine):
-        # The group protocol has no packed path; under ``bitpacked`` it
-        # must transparently run the dense scan with identical results.
+        # The group protocol has no packed scan hooks; under ``bitpacked``
+        # it runs its own dense-loss group drain with identical results.
         reference = _simulator("active-node", "reference").run(seed=seed)
         candidate = _simulator("active-node", engine).run(seed=seed)
         assert_identical(reference, candidate)
 
-    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("latency", (0.5, 1.0, 2.7))
     def test_leave_latency_matches_reference(self, protocol, latency, engine):
@@ -128,7 +131,7 @@ class TestEngineEquivalence:
             candidate = _simulator(protocol, engine, leave_latency=latency).run(seed=seed)
             assert_identical(reference, candidate)
 
-    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("seed", SEEDS[:5])
     def test_bursty_per_receiver_losses_match_reference(self, seed, engine):
         def bursty(which):
@@ -141,12 +144,33 @@ class TestEngineEquivalence:
     def test_every_engine_is_explicitly_selectable(self):
         for engine in ENGINES:
             assert _simulator("coordinated", engine).engine == engine
+        for retired, engine in ENGINE_ALIASES.items():
+            assert _simulator("coordinated", retired).engine == engine
         with pytest.raises(Exception):
             _simulator("coordinated", "bogus")
 
 
+class TestEngineRegistry:
+    def test_two_engines_and_their_retired_aliases(self):
+        assert ENGINES == ("bitpacked", "reference")
+        assert ENGINE_ALIASES == {"batched": "bitpacked", "compiled": "bitpacked"}
+        for engine in ENGINES:
+            assert resolve_engine(engine) == engine
+        for retired, engine in ENGINE_ALIASES.items():
+            assert resolve_engine(retired) == engine
+        with pytest.raises(ValueError, match="bogus"):
+            resolve_engine("bogus")
+
+    def test_backend_ops_for_answers_every_engine_name(self):
+        # The benchmark's environment stamp reads backend_ops_for("compiled").
+        for name in (*ENGINES, *ENGINE_ALIASES):
+            assert backend_ops_for(name) is PACKED_OPS
+        with pytest.raises(ValueError, match="bogus"):
+            backend_ops_for("bogus")
+
+
 class TestStackedRuns:
-    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_run_many_matches_reference_solo_runs(self, protocol, engine):
         solo = [_simulator(protocol, "reference").run(seed=seed) for seed in SEEDS]
@@ -155,7 +179,7 @@ class TestStackedRuns:
         for one, many in zip(solo, stacked):
             assert_identical(one, many)
 
-    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_run_many_matches_solo_runs_with_latency(self, protocol, engine):
         solo = [
@@ -166,7 +190,7 @@ class TestStackedRuns:
         for one, many in zip(solo, stacked):
             assert_identical(one, many)
 
-    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     def test_active_node_run_many_falls_back(self, engine):
         # Group state cannot stack; run_many must still give exact results.
         solo = [_simulator("active-node", engine).run(seed=seed) for seed in SEEDS[:3]]
@@ -174,7 +198,7 @@ class TestStackedRuns:
         for one, many in zip(solo, stacked):
             assert_identical(one, many)
 
-    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_sub_unit_window_stack_matches_reference(self, protocol, engine):
         # Wide stacks clamp the scan window below one unit's packet count;
@@ -194,7 +218,7 @@ class TestStackedRuns:
             one = _simulator(protocol, "reference", 0.3, 0.08).run(seed=seed)
             assert_identical(one, many)
 
-    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     def test_session_group_matches_per_simulator_runs(self, engine):
         grouped = simulate_session_group(
             [
@@ -211,7 +235,7 @@ class TestStackedRuns:
                                   num_layers=6).run(seed=seed)
                 assert_identical(solo, result)
 
-    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_session_group_with_bursty_per_receiver_losses(self, protocol, engine):
         # The burstiness sweep's shape: per-receiver process lists that
@@ -233,7 +257,7 @@ class TestStackedRuns:
             for seed, result in zip(SEEDS[:3], results):
                 assert_identical(solo_simulator.run(seed=seed), result)
 
-    @pytest.mark.parametrize("engine", SCAN_ENGINES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     def test_star_redundancy_group_matches_pointwise(self, engine):
         configs = [
             uniform_star(13, 0.02, rate, num_layers=6, duration_units=96)

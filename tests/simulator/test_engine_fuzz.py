@@ -5,15 +5,15 @@ this module *generates* scenarios with hypothesis — protocol x loss regime
 (Bernoulli, bursty Gilbert-Elliott, shared+independent mixes, dense shared
 loss, per-receiver heterogeneous processes) x receiver count x layer count
 x leave latency x durations crossing chunk and scan-window boundaries —
-and asserts that every engine in the kernel registry (``reference``,
-``batched``, ``bitpacked`` and ``compiled``) serialises to byte-identical
-JSON payloads, shrinking any disagreement to a minimal repro.  The experiment-level check asserts byte-identical
+and asserts that every engine in the kernel registry (``reference`` and
+``bitpacked``) serialises to byte-identical JSON payloads, shrinking any
+disagreement to a minimal repro.  The experiment-level check asserts byte-identical
 ``canonical_json()`` envelopes, which is exactly the document the PR-6
 result store addresses and the figures are plotted from.  A separate
 property pins per-receiver Gilbert–Elliott lists to byte-identical payloads
 across ``chunk_units`` and scan-window widths as well as engines.
 
-The second half property-tests the fused multi-event drain's conservation
+The second half property-tests the multi-event chain drain's conservation
 invariants on every chunk the bit-packed scan processes: per-receiver
 event columns strictly increasing (window-close monotonicity), level steps
 of exactly one inside ``[1, num_layers]``, joins only on received packets
@@ -41,7 +41,6 @@ from repro.experiments.registry import get_experiment
 from repro.layering import ExponentialLayerScheme
 from repro.protocols import base as protocol_base
 from repro.protocols import make_protocol
-from repro.protocols.kernel import SCAN_ENGINES
 from repro.simulator import (
     ENGINES,
     BernoulliLoss,
@@ -54,8 +53,10 @@ from repro.simulator import (
 )
 
 PROTOCOLS = ("uncoordinated", "deterministic", "coordinated")
+#: The chunked engines (every registered engine but the reference loop).
+CHUNK_ENGINES = tuple(engine for engine in ENGINES if engine != "reference")
 #: Durations straddling the 8-unit chunk size and the scan-window sizes of
-#: both scan engines (windows close mid-chunk, at chunk edges, and never).
+#: the scan (windows close mid-chunk, at chunk edges, and never).
 DURATIONS = (3, 7, 8, 9, 16, 25, 33, 48, 63, 64, 65, 96, 130)
 #: Bernoulli rates; 0.3/0.5 exercise the dense multi-event drain regime.
 RATES = (0.001, 0.01, 0.05, 0.1, 0.3, 0.5)
@@ -290,7 +291,7 @@ class TestGilbertElliottChunkSplitInvariance:
         reference = payload("reference")
         for engine in ENGINES:
             assert payload(engine) == reference, engine
-        for engine in SCAN_ENGINES:
+        for engine in CHUNK_ENGINES:
             assert payload(engine, chunk_units, window) == reference, (
                 engine, chunk_units, window,
             )

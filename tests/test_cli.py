@@ -185,7 +185,8 @@ PANEL_TINY_FLAGS = [
 
 
 class TestDefaultEngine:
-    """The bit-packed scan is the default engine; the others stay selectable."""
+    """The bit-packed scan is the default engine; ``reference`` stays
+    selectable and the retired names alias ``bitpacked``."""
 
     def test_run_without_engine_echoes_bitpacked(self, capsys):
         assert main(
@@ -194,23 +195,26 @@ class TestDefaultEngine:
         [data] = json.loads(capsys.readouterr().out)
         assert data["spec"]["engine"] == "bitpacked"
 
-    def test_cache_written_under_batched_hits_under_default(self, tmp_path, capsys):
-        # Entries stored before the default flip (engine="batched") must
-        # keep hitting: the engine is execution-only and excluded from the
-        # store address.
+    @pytest.mark.parametrize("retired", ("batched", "compiled"))
+    def test_cache_written_under_batched_hits_under_default(
+        self, tmp_path, capsys, retired
+    ):
+        # A retired engine name still runs (as the bit-packed engine it
+        # aliases), and what it caches keeps hitting under the default:
+        # the engine is execution-only and excluded from the store address.
         cache = str(tmp_path / "cache")
         argv = ["run", "figure8_panel", "--cache", cache, "--format", "json"]
-        assert main([*argv, "--engine", "batched", *PANEL_TINY_FLAGS]) == 0
+        assert main([*argv, "--engine", retired, *PANEL_TINY_FLAGS]) == 0
         first = capsys.readouterr()
         assert "0 hit(s), 1 miss(es)" in first.err
         assert main([*argv, *PANEL_TINY_FLAGS]) == 0
         second = capsys.readouterr()
         assert "1 hit(s), 0 miss(es)" in second.err
         [cold], [warm] = json.loads(first.out), json.loads(second.out)
-        # The hit is served under the *requested* engine and the canonical
-        # payload is byte-identical to the batched-engine original.
+        # The retired name echoes as the engine that ran, and the hit's
+        # payload is byte-identical to the original.
         assert warm["spec"]["engine"] == "bitpacked"
-        assert cold["spec"]["engine"] == "batched"
+        assert cold["spec"]["engine"] == "bitpacked"
         assert (
             json.dumps(warm["records"], sort_keys=True)
             == json.dumps(cold["records"], sort_keys=True)
@@ -240,6 +244,12 @@ class TestDefaultEngine:
         [data] = json.loads(capsys.readouterr().out)
         assert data["spec"]["engine"] == "reference"
         assert calls["reference"] > 0 and calls["scan"] == 0
+
+    def test_unknown_engine_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "figure8_panel", "--engine", "bogus", *PANEL_TINY_FLAGS])
+        assert excinfo.value.code == 2
+        assert "bogus" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -533,8 +543,9 @@ class TestLegacyRunner:
         assert "matches paper" in out
 
     def test_legacy_main_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             legacy_main(["--engine", "warp-drive"])
+        assert excinfo.value.code == 2
 
     def test_experiment_keys_are_unique_and_nonempty(self):
         assert len(EXPERIMENT_KEYS) == len(set(EXPERIMENT_KEYS))
