@@ -13,8 +13,9 @@ one scan, and for the experiment API's ``canonical_json()`` envelopes,
 which must be byte-identical across engines (``engine`` is an
 execution-only spec field).
 
-Every chunk-engine case below runs against the reference loop, so a drift
-in the scan — or in the packed reductions of
+Every chunk-engine case below runs against the reference loop in each of
+several chunk geometries (chunk sizes and scan-window widths), so a drift
+in the scan — at a chunk or window edge, or in the packed reductions of
 :mod:`repro.protocols.bitpack` — shows up here first.  The engine lists
 come straight from the kernel registry, so a new engine joins the matrix
 by registering itself.
@@ -51,6 +52,17 @@ PROTOCOLS = ("uncoordinated", "deterministic", "coordinated")
 #: The chunked engines under test (every registered engine but the
 #: reference loop); each is asserted against the reference loop.
 CHUNK_ENGINES = tuple(engine for engine in ENGINES if engine != "reference")
+#: Chunk geometries of the chunked engines, as ``(chunk_units,
+#: scan_window_units)`` with ``None`` for the engine default.  Chunk and
+#: scan-window edges are performance knobs only, so every geometry must
+#: match the reference loop exactly: one-unit chunks move every chunk edge,
+#: and odd 13-unit chunks drained through the narrowest (32-column) windows
+#: move every window edge off the chunk edges.
+GEOMETRIES = {
+    "default": (None, None),
+    "unit-chunks": (1, 1),
+    "narrow-windows": (13, 0),
+}
 #: Loss regimes of the matrix: (shared, independent) Bernoulli rates.
 LOSS_REGIMES = (
     ("mixed", 0.01, 0.05),
@@ -66,8 +78,9 @@ LOSS_REGIMES = (
 
 def _simulator(protocol_name, engine, shared=0.01, independent=0.05,
                num_receivers=17, duration_units=96, leave_latency=0.0,
-               num_layers=6, independent_loss=None):
-    return LayeredSessionSimulator(
+               num_layers=6, independent_loss=None, geometry="default"):
+    chunk_units, window_units = GEOMETRIES[geometry]
+    simulator = LayeredSessionSimulator(
         protocol=make_protocol(protocol_name),
         num_receivers=num_receivers,
         shared_loss=BernoulliLoss(shared) if shared > 0 else NoLoss(),
@@ -80,7 +93,11 @@ def _simulator(protocol_name, engine, shared=0.01, independent=0.05,
         duration_units=duration_units,
         leave_latency=leave_latency,
         engine=engine,
+        chunk_units=chunk_units,
     )
+    if window_units is not None:
+        simulator.scan_window_units = window_units
+    return simulator
 
 
 def assert_identical(reference, candidate):
@@ -92,14 +109,16 @@ def assert_identical(reference, candidate):
 
 
 class TestEngineEquivalence:
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("regime", LOSS_REGIMES, ids=lambda r: r[0])
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_section4_protocols_match_reference(self, protocol, regime, engine):
+    def test_section4_protocols_match_reference(self, protocol, regime, engine, geometry):
         _name, shared, independent = regime
         for seed in SEEDS:
             reference = _simulator(protocol, "reference", shared, independent).run(seed=seed)
-            candidate = _simulator(protocol, engine, shared, independent).run(seed=seed)
+            candidate = _simulator(protocol, engine, shared, independent,
+                                   geometry=geometry).run(seed=seed)
             assert_identical(reference, candidate)
 
     @pytest.mark.parametrize("retired", sorted(ENGINE_ALIASES))
@@ -113,33 +132,40 @@ class TestEngineEquivalence:
         reference = _simulator(protocol, "reference", 0.03, 0.08).run(seed=seed)
         assert_identical(reference, candidate.run(seed=seed))
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_active_node_matches_reference(self, seed, engine):
+    def test_active_node_matches_reference(self, seed, engine, geometry):
         # The group protocol has no packed scan hooks; under ``bitpacked``
         # it runs its own dense-loss group drain with identical results.
         reference = _simulator("active-node", "reference").run(seed=seed)
-        candidate = _simulator("active-node", engine).run(seed=seed)
+        candidate = _simulator("active-node", engine, geometry=geometry).run(seed=seed)
         assert_identical(reference, candidate)
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("latency", (0.5, 1.0, 2.7))
-    def test_leave_latency_matches_reference(self, protocol, latency, engine):
+    def test_leave_latency_matches_reference(self, protocol, latency, engine, geometry):
         for seed in SEEDS[:6]:
             reference = _simulator(protocol, "reference", leave_latency=latency).run(seed=seed)
-            candidate = _simulator(protocol, engine, leave_latency=latency).run(seed=seed)
+            candidate = _simulator(protocol, engine, leave_latency=latency,
+                                   geometry=geometry).run(seed=seed)
             assert_identical(reference, candidate)
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("seed", SEEDS[:5])
-    def test_bursty_per_receiver_losses_match_reference(self, seed, engine):
-        def bursty(which):
+    def test_bursty_per_receiver_losses_match_reference(self, seed, engine, geometry):
+        def bursty(which, geometry="default"):
             processes = [GilbertElliottLoss(0.02, 0.3) for _ in range(9)]
             return _simulator(
-                "deterministic", which, num_receivers=9, independent_loss=processes
+                "deterministic", which, num_receivers=9, independent_loss=processes,
+                geometry=geometry,
             )
-        assert_identical(bursty("reference").run(seed=seed), bursty(engine).run(seed=seed))
+        assert_identical(
+            bursty("reference").run(seed=seed), bursty(engine, geometry).run(seed=seed)
+        )
 
     def test_every_engine_is_explicitly_selectable(self):
         for engine in ENGINES:
@@ -170,41 +196,50 @@ class TestEngineRegistry:
 
 
 class TestStackedRuns:
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_run_many_matches_reference_solo_runs(self, protocol, engine):
+    def test_run_many_matches_reference_solo_runs(self, protocol, engine, geometry):
         solo = [_simulator(protocol, "reference").run(seed=seed) for seed in SEEDS]
-        stacked = _simulator(protocol, engine).run_many(SEEDS)
+        stacked = _simulator(protocol, engine, geometry=geometry).run_many(SEEDS)
         assert len(stacked) == len(SEEDS)
         for one, many in zip(solo, stacked):
             assert_identical(one, many)
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_run_many_matches_solo_runs_with_latency(self, protocol, engine):
+    def test_run_many_matches_solo_runs_with_latency(self, protocol, engine, geometry):
         solo = [
-            _simulator(protocol, engine, leave_latency=1.5).run(seed=seed)
+            _simulator(protocol, engine, leave_latency=1.5,
+                       geometry=geometry).run(seed=seed)
             for seed in SEEDS[:5]
         ]
-        stacked = _simulator(protocol, engine, leave_latency=1.5).run_many(SEEDS[:5])
+        stacked = _simulator(protocol, engine, leave_latency=1.5,
+                             geometry=geometry).run_many(SEEDS[:5])
         for one, many in zip(solo, stacked):
             assert_identical(one, many)
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
-    def test_active_node_run_many_falls_back(self, engine):
+    def test_active_node_run_many_falls_back(self, engine, geometry):
         # Group state cannot stack; run_many must still give exact results.
-        solo = [_simulator("active-node", engine).run(seed=seed) for seed in SEEDS[:3]]
-        stacked = _simulator("active-node", engine).run_many(SEEDS[:3])
+        solo = [
+            _simulator("active-node", engine, geometry=geometry).run(seed=seed)
+            for seed in SEEDS[:3]
+        ]
+        stacked = _simulator("active-node", engine, geometry=geometry).run_many(SEEDS[:3])
         for one, many in zip(solo, stacked):
             assert_identical(one, many)
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_sub_unit_window_stack_matches_reference(self, protocol, engine):
+    def test_sub_unit_window_stack_matches_reference(self, protocol, engine, geometry):
         # Wide stacks clamp the scan window below one unit's packet count;
         # force that regime directly (the window is a pure performance
         # knob) on a stacked run and require exact results anyway.
-        simulator = _simulator(protocol, engine, 0.3, 0.08)
+        simulator = _simulator(protocol, engine, 0.3, 0.08, geometry=geometry)
         assemble = simulator._assemble_chunk
 
         def sub_unit_assemble(*args, **kwargs):
@@ -218,12 +253,13 @@ class TestStackedRuns:
             one = _simulator(protocol, "reference", 0.3, 0.08).run(seed=seed)
             assert_identical(one, many)
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
-    def test_session_group_matches_per_simulator_runs(self, engine):
+    def test_session_group_matches_per_simulator_runs(self, engine, geometry):
         grouped = simulate_session_group(
             [
                 _simulator("coordinated", engine, shared=0.01, independent=rate,
-                           num_receivers=11, num_layers=6)
+                           num_receivers=11, num_layers=6, geometry=geometry)
                 for rate in (0.02, 0.08)
             ],
             [SEEDS[:4], SEEDS[:4]],
@@ -235,12 +271,13 @@ class TestStackedRuns:
                                   num_layers=6).run(seed=seed)
                 assert_identical(solo, result)
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_session_group_with_bursty_per_receiver_losses(self, protocol, engine):
+    def test_session_group_with_bursty_per_receiver_losses(self, protocol, engine, geometry):
         # The burstiness sweep's shape: per-receiver process lists that
         # differ in burstiness (Bernoulli included) ride one stacked scan.
-        def variants(which):
+        def variants(which, geometry="default"):
             processes = (
                 lambda: GilbertElliottLoss(0.02, 0.3, loss_good=0.01),
                 lambda: GilbertElliottLoss(0.1, 0.5, loss_bad=0.8),
@@ -248,11 +285,12 @@ class TestStackedRuns:
             )
             return [
                 _simulator(protocol, which, num_receivers=9,
-                           independent_loss=[make() for _ in range(9)])
+                           independent_loss=[make() for _ in range(9)],
+                           geometry=geometry)
                 for make in processes
             ]
 
-        grouped = simulate_session_group(variants(engine), [SEEDS[:3]] * 3)
+        grouped = simulate_session_group(variants(engine, geometry), [SEEDS[:3]] * 3)
         for solo_simulator, results in zip(variants("reference"), grouped):
             for seed, result in zip(SEEDS[:3], results):
                 assert_identical(solo_simulator.run(seed=seed), result)
