@@ -19,33 +19,43 @@ The resulting allocation is the unique max-min fair allocation for the
 network (Lemma 5 / Corollary 5 of the technical report); tests verify
 max-min fairness directly against the definition on randomised networks.
 
-Two interchangeable engines implement the construction:
+Three solvers implement the construction, chosen by ``method`` and, for
+``method="vectorized"``, by problem size (receivers + links + pairs):
 
-* ``method="vectorized"`` (the default) — NumPy state machine over the
-  network's cached :class:`~repro.network.incidence.NetworkIncidence`
-  structures.  Link loads are maintained *incrementally*: every linear
-  ``(session, link)`` pair contributes ``factor * level`` through a per-link
-  slope while it has active receivers, and is folded into a constant
-  per-link frozen load exactly once, when its last downstream receiver
-  freezes.  Only links touched by newly-frozen receivers are updated.
-  Sessions whose link-rate function does not advertise a linear
-  ``redundancy_factor`` fall back to per-link bisection, exactly as in the
-  reference engine.
-* ``method="reference"`` — the original dict/set implementation, kept as an
-  executable specification.  Randomised equivalence tests assert that both
-  engines produce the same allocations and the same freeze order (see
-  ``tests/core/test_maxmin_equivalence.py``).
+* ``method="reference"`` — the original dict/set state, kept as the
+  executable specification.  It also carries the optional per-receiver
+  weights of the Section-5 weighted extension
+  (:func:`repro.core.weighted.weighted_max_min_fair_allocation`).
+* ``method="vectorized"`` (the default) on problems of at most
+  ``_SCALAR_ENGINE_CUTOFF`` — a scalar twin over plain lists, because
+  NumPy's per-operation overhead dominates on small index sets.
+* ``method="vectorized"`` above the cutoff — a NumPy state machine over the
+  network's cached :class:`~repro.network.incidence.NetworkIncidence` CSR
+  arrays.
+
+Both twins maintain link loads *incrementally*: every linear
+``(session, link)`` pair contributes ``factor * level`` through a per-link
+slope while it has active receivers, and is folded into a constant per-link
+frozen load exactly once, when its last downstream receiver freezes.  Only
+links touched by newly-frozen receivers are updated.  Sessions whose
+link-rate function does not advertise a linear ``redundancy_factor`` fall
+back to per-link bisection (:func:`_bisect_increment`, shared by all three
+solvers).  Randomised equivalence tests assert that the solvers produce the
+same allocations and freeze order (``tests/core/test_maxmin_equivalence.py``)
+and a solver-independent certificate checks each against the definition
+(``tests/core/test_maxmin_oracle.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from ..errors import FairnessComputationError
+from ..network.incidence import csr_gather
 from ..network.network import LinkRateFunction, Network
 from ..network.session import ReceiverId
 from .allocation import Allocation, DEFAULT_TOLERANCE
@@ -61,13 +71,6 @@ WATER_FILL_METHODS = ("vectorized", "reference")
 #: cost of plain-float loops on such small index sets.  Chosen empirically
 #: on the ``test_bench_water_filling_scaling`` workloads.
 _SCALAR_ENGINE_CUTOFF = 1200
-
-#: When True (the default) the vectorised engine resolves all non-linear
-#: links of a water-filling round with one batched bisection
-#: (:meth:`_VectorizedWaterFillState._bisect_links_batched`) instead of a
-#: sequential per-link Python loop.  Flip for the equivalence test in
-#: ``tests/core/test_maxmin_equivalence.py`` only.
-_BATCHED_BISECTION = True
 
 
 @dataclass(frozen=True)
@@ -126,27 +129,40 @@ def max_min_fair_allocation(
         raise ValueError(
             f"unknown water-filling method {method!r}; expected one of {WATER_FILL_METHODS}"
         )
-    functions: Dict[int, LinkRateFunction] = dict(network.link_rate_functions)
-    if link_rate_functions:
-        functions.update(link_rate_functions)
+    functions = _merged_link_rate_functions(network, link_rate_functions)
 
+    state: _State
     if method == "vectorized":
-        # NumPy per-operation dispatch overhead dominates on small problems,
-        # so the vectorised engine has a scalar twin over the same incidence
-        # structures; both use identical incremental-update logic.
         incidence = network.incidence()
         problem_size = (
             incidence.num_receivers + incidence.num_links + incidence.num_pairs
         )
         if problem_size <= _SCALAR_ENGINE_CUTOFF:
-            state: "_WaterFillEngine" = _ScalarWaterFillState(
-                network, functions, tolerance
-            )
+            state = _ScalarWaterFillState(network, functions, tolerance)
         else:
             state = _VectorizedWaterFillState(network, functions, tolerance)
     else:
         state = _WaterFillState(network, functions, tolerance)
+    return Allocation(network, _water_fill(state, network, tolerance, trace), functions)
 
+
+def _merged_link_rate_functions(
+    network: Network, overrides: Optional[Mapping[int, LinkRateFunction]]
+) -> Dict[int, LinkRateFunction]:
+    """The network's link-rate functions with ``overrides`` applied on top."""
+    functions: Dict[int, LinkRateFunction] = dict(network.link_rate_functions)
+    if overrides:
+        functions.update(overrides)
+    return functions
+
+
+def _water_fill(
+    state: "_State",
+    network: Network,
+    tolerance: float,
+    trace: Optional[MaxMinTrace] = None,
+) -> Dict[ReceiverId, float]:
+    """Run the Appendix-A iteration on ``state`` until every receiver is frozen."""
     iteration_limit = 4 * (network.num_receivers + network.num_links) + 16
     iterations = 0
     while state.has_active:
@@ -172,8 +188,7 @@ def max_min_fair_allocation(
             raise FairnessComputationError(
                 "water-filling stalled: no progress and no receiver frozen"
             )
-
-    return Allocation(network, state.final_rates(), functions)
+    return state.final_rates()
 
 
 def _bisect_increment(rate_at, level: float, capacity: float, upper: float) -> float:
@@ -197,34 +212,13 @@ def _bisect_increment(rate_at, level: float, capacity: float, upper: float) -> f
     return lo
 
 
-class _WaterFillEngine:
-    """Protocol shared by the two water-filling state machines."""
-
-    level: float
-
-    @property
-    def has_active(self) -> bool:
-        raise NotImplementedError
-
-    def compute_increment(self) -> float:
-        raise NotImplementedError
-
-    def apply_increment(self, increment: float) -> None:
-        raise NotImplementedError
-
-    def freeze_receivers(self) -> Tuple[Set[ReceiverId], Set[int]]:
-        raise NotImplementedError
-
-    def final_rates(self) -> Dict[ReceiverId, float]:
-        raise NotImplementedError
-
-
-class _WaterFillState(_WaterFillEngine):
+class _WaterFillState:
     """Reference (dict/set) state of the Appendix-A water-filling construction.
 
-    Invariant: all active receivers share the same current rate
-    (``self.level``); frozen receivers keep the rate at which they were
-    frozen, which never exceeds the current level.
+    Invariant: every active receiver ``r`` holds ``w_r * self.level``, where
+    ``w_r`` is its weight (1 unless ``weights`` is given, see
+    :mod:`repro.core.weighted`); frozen receivers keep the rate at which
+    they were frozen, which never exceeds that.
     """
 
     def __init__(
@@ -232,6 +226,7 @@ class _WaterFillState(_WaterFillEngine):
         network: Network,
         functions: Mapping[int, LinkRateFunction],
         tolerance: float,
+        weights: Optional[Mapping[ReceiverId, float]] = None,
     ) -> None:
         self.network = network
         self.functions = functions
@@ -241,6 +236,12 @@ class _WaterFillState(_WaterFillEngine):
             rid: 0.0 for rid in network.all_receiver_ids()
         }
         self.active: Set[ReceiverId] = set(self.rates.keys())
+        self.weights: Dict[ReceiverId, float] = dict.fromkeys(self.rates, 1.0)
+        if weights is not None:
+            self.weights.update(weights)
+        # Linear link loads grow by a closed-form slope only when every
+        # active receiver moves with the level itself.
+        self.unit_weights = all(w == 1.0 for w in self.weights.values())
         # Pre-compute, per link, which sessions have receivers there and the
         # receiver sets R_{i,j}; only links on some data-path matter.
         self.relevant_links: List[int] = sorted(network.routing.links_used())
@@ -266,12 +267,13 @@ class _WaterFillState(_WaterFillEngine):
     def _session_link_rate_at(
         self, session_id: int, link_id: int, active_rate: float
     ) -> float:
-        """``u_{i,j}`` when active receivers are (hypothetically) at ``active_rate``."""
+        """``u_{i,j}`` when the level is (hypothetically) ``active_rate``."""
         receivers = self.downstream.get((session_id, link_id), ())
         if not receivers:
             return 0.0
         rates = [
-            active_rate if rid in self.active else self.rates[rid] for rid in receivers
+            self.weights[rid] * active_rate if rid in self.active else self.rates[rid]
+            for rid in receivers
         ]
         return self._function(session_id)(rates)
 
@@ -292,9 +294,11 @@ class _WaterFillState(_WaterFillEngine):
         """Exact growth rate of ``u_j`` per unit of level, when all ``v_i`` are linear.
 
         Returns ``None`` when some session on the link uses a link-rate
-        function without a declared ``redundancy_factor`` (the caller then
-        falls back to bisection).
+        function without a declared ``redundancy_factor``, or when receivers
+        carry non-unit weights (the caller then falls back to bisection).
         """
+        if not self.unit_weights:
+            return None
         slope = 0.0
         for session_id in self.network.sessions_on_link(link_id):
             receivers = self.downstream.get((session_id, link_id), ())
@@ -335,14 +339,15 @@ class _WaterFillState(_WaterFillEngine):
         for rid in self.active:
             rho = self.network.session(rid[0]).max_rate
             if math.isfinite(rho):
-                bound = min(bound, rho - self.level)
+                bound = min(bound, rho / self.weights[rid] - self.level)
         if math.isinf(bound):
             # No rho constraint: receiver rates are still bounded by the
             # largest capacity in the network, which caps the search space.
             max_capacity = max(
                 self.network.link_capacity(j) for j in self.relevant_links
             )
-            bound = max(max_capacity - self.level, 0.0)
+            min_weight = min(self.weights[rid] for rid in self.active)
+            bound = max(max_capacity / min_weight - self.level, 0.0)
         return bound
 
     def _bisect_link(self, link_id: int, capacity: float, upper: float) -> float:
@@ -355,10 +360,10 @@ class _WaterFillState(_WaterFillEngine):
     # state updates
     # ------------------------------------------------------------------
     def apply_increment(self, increment: float) -> None:
-        """Raise all active receivers' rates by ``increment`` (steps 4-5)."""
+        """Raise the level by ``increment`` and the active rates with it (steps 4-5)."""
         self.level += increment
         for rid in self.active:
-            self.rates[rid] = self.level
+            self.rates[rid] = self.weights[rid] * self.level
 
     def freeze_receivers(self) -> Tuple[Set[ReceiverId], Set[int]]:
         """Freeze receivers at rho or on saturated links; propagate to single-rate mates."""
@@ -373,7 +378,7 @@ class _WaterFillState(_WaterFillEngine):
         frozen: Set[ReceiverId] = set()
         for rid in list(self.active):
             session = self.network.session(rid[0])
-            at_rho = math.isfinite(session.max_rate) and self.level >= session.max_rate - self.tolerance * max(
+            at_rho = math.isfinite(session.max_rate) and self.rates[rid] >= session.max_rate - self.tolerance * max(
                 1.0, session.max_rate
             )
             on_saturated = any(
@@ -405,7 +410,7 @@ class _WaterFillState(_WaterFillEngine):
         return frozen, saturated
 
 
-class _VectorizedWaterFillState(_WaterFillEngine):
+class _VectorizedWaterFillState:
     """NumPy state of the water-filling construction (see module docstring).
 
     The structural arrays come from the network's cached
@@ -547,10 +552,7 @@ class _VectorizedWaterFillState(_WaterFillEngine):
         if bool(np.any(link_active & (headroom <= 0.0))):
             return 0.0
 
-        if self.has_nonlinear:
-            nonlinear_active = self._active_nonlinear_pairs()
-        else:
-            nonlinear_active = self.nonlinear_idx
+        nonlinear_active = self._active_nonlinear_pairs()
         if nonlinear_active.size:
             nonlinear_links = np.unique(self.inc.pair_link[nonlinear_active])
             nonlinear_link_mask = np.zeros(self.inc.num_links, dtype=bool)
@@ -565,17 +567,11 @@ class _VectorizedWaterFillState(_WaterFillEngine):
                 bound,
                 float((headroom[linear_links] / self.link_slope[linear_links]).min()),
             )
-        if len(nonlinear_links):
-            if _BATCHED_BISECTION:
-                bound = min(bound, self._bisect_links_batched(nonlinear_links, bound))
-            else:
-                for link in nonlinear_links:
-                    bound = min(
-                        bound,
-                        self._bisect_link(
-                            int(link), float(self.inc.capacities[link]), bound
-                        ),
-                    )
+        for link in nonlinear_links:
+            bound = min(
+                bound,
+                self._bisect_link(int(link), float(self.inc.capacities[link]), bound),
+            )
         return max(bound, 0.0)
 
     def _rho_bound(self) -> float:
@@ -592,45 +588,6 @@ class _VectorizedWaterFillState(_WaterFillEngine):
         return _bisect_increment(
             lambda rate: self._single_link_rate_at(link, rate), self.level, capacity, upper
         )
-
-    def _bisect_links_batched(self, links: np.ndarray, upper: float) -> float:
-        """One vectorised bisection over every non-linear link of this round.
-
-        Runs the same 80-halving search as :func:`_bisect_increment`, but
-        with per-link ``lo``/``hi`` arrays advanced in lockstep instead of a
-        sequential Python loop per link — each iteration evaluates every
-        still-searching link once and narrows all of them together.  Links
-        already feasible at ``upper`` drop out before the loop, so a round
-        whose non-linear links are all unconstraining costs one evaluation
-        each.  Returns the minimum of the per-link bounds (the same value
-        the per-link path converges to; an equivalence test pins the two).
-        """
-        if upper <= 0:
-            return 0.0
-        links = np.asarray(links, dtype=np.int64)
-        capacities = self.inc.capacities[links]
-        rates = np.array(
-            [self._single_link_rate_at(int(link), self.level + upper) for link in links]
-        )
-        searching = rates > capacities
-        if not searching.any():
-            return upper
-        links = links[searching]
-        capacities = capacities[searching]
-        lo = np.zeros(len(links), dtype=np.float64)
-        hi = np.full(len(links), upper, dtype=np.float64)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            rates = np.array(
-                [
-                    self._single_link_rate_at(int(link), self.level + m)
-                    for link, m in zip(links, mid)
-                ]
-            )
-            feasible = rates <= capacities
-            lo = np.where(feasible, mid, lo)
-            hi = np.where(feasible, hi, mid)
-        return float(lo.min(initial=upper))
 
     # ------------------------------------------------------------------
     # state updates
@@ -651,12 +608,7 @@ class _VectorizedWaterFillState(_WaterFillEngine):
         else:
             at_rho = None
         if saturated_mask.any():
-            if inc.is_sparse:
-                # CSR path: gather the receivers of each saturated link from
-                # the transposed incidence instead of slicing R x L columns.
-                on_saturated = inc.receivers_on_links(np.nonzero(saturated_mask)[0])
-            else:
-                on_saturated = inc.membership[:, saturated_mask].any(axis=1)
+            on_saturated = inc.receivers_on_links(np.nonzero(saturated_mask)[0])
             frozen_test = on_saturated if at_rho is None else (at_rho | on_saturated)
             newly = self.active_mask & frozen_test
         elif at_rho is not None:
@@ -687,9 +639,7 @@ class _VectorizedWaterFillState(_WaterFillEngine):
             )
             # Update only the pairs (and hence links) the frozen receivers
             # touch; everything else keeps its incremental aggregates.
-            touched = np.concatenate(
-                [inc.receiver_incident_pairs(int(i)) for i in frozen_idx]
-            )
+            touched = csr_gather(inc.receiver_pair_ptr, inc.receiver_pairs, frozen_idx)
             if touched.size:
                 np.subtract.at(self.pair_active_count, touched, 1)
                 # Deduplicate via a reusable scratch mask (cheaper than the
@@ -728,7 +678,7 @@ class _VectorizedWaterFillState(_WaterFillEngine):
         return frozen_ids, saturated_ids
 
 
-class _ScalarWaterFillState(_WaterFillEngine):
+class _ScalarWaterFillState:
     """Scalar twin of :class:`_VectorizedWaterFillState` for small networks.
 
     Identical algorithm and incremental link aggregates, but plain Python
@@ -938,3 +888,7 @@ class _ScalarWaterFillState(_WaterFillEngine):
         frozen_ids = {receiver_ids[index] for index in frozen_idx}
         saturated_ids = {relevant_links[link] for link in saturated_compact}
         return frozen_ids, saturated_ids
+
+
+#: The solver states :func:`_water_fill` drives.
+_State = Union[_WaterFillState, _VectorizedWaterFillState, _ScalarWaterFillState]

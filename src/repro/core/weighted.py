@@ -14,14 +14,16 @@ inverse of round trip time)".  This module implements that extension:
   *normalised* level ``phi``: every active receiver holds ``a = w * phi``
   and freezes when a link on its data-path saturates, it reaches its
   session's maximum desired rate, or (for single-rate sessions) a session
-  mate freezes.
+  mate freezes.  It is the reference state of :mod:`repro.core.maxmin`
+  with per-receiver weights, not a separate solver.
 
-With all weights equal to 1 this reduces exactly to
-:func:`repro.core.maxmin.max_min_fair_allocation` (tested).  The helper
-:func:`rtt_weights` builds the inverse-RTT weights of TCP-fairness, and
-:func:`weighted_same_path_receiver_fairness` restates Fairness Property 2 in
-the weighted setting (same-path receivers' *normalised* rates must agree
-unless one of them is capped by its session's maximum desired rate).
+With all weights equal to 1 this is exactly
+``max_min_fair_allocation(..., method="reference")`` (tested bit for bit).
+The helper :func:`rtt_weights` builds the inverse-RTT weights of
+TCP-fairness, and :func:`weighted_same_path_receiver_fairness` restates
+Fairness Property 2 in the weighted setting (same-path receivers'
+*normalised* rates must agree unless one of them is capped by its
+session's maximum desired rate).
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from __future__ import annotations
 import math
 from typing import Dict, Mapping, Optional
 
-from ..errors import AllocationError, FairnessComputationError
+from ..errors import AllocationError
 from ..network.network import LinkRateFunction, Network
 from ..network.session import ReceiverId
 from .allocation import Allocation, DEFAULT_TOLERANCE
+from .maxmin import _merged_link_rate_functions, _water_fill, _WaterFillState
 from .ordering import ordered_vector
 from .properties import PropertyReport, PropertyViolation
-from .redundancy import efficient_link_rate
 
 __all__ = [
     "validate_weights",
@@ -106,144 +108,17 @@ def weighted_max_min_fair_allocation(
     """Compute the weighted max-min fair allocation.
 
     The construction raises a common normalised level ``phi`` and assigns
-    every active receiver the rate ``w_{i,k} * phi``.  Link constraints are
-    handled by bisection on ``phi`` (the session link rates are monotone in
-    ``phi`` for any valid link-rate function), so arbitrary redundancy
-    functions ``v_i`` are supported exactly as in the unweighted solver.
+    every active receiver the rate ``w_{i,k} * phi``.  Unless every weight
+    is 1, link constraints are handled by bisection on ``phi`` (the session
+    link rates are monotone in ``phi`` for any valid link-rate function), so
+    arbitrary redundancy functions ``v_i`` are supported exactly as in the
+    unweighted solver.
     """
     weights = validate_weights(network, weights)
     _validate_single_rate_weights(network, weights)
-    functions: Dict[int, LinkRateFunction] = dict(network.link_rate_functions)
-    if link_rate_functions:
-        functions.update(link_rate_functions)
-
-    rates: Dict[ReceiverId, float] = {rid: 0.0 for rid in network.all_receiver_ids()}
-    active = set(rates.keys())
-    level = 0.0
-
-    relevant_links = sorted(network.routing.links_used())
-    downstream = {
-        (session_id, link_id): tuple(
-            sorted(network.receivers_of_session_on_link(session_id, link_id))
-        )
-        for link_id in relevant_links
-        for session_id in network.sessions_on_link(link_id)
-    }
-
-    def function_for(session_id: int) -> LinkRateFunction:
-        return functions.get(session_id, efficient_link_rate)
-
-    def link_rate_at(link_id: int, phi: float) -> float:
-        total = 0.0
-        for session_id in network.sessions_on_link(link_id):
-            receivers = downstream.get((session_id, link_id), ())
-            if not receivers:
-                continue
-            values = [
-                weights[rid] * phi if rid in active else rates[rid] for rid in receivers
-            ]
-            total += function_for(session_id)(values)
-        return total
-
-    def link_has_active(link_id: int) -> bool:
-        return any(
-            rid in active
-            for session_id in network.sessions_on_link(link_id)
-            for rid in downstream.get((session_id, link_id), ())
-        )
-
-    def rho_bound() -> float:
-        bound = math.inf
-        for rid in active:
-            rho = network.session(rid[0]).max_rate
-            if math.isfinite(rho):
-                bound = min(bound, rho / weights[rid] - level)
-        if math.isinf(bound):
-            max_capacity = max(network.link_capacity(j) for j in relevant_links)
-            min_weight = min(weights[rid] for rid in active)
-            bound = max(max_capacity / min_weight - level, 0.0)
-        return bound
-
-    def bisect_link(link_id: int, upper: float) -> float:
-        capacity = network.link_capacity(link_id)
-        if upper <= 0:
-            return 0.0
-        if link_rate_at(link_id, level + upper) <= capacity:
-            return upper
-        lo, hi = 0.0, upper
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if link_rate_at(link_id, level + mid) <= capacity:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    iteration_limit = 4 * (network.num_receivers + network.num_links) + 16
-    iterations = 0
-    while active:
-        iterations += 1
-        if iterations > iteration_limit:
-            raise FairnessComputationError(
-                "weighted water-filling did not converge within "
-                f"{iteration_limit} iterations"
-            )
-
-        increment = rho_bound()
-        for link_id in relevant_links:
-            if not link_has_active(link_id):
-                continue
-            headroom = network.link_capacity(link_id) - link_rate_at(link_id, level)
-            if headroom <= 0:
-                increment = 0.0
-                break
-            increment = min(increment, bisect_link(link_id, increment))
-        increment = max(increment, 0.0)
-
-        level += increment
-        for rid in active:
-            rates[rid] = weights[rid] * level
-
-        saturated = {
-            link_id
-            for link_id in relevant_links
-            if link_rate_at(link_id, level)
-            >= network.link_capacity(link_id) - tolerance * max(1.0, network.link_capacity(link_id))
-        }
-        frozen = set()
-        for rid in list(active):
-            session = network.session(rid[0])
-            at_rho = math.isfinite(session.max_rate) and rates[rid] >= session.max_rate - tolerance * max(
-                1.0, session.max_rate
-            )
-            on_saturated = any(link_id in saturated for link_id in network.data_path(rid))
-            if at_rho or on_saturated:
-                frozen.add(rid)
-        # Single-rate sessions freeze as a unit (all receivers share one rate,
-        # which in the weighted setting requires equal weights within the
-        # session; heterogeneous weights are rejected below).
-        changed = True
-        while changed:
-            changed = False
-            for rid in list(active):
-                if rid in frozen:
-                    continue
-                session = network.session(rid[0])
-                if not session.is_single_rate:
-                    continue
-                if any(
-                    mate in frozen or mate not in active
-                    for mate in session.receiver_ids
-                    if mate != rid
-                ):
-                    frozen.add(rid)
-                    changed = True
-
-        active -= frozen
-        if not frozen and increment <= tolerance:
-            raise FairnessComputationError("weighted water-filling stalled")
-
-    return Allocation(network, rates, functions)
+    functions = _merged_link_rate_functions(network, link_rate_functions)
+    state = _WaterFillState(network, functions, tolerance, weights)
+    return Allocation(network, _water_fill(state, network, tolerance), functions)
 
 
 def _validate_single_rate_weights(network: Network, weights: Mapping[ReceiverId, float]) -> None:

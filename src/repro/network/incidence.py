@@ -7,7 +7,7 @@ lie on a receiver's data-path, and what the link capacities are.  The
 dict/frozenset answers exposed by :class:`~repro.network.routing.RoutingTable`
 are convenient but slow to traverse in hot loops.
 
-:class:`NetworkIncidence` flattens those structures once into dense NumPy
+:class:`NetworkIncidence` flattens those structures once into NumPy
 arrays:
 
 * receivers are numbered ``0..R-1`` in ``(session_id, receiver_index)``
@@ -22,15 +22,13 @@ arrays:
 * ``receiver_pair_ptr`` / ``receiver_pairs`` invert the pair CSR so that the
   pairs touched by a set of receivers can be found without scanning.
 
-The boolean ``membership`` matrix (``membership[r, l]`` iff link ``l`` is on
-receiver ``r``'s data-path) is derived lazily from the CSR arrays and only
-materialised on *dense* incidences.  Whether an incidence is dense or sparse
-is decided automatically from the problem size and the data-path density
-(:attr:`NetworkIncidence.is_sparse`): Internet-scale topologies — thousands
-of receivers over ten thousand links with short data-paths — would need
-gigabyte-class dense matrices for a structure that is >99% zeros, so past
-the thresholds below every consumer (the water-filling freeze pass in
-particular) walks the CSR arrays instead.
+Every consumer walks the CSR arrays; :func:`csr_gather` concatenates the
+slices of many rows at once.  No dense receiver x link matrix is ever built:
+Internet-scale topologies (thousands of receivers over ten thousand links
+with short data-paths) would need gigabyte-class matrices for a structure
+that is >99% zeros.  :attr:`NetworkIncidence.density` and
+:attr:`NetworkIncidence.is_sparse` describe the incidence (experiments and
+benchmarks report them); nothing branches on them.
 
 A network is immutable after construction, so the incidence is computed
 lazily on first use and cached on the :class:`Network` (see
@@ -51,19 +49,32 @@ from .session import ReceiverId
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import Network
 
-__all__ = ["NetworkIncidence", "ScalarIncidenceView"]
+__all__ = ["NetworkIncidence", "ScalarIncidenceView", "csr_gather"]
 
-#: Above this many receiver x link cells the incidence is always sparse: a
-#: dense bool matrix would cost ``cells`` bytes (64 MB at 8000 x 8000) for
-#: a freeze test the CSR transpose answers with one gather.
+#: An incidence is described as sparse when it has more than
+#: ``SPARSE_CELL_LIMIT`` receiver x link cells, or at least
+#: ``SPARSE_MIN_CELLS`` cells of which fewer than ``SPARSE_DENSITY_THRESHOLD``
+#: are non-zero.
 SPARSE_CELL_LIMIT = 1 << 22
-
-#: Mid-sized incidences (at least ``SPARSE_MIN_CELLS`` cells) switch to CSR
-#: when fewer than ``SPARSE_DENSITY_THRESHOLD`` of the cells are non-zero;
-#: denser matrices keep the dense column-slice freeze test, which beats the
-#: gather when most links sit on most data-paths.
 SPARSE_DENSITY_THRESHOLD = 0.05
 SPARSE_MIN_CELLS = 1 << 16
+
+
+def csr_gather(ptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Concatenate the CSR slices ``indices[ptr[r]:ptr[r + 1]]`` for ``r`` in ``rows``.
+
+    Slices come out in the order of ``rows`` (repeats included), each in its
+    stored order — the same array as ``np.concatenate`` over the slices, but
+    built from ``np.repeat``/``cumsum`` offsets without a Python loop.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = ptr[rows]
+    lengths = ptr[rows + 1] - starts
+    # Output position k of row b's block maps to starts[b] + (k - block_start[b]).
+    block_start = np.cumsum(lengths) - lengths
+    positions = np.arange(int(lengths.sum()), dtype=np.int64)
+    positions += np.repeat(starts - block_start, lengths)
+    return indices[positions]
 
 
 @dataclass
@@ -90,7 +101,7 @@ class ScalarIncidenceView:
 
 
 class NetworkIncidence:
-    """Dense index structures for one network (see module docstring).
+    """CSR index structures for one network (see module docstring).
 
     Attributes
     ----------
@@ -118,24 +129,20 @@ class NetworkIncidence:
         ``pair_receivers``).
     receiver_link_ptr / receiver_link_indices:
         CSR layout of each receiver's data-path as sorted compact link
-        indices (row ``r`` of the membership matrix).
+        indices.
     link_receiver_ptr / link_receiver_indices:
-        Transposed CSR: the receivers crossing each compact link, ascending
-        (column ``l`` of the membership matrix).
-    membership:
-        ``bool[R, L]`` receiver x link data-path membership matrix.  Built
-        lazily from the CSR arrays; only dense incidences should touch it
-        (:attr:`is_sparse` consumers must stay on the CSR arrays).
+        Transposed CSR: the receivers crossing each compact link, ascending.
+    density:
+        Fraction of the receiver x link cells on some data-path.
     is_sparse:
-        Whether consumers should prefer the CSR arrays over ``membership``
-        (decided by the density heuristics in the module docstring, or
-        forced through the ``sparse`` constructor argument).
+        Whether the incidence counts as sparse under the ``SPARSE_*``
+        thresholds above (descriptive only).
     session_max_rate / session_single_rate:
         ``float64[S]`` maximum desired rates ``rho_i`` and ``bool[S]``
         single-rate flags, indexed by session id.
     """
 
-    def __init__(self, network: "Network", sparse: Optional[bool] = None) -> None:
+    def __init__(self, network: "Network") -> None:
         self.receiver_ids: List[ReceiverId] = network.all_receiver_ids()
         self.receiver_index: Dict[ReceiverId, int] = {
             rid: index for index, rid in enumerate(self.receiver_ids)
@@ -156,7 +163,7 @@ class NetworkIncidence:
         self.max_capacity = float(self.capacities.max()) if num_links else 0.0
 
         # One pass over the data-paths builds both incidence families:
-        # the receiver -> link CSR (the membership rows) and the
+        # the receiver -> link CSR and the
         # (session, link) pair map with its downstream receiver sets.
         link_index = self.link_index
         path_rows: List[List[int]] = []
@@ -228,17 +235,11 @@ class NetworkIncidence:
             np.argsort(self.pair_receivers, kind="stable")
         ]
 
-        # Density heuristics (see module docstring): a forced `sparse`
-        # argument wins; otherwise large or very sparse incidences go CSR.
         cells = num_receivers * num_links
         self.density = (nnz / cells) if cells else 0.0
-        if sparse is not None:
-            self.is_sparse = bool(sparse)
-        else:
-            self.is_sparse = cells > SPARSE_CELL_LIMIT or (
-                cells >= SPARSE_MIN_CELLS and self.density < SPARSE_DENSITY_THRESHOLD
-            )
-        self._membership: Optional[np.ndarray] = None
+        self.is_sparse = cells > SPARSE_CELL_LIMIT or (
+            cells >= SPARSE_MIN_CELLS and self.density < SPARSE_DENSITY_THRESHOLD
+        )
 
         self.session_max_rate = np.array(
             [session.max_rate for session in network.sessions], dtype=np.float64
@@ -257,25 +258,6 @@ class NetworkIncidence:
         np.cumsum(link_pair_counts, out=self.link_pair_ptr[1:])
         self._scalar_view: Optional[ScalarIncidenceView] = None
 
-    @property
-    def membership(self) -> np.ndarray:
-        """Dense ``bool[R, L]`` membership matrix, materialised on first use.
-
-        Sparse incidences should not need this — the water-filling freeze
-        pass walks :attr:`link_receiver_indices` instead — but building it
-        remains legal (tests compare the two representations directly).
-        """
-        if self._membership is None:
-            matrix = np.zeros((self.num_receivers, self.num_links), dtype=bool)
-            if self.receiver_link_indices.size:
-                rows = np.repeat(
-                    np.arange(self.num_receivers, dtype=np.int64),
-                    np.diff(self.receiver_link_ptr),
-                )
-                matrix[rows, self.receiver_link_indices] = True
-            self._membership = matrix
-        return self._membership
-
     def receiver_links(self, receiver: int) -> np.ndarray:
         """Sorted compact link indices on ``receiver``'s data-path (CSR slice)."""
         return self.receiver_link_indices[
@@ -291,15 +273,11 @@ class NetworkIncidence:
     def receivers_on_links(self, links: np.ndarray) -> np.ndarray:
         """Boolean mask of receivers whose data-path crosses any of ``links``.
 
-        The CSR twin of ``membership[:, links].any(axis=1)``: gathers the
-        transposed index slices and scatters them into a mask, costing
-        O(total receivers on those links) instead of O(R x |links|).
+        Gathers the transposed CSR slices of ``links`` and scatters them into
+        a mask, costing O(total receivers on those links).
         """
         mask = np.zeros(self.num_receivers, dtype=bool)
-        ptr = self.link_receiver_ptr
-        indices = self.link_receiver_indices
-        for link in links:
-            mask[indices[ptr[link]:ptr[link + 1]]] = True
+        mask[csr_gather(self.link_receiver_ptr, self.link_receiver_indices, links)] = True
         return mask
 
     def scalar_view(self) -> ScalarIncidenceView:
@@ -358,8 +336,8 @@ class NetworkIncidence:
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        layout = "sparse" if self.is_sparse else "dense"
         return (
             f"NetworkIncidence(receivers={self.num_receivers}, "
-            f"links={self.num_links}, pairs={self.num_pairs}, {layout})"
+            f"links={self.num_links}, pairs={self.num_pairs}, "
+            f"density={self.density:.3g})"
         )

@@ -497,11 +497,6 @@ class PackedWindow:
     num_obs_cols: int
     last_obs_col: int
 
-    def counts(self, rows=None) -> np.ndarray:
-        """Receptions per (selected) row."""
-        words = self.words if rows is None else self.words[rows]
-        return row_counts(words)
-
     def bit_at(self, cols, rows=None) -> np.ndarray:
         """Reception bit per (selected) row at absolute column(s)."""
         words = self.words if rows is None else self.words[rows]

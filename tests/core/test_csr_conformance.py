@@ -1,11 +1,13 @@
-"""CSR-vs-dense conformance: the sparse incidence path changes nothing.
+"""CSR conformance: the NumPy water-filling twin and the incidence gathers.
 
-``NetworkIncidence`` picks CSR structures past a density threshold; this
-suite forces both representations on every built-in topology plus generated
-graphs and asserts the water-filling outcome is *identical* — final rates
-bit-for-bit (the sparse path only changes how the saturated-receiver mask
-is computed, never the arithmetic), the same saturation order, and the same
-multi-vs-single-rate throughput.
+``NetworkIncidence`` holds the receiver/link/pair incidence as CSR arrays
+only, and the NumPy twin of the water-filling construction reads nothing
+else.  This suite drives that twin directly (so it runs even on networks
+small enough for the scalar twin) on every built-in topology plus generated
+graphs and checks it against ``method="reference"``: same rates, same
+saturation order, same multi-vs-single-rate throughput.  The CSR gather and
+``receivers_on_links`` are checked against masks built straight from
+``network.data_path``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.core import MaxMinTrace, max_min_fair_allocation
-from repro.core.maxmin import _VectorizedWaterFillState
+from repro.core.allocation import DEFAULT_TOLERANCE, Allocation
+from repro.core.maxmin import (
+    _merged_link_rate_functions,
+    _VectorizedWaterFillState,
+    _water_fill,
+)
 from repro.network import (
     figure1_network,
     figure2_network,
@@ -27,7 +34,7 @@ from repro.network import (
     single_bottleneck_network,
     star_network,
 )
-from repro.network.incidence import NetworkIncidence
+from repro.network.incidence import NetworkIncidence, csr_gather
 from repro.network.network import Network
 from repro.network.topology.generators import barabasi_albert, fat_tree, waxman
 
@@ -54,88 +61,108 @@ BUILTIN_TOPOLOGIES = {
 }
 
 
-def _force_incidence(network: Network, sparse: bool) -> NetworkIncidence:
-    incidence = NetworkIncidence(network, sparse=sparse)
-    network._incidence = incidence
-    return incidence
-
-
-def _water_fill(network: Network, sparse: bool):
-    """Run the full solver with the incidence representation forced."""
-    _force_incidence(network, sparse)
-    trace = MaxMinTrace()
-    allocation = max_min_fair_allocation(network, trace=trace)
-    saturation_order = [step.saturated_links for step in trace.steps]
-    return allocation, saturation_order
+def _numpy_twin(network: Network, trace: MaxMinTrace) -> Allocation:
+    """The full construction on the NumPy state, whatever the problem size."""
+    functions = _merged_link_rate_functions(network, None)
+    state = _VectorizedWaterFillState(network, functions, DEFAULT_TOLERANCE)
+    rates = _water_fill(state, network, DEFAULT_TOLERANCE, trace)
+    return Allocation(network, rates, functions)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_TOPOLOGIES))
-def test_sparse_and_dense_solver_outcomes_identical(name):
-    build = BUILTIN_TOPOLOGIES[name]
-    dense_alloc, dense_order = _water_fill(build(), sparse=False)
-    sparse_alloc, sparse_order = _water_fill(build(), sparse=True)
+def test_numpy_twin_matches_reference(name):
+    network = BUILTIN_TOPOLOGIES[name]()
+    numpy_trace, reference_trace = MaxMinTrace(), MaxMinTrace()
+    numpy_alloc = _numpy_twin(network, numpy_trace)
+    reference = max_min_fair_allocation(network, trace=reference_trace, method="reference")
 
-    rids = list(dense_alloc)
-    assert list(sparse_alloc) == rids
-    dense_rates = np.array([dense_alloc[rid] for rid in rids])
-    sparse_rates = np.array([sparse_alloc[rid] for rid in rids])
-    # ulp-tight: the representations must not change the arithmetic at all.
-    np.testing.assert_array_equal(dense_rates, sparse_rates)
-    assert dense_order == sparse_order
-
-
-@pytest.mark.parametrize("name", sorted(BUILTIN_TOPOLOGIES))
-def test_sparse_and_dense_vectorized_engine_identical(name):
-    """Drive the NumPy engine directly so the ``is_sparse`` freeze branch runs
-    even on networks small enough for the scalar twin."""
-    build = BUILTIN_TOPOLOGIES[name]
-    rates = {}
-    for sparse in (False, True):
-        network = build()
-        incidence = _force_incidence(network, sparse)
-        assert incidence.is_sparse is sparse
-        state = _VectorizedWaterFillState(network, {}, 1e-9)
-        while state.has_active:
-            increment = state.compute_increment()
-            state.apply_increment(increment)
-            state.freeze_receivers()
-        rates[sparse] = state.final_rates()
-    assert set(rates[False]) == set(rates[True])
-    for rid, rate in rates[False].items():
-        assert rates[True][rid] == rate, f"receiver {rid} differs between paths"
+    assert list(numpy_alloc) == list(reference)
+    for rid in reference:
+        assert numpy_alloc[rid] == pytest.approx(reference[rid], abs=1e-9, rel=1e-9)
+    assert [step.saturated_links for step in numpy_trace.steps] == [
+        step.saturated_links for step in reference_trace.steps
+    ]
+    assert [step.frozen_receivers for step in numpy_trace.steps] == [
+        step.frozen_receivers for step in reference_trace.steps
+    ]
 
 
 @pytest.mark.parametrize("name", ["figure2", "shared_bottleneck", "ba"])
-def test_sparse_and_dense_redundancy_identical(name):
+def test_numpy_twin_redundancy_matches_reference(name):
     """Multi-vs-single-rate throughputs (the redundancy comparison) agree."""
-    totals = {}
-    for sparse in (False, True):
-        network = BUILTIN_TOPOLOGIES[name]()
-        _force_incidence(network, sparse)
-        multi = max_min_fair_allocation(network.with_all_multi_rate())
-        single = max_min_fair_allocation(network.with_all_single_rate())
-        totals[sparse] = (
-            multi.total_receiver_throughput(),
-            single.total_receiver_throughput(),
+    network = BUILTIN_TOPOLOGIES[name]()
+    for variant in (network.with_all_multi_rate(), network.with_all_single_rate()):
+        twin = _numpy_twin(variant, MaxMinTrace()).total_receiver_throughput()
+        reference = max_min_fair_allocation(
+            variant, method="reference"
+        ).total_receiver_throughput()
+        assert twin == pytest.approx(reference, abs=1e-9, rel=1e-9)
+
+
+def _subsets(count: int):
+    """None, one, every row, and a subset with repeats, out of order."""
+    return {
+        "none": np.array([], dtype=np.int64),
+        "one": np.array([count // 2]),
+        "all": np.arange(count, dtype=np.int64),
+        "repeated": np.array([count - 1, 0, count - 1, count // 2, 0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_TOPOLOGIES))
+def test_receivers_on_links_matches_data_paths(name):
+    network = BUILTIN_TOPOLOGIES[name]()
+    incidence = network.incidence()
+    for label, links in _subsets(incidence.num_links).items():
+        link_ids = {incidence.relevant_links[int(link)] for link in links}
+        expected = np.array(
+            [bool(link_ids & set(network.data_path(rid))) for rid in incidence.receiver_ids]
         )
-    assert totals[False] == totals[True]
+        np.testing.assert_array_equal(
+            incidence.receivers_on_links(links), expected, err_msg=label
+        )
 
 
-def test_density_heuristic_and_forced_flags():
-    network = BUILTIN_TOPOLOGIES["figure1"]()
-    auto = NetworkIncidence(network)
-    assert auto.is_sparse is False  # tiny network stays dense by default
-    assert NetworkIncidence(network, sparse=True).is_sparse is True
-    assert 0.0 < auto.density <= 1.0
+@pytest.mark.parametrize("name", sorted(BUILTIN_TOPOLOGIES))
+def test_csr_gather_matches_slice_concatenation(name):
+    """Both CSR families the solver gathers from, against the data-paths."""
+    network = BUILTIN_TOPOLOGIES[name]()
+    incidence = network.incidence()
+    compact = incidence.link_index
+    for label, links in _subsets(incidence.num_links).items():
+        gathered = csr_gather(
+            incidence.link_receiver_ptr, incidence.link_receiver_indices, links
+        )
+        expected = [
+            r
+            for link in links
+            for r, rid in enumerate(incidence.receiver_ids)
+            if incidence.relevant_links[int(link)] in network.data_path(rid)
+        ]
+        assert gathered.tolist() == expected, label
+    for label, rows in _subsets(incidence.num_receivers).items():
+        gathered = csr_gather(
+            incidence.receiver_link_ptr, incidence.receiver_link_indices, rows
+        )
+        expected = [
+            link
+            for r in rows
+            for link in sorted(compact[j] for j in network.data_path(incidence.receiver_ids[r]))
+        ]
+        assert gathered.tolist() == expected, label
+        pairs = csr_gather(incidence.receiver_pair_ptr, incidence.receiver_pairs, rows)
+        assert pairs.dtype == np.int64
+        assert pairs.tolist() == [
+            int(p) for r in rows for p in incidence.receiver_incident_pairs(int(r))
+        ], label
 
 
-def test_sparse_membership_matches_dense():
-    """The lazy dense membership reconstructed from CSR equals the dense one."""
-    network = BUILTIN_TOPOLOGIES["ba"]()
-    dense = NetworkIncidence(network, sparse=False)
-    sparse = NetworkIncidence(network, sparse=True)
-    np.testing.assert_array_equal(dense.membership, sparse.membership)
-    links = np.arange(sparse.num_links)  # compact link indices
-    np.testing.assert_array_equal(
-        sparse.receivers_on_links(links), dense.membership[:, links].any(axis=1)
-    )
+def test_density_heuristic():
+    small = NetworkIncidence(BUILTIN_TOPOLOGIES["figure1"]())
+    assert small.is_sparse is False  # tiny networks are not described as sparse
+    assert 0.0 < small.density <= 1.0
+    large = Network.from_graph(
+        barabasi_albert(400, 2, seed=3), num_sessions=100, receivers_per_session=3, seed=4
+    ).incidence()
+    assert large.is_sparse is True
+    assert 0.0 < large.density < 0.05

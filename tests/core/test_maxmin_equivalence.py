@@ -79,9 +79,15 @@ def test_vectorized_matches_reference(seed, multi_rate_fraction, max_rate, funct
     _compare(network, functions)
 
 
+@pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
 @pytest.mark.parametrize("seed", [100, 101, 102])
-def test_numpy_engine_matches_reference_above_cutoff(seed):
-    """Networks above the scalar cutoff exercise the NumPy state machine."""
+def test_numpy_engine_matches_reference_above_cutoff(seed, nonlinear):
+    """Networks above the scalar cutoff exercise the NumPy state machine.
+
+    The ``nonlinear`` cases give every even session the Appendix-B
+    ``random_join_link_rate``, so the NumPy twin's per-link bisection runs
+    against the reference one.
+    """
     network = random_multicast_network(
         seed=seed,
         num_links=200,
@@ -95,6 +101,17 @@ def test_numpy_engine_matches_reference_above_cutoff(seed):
         > _SCALAR_ENGINE_CUTOFF
     ), "test network too small to reach the NumPy engine"
     functions = {0: constant_redundancy(1.5)} if seed % 2 == 0 else {}
+    if nonlinear:
+        # Layer rates above every link capacity keep v_i strictly increasing
+        # over the reachable rates, so every bisection ends on a saturation.
+        functions.update(
+            {
+                session.session_id: random_join_link_rate(25.0 + seed % 7)
+                for session in network.sessions
+                if session.session_id % 2 == 0
+            }
+        )
+        functions[1] = constant_redundancy(1.75)
     _compare(network, functions)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.core import (
     is_feasible,
     max_min_fair_allocation,
     normalized_rate_vector,
+    random_join_link_rate,
     rtt_weights,
     validate_weights,
     weighted_max_min_fair_allocation,
@@ -70,15 +73,25 @@ class TestReductionToUnweighted:
     def test_unit_weights_reproduce_unweighted_allocation(self, builder):
         network = builder()
         weighted = weighted_max_min_fair_allocation(network, unit_weights(network))
-        unweighted = max_min_fair_allocation(network)
-        assert weighted.as_dict() == pytest.approx(unweighted.as_dict(), rel=1e-6, abs=1e-9)
+        unweighted = max_min_fair_allocation(network, method="reference")
+        # Unit weights run the unweighted reference construction itself.
+        assert weighted.as_dict() == unweighted.as_dict()
 
+    @pytest.mark.parametrize("redundancy", [False, True], ids=["efficient", "redundant"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_unit_weights_on_random_networks(self, seed):
-        network = random_multicast_network(seed=seed, num_links=10, num_sessions=4)
-        weighted = weighted_max_min_fair_allocation(network, unit_weights(network))
-        unweighted = max_min_fair_allocation(network)
-        assert weighted.as_dict() == pytest.approx(unweighted.as_dict(), rel=1e-6, abs=1e-9)
+    def test_unit_weights_on_random_networks(self, seed, redundancy):
+        functions = None
+        max_rate = math.inf
+        if redundancy:
+            # Linear and non-linear v_i, and finite rho on odd seeds.
+            functions = {0: constant_redundancy(1.5), 1: random_join_link_rate(40.0)}
+            max_rate = (math.inf, 6.0)[seed % 2]
+        network = random_multicast_network(
+            seed=seed, num_links=10, num_sessions=4, max_rate=max_rate
+        )
+        weighted = weighted_max_min_fair_allocation(network, unit_weights(network), functions)
+        unweighted = max_min_fair_allocation(network, functions, method="reference")
+        assert weighted.as_dict() == unweighted.as_dict()
 
     def test_uniform_scaling_of_weights_is_irrelevant(self, figure1):
         base = weighted_max_min_fair_allocation(figure1, unit_weights(figure1))
