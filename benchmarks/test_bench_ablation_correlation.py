@@ -6,17 +6,17 @@ synchronised and therefore lowers redundancy for every protocol.
 
 from __future__ import annotations
 
-from repro.experiments import run_loss_correlation
+from repro.experiments import get_experiment
 
 
 def _run():
-    return run_loss_correlation(
+    return get_experiment("loss_correlation").run(
         total_loss_rate=0.05,
         correlated_fractions=(0.0, 0.25, 0.5, 0.75, 1.0),
         num_receivers=40,
         duration_units=1000,
         repetitions=2,
-    )
+    ).payload
 
 
 def test_bench_ablation_loss_correlation(benchmark):

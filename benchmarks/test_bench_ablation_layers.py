@@ -6,11 +6,11 @@ never increases) redundancy relative to a single layer.
 
 from __future__ import annotations
 
-from repro.experiments import run_layer_ablation
+from repro.experiments import get_experiment
 
 
 def test_bench_ablation_layer_count(benchmark):
-    result = benchmark(run_layer_ablation)
+    result = benchmark(get_experiment("layer_ablation").run).payload
     print("\n" + result.table())
     assert result.never_worse_than_single_layer
     assert result.monotone_in_layers

@@ -6,11 +6,11 @@ min-unfavorability chain and the Theorem 2 properties at every step.
 
 from __future__ import annotations
 
-from repro.experiments import run_mixed_sessions
+from repro.experiments import get_experiment
 
 
 def test_bench_ablation_mixed_sessions(benchmark):
-    result = benchmark(run_mixed_sessions)
+    result = benchmark(get_experiment("mixed_sessions").run).payload
     print("\n" + result.table())
     assert result.ordering_is_monotone
     assert result.theorem2_holds_throughout

@@ -8,24 +8,24 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_active_nodes, run_burstiness, run_leave_latency
+from repro.experiments import get_experiment
 
 
 def test_bench_extension_active_nodes(benchmark):
-    result = benchmark.pedantic(run_active_nodes, rounds=1, iterations=1)
+    result = benchmark.pedantic(get_experiment("active_nodes").run, rounds=1, iterations=1).payload
     print("\n" + result.table())
     assert result.active_node_redundancy_near_one
     assert result.active_node_is_lowest
 
 
 def test_bench_extension_leave_latency(benchmark):
-    result = benchmark.pedantic(run_leave_latency, rounds=1, iterations=1)
+    result = benchmark.pedantic(get_experiment("leave_latency").run, rounds=1, iterations=1).payload
     print("\n" + result.table())
     assert result.redundancy_increases_with_latency
     assert result.monotone_within_tolerance
 
 
 def test_bench_extension_burstiness(benchmark):
-    result = benchmark.pedantic(run_burstiness, rounds=1, iterations=1)
+    result = benchmark.pedantic(get_experiment("burstiness").run, rounds=1, iterations=1).payload
     print("\n" + result.table())
     assert result.ordering_preserved

@@ -6,11 +6,11 @@ for the Figure 1 network and checks them against the values in the paper.
 
 from __future__ import annotations
 
-from repro.experiments import run_figure1
+from repro.experiments import get_experiment
 
 
 def test_bench_figure1(benchmark):
-    result = benchmark(run_figure1)
+    result = benchmark(get_experiment("figure1").run).payload
     print("\n" + result.table())
     assert result.matches_paper
     assert all(result.properties.values())

@@ -6,11 +6,11 @@ topology and which fairness properties each satisfies.
 
 from __future__ import annotations
 
-from repro.experiments import run_figure2
+from repro.experiments import get_experiment
 
 
 def test_bench_figure2(benchmark):
-    result = benchmark(run_figure2)
+    result = benchmark(get_experiment("figure2").run).payload
     print("\n" + result.table())
     assert result.single_rate_matches_paper
     assert result.multi_rate_is_more_max_min_fair

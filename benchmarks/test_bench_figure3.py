@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_figure3
+from repro.experiments import get_experiment
 
 
 def test_bench_figure3(benchmark):
-    result = benchmark(run_figure3)
+    result = benchmark(get_experiment("figure3").run).payload
     print("\n" + result.table())
     assert result.example_a.matches_paper
     assert result.example_b.matches_paper

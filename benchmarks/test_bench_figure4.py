@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_figure4
+from repro.experiments import get_experiment
 
 
 def test_bench_figure4(benchmark):
-    result = benchmark(run_figure4)
+    result = benchmark(get_experiment("figure4").run).payload
     print("\n" + result.table())
     assert result.matches_paper
     assert result.shared_link_redundancy == 2.0

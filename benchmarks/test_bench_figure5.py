@@ -6,11 +6,11 @@ configurations over receiver counts 1..100 and prints the curves.
 
 from __future__ import annotations
 
-from repro.experiments import run_figure5
+from repro.experiments import get_experiment
 
 
 def test_bench_figure5(benchmark):
-    result = benchmark(run_figure5)
+    result = benchmark(get_experiment("figure5").run).payload
     print("\n" + result.table())
     assert result.respects_upper_bounds
     # Asymptotes from the paper: All 0.1 -> 10, All 0.5 -> 2, All 0.9 -> ~1.11.

@@ -7,11 +7,11 @@ concrete bottleneck networks.
 
 from __future__ import annotations
 
-from repro.experiments import run_figure6
+from repro.experiments import get_experiment
 
 
 def test_bench_figure6(benchmark):
-    result = benchmark(run_figure6)
+    result = benchmark(get_experiment("figure6").run).payload
     print("\n" + result.table())
     assert result.cross_check_max_error < 1e-9
     # The m/n = 1 curve is exactly 1/v; small fractions barely move.

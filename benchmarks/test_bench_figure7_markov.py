@@ -7,11 +7,11 @@ redundancy peaks when the receivers' end-to-end loss rates are equal.
 
 from __future__ import annotations
 
-from repro.experiments import run_figure7
+from repro.experiments import get_experiment
 
 
 def test_bench_figure7_markov(benchmark):
-    result = benchmark(run_figure7)
+    result = benchmark(get_experiment("figure7").run).payload
     print("\n" + result.table())
     assert result.equal_loss_is_worst
     for split_index in range(len(result.splits)):

@@ -9,8 +9,8 @@ Scale: 60 receivers, 1200 sender time units, 3 repetitions and 5 loss points
 per curve — reduced from the paper's 100 receivers / 100k packets / 30
 repetitions so the full figure regenerates in seconds while the qualitative
 shape (Coordinated lowest and below ~2.5, redundancy rising with independent
-loss, everything below 5) is already stable.  Pass larger parameters to
-:func:`repro.experiments.run_figure8_panel` for paper scale.
+loss, everything below 5) is already stable.  Run
+``get_experiment("figure8_panel").run(scale="paper", ...)`` for paper scale.
 
 The panels run on the default ``bitpacked`` engine, which stacks each
 protocol's loss sweep and repetitions into one bit-packed event scan; the
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure8 import run_figure8_panel
+from repro.experiments import get_experiment
 from repro.protocols.kernel import ENGINES
 
 INDEPENDENT_LOSS_RATES = (0.005, 0.02, 0.05, 0.08, 0.1)
@@ -34,14 +34,14 @@ REPETITIONS = 3
 
 
 def _run_panel(shared_loss_rate: float, engine: str = "bitpacked", duration: int = DURATION_UNITS):
-    return run_figure8_panel(
+    return get_experiment("figure8_panel").run(
         shared_loss_rate=shared_loss_rate,
         independent_loss_rates=INDEPENDENT_LOSS_RATES,
         num_receivers=NUM_RECEIVERS,
         duration_units=duration,
         repetitions=REPETITIONS,
         engine=engine,
-    )
+    ).payload
 
 
 def _check_panel(panel, coordinated_cap: float) -> None:

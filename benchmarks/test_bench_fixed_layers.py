@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_fixed_layers
+from repro.experiments import get_experiment
 
 
 def test_bench_fixed_layers(benchmark):
-    result = benchmark(run_fixed_layers)
+    result = benchmark(get_experiment("fixed_layers").run).payload
     print("\n" + result.table())
     assert result.matches_paper_set
     assert result.no_max_min_fair_exists

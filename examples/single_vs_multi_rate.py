@@ -26,7 +26,7 @@ from repro.core import (
     min_unfavorable,
     strictly_min_unfavorable,
 )
-from repro.experiments import run_mixed_sessions
+from repro.experiments import get_experiment
 from repro.network import random_multicast_network
 
 
@@ -71,7 +71,9 @@ def compare_on_random_networks(num_networks: int) -> None:
 
 def show_gradual_conversion() -> None:
     print("\nConverting sessions one at a time (Lemma 3), seed 7:")
-    result = run_mixed_sessions(seed=7, num_links=14, num_sessions=5)
+    result = get_experiment("mixed_sessions").run(
+        seed=7, num_links=14, num_sessions=5
+    ).payload
     print(result.table())
     print(f"ordering monotone: {result.ordering_is_monotone}")
 

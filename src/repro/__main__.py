@@ -36,9 +36,6 @@ Exit codes: ``0`` success, ``1`` verify MISMATCH, ``2`` clean error
 (:class:`~repro.errors.ReproError` — bad arguments, failed execution),
 ``130`` interrupted (completed results stay checkpointed under
 ``--cache``).
-
-The legacy flag-style runner remains available as
-``python -m repro.experiments.runner``.
 """
 
 from __future__ import annotations
@@ -120,9 +117,8 @@ def _select(keys: Sequence[str]) -> List[Experiment]:
 
     ``all`` expands to the default suite and may be combined with
     standalone keys (``run all figure8_panel``); every named key is
-    validated, ``all`` or not.  Delegates to
-    :func:`repro.experiments.registry.select_experiments` so the CLI and
-    ``run_all`` share one validation/ordering implementation.
+    validated, ``all`` or not.  Validation and ordering are
+    :func:`repro.experiments.registry.select_experiments`.
     """
     named = [key for key in keys if key != "all"]
     try:

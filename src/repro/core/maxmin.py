@@ -4,7 +4,9 @@ The paper's construction algorithm water-fills receiver rates: starting from
 zero, the rates of all "active" receivers are raised uniformly as far as
 feasibility allows; a receiver becomes inactive (its rate is frozen) once
 
-* it reaches its session's maximum desired rate ``rho_i``, or
+* it reaches its session's maximum desired rate ``rho_i`` (folded with
+  the rate above which the session's link-rate function is flat, see
+  :func:`_session_max_rates`), or
 * some link on its data-path becomes fully utilised, or
 * it belongs to a single-rate session in which another receiver has been
   frozen (keeping all rates of the session identical).
@@ -59,7 +61,7 @@ from ..network.incidence import csr_gather
 from ..network.network import LinkRateFunction, Network
 from ..network.session import ReceiverId
 from .allocation import Allocation, DEFAULT_TOLERANCE
-from .redundancy import efficient_link_rate
+from .redundancy import efficient_link_rate, flat_rate
 
 __all__ = ["max_min_fair_allocation", "MaxMinTrace", "MaxMinStep", "WATER_FILL_METHODS"]
 
@@ -156,6 +158,24 @@ def _merged_link_rate_functions(
     return functions
 
 
+def _session_max_rates(
+    network: Network, functions: Mapping[int, LinkRateFunction]
+) -> List[float]:
+    """Each session's effective ``rho``: ``min(rho_i, flat rate of v_i)``.
+
+    Above its flat rate (:func:`repro.core.redundancy.flat_rate`) a link-rate
+    function adds no load, so no link can saturate there and the receiver
+    could never freeze.  A receiver cannot take more than the layer offers,
+    so its fair rate tops out at that rate.  Functions that declare no flat
+    rate leave ``rho_i`` unchanged.  Indexed by session id; every solver
+    state computes this once, on construction.
+    """
+    return [
+        min(session.max_rate, flat_rate(functions.get(session.session_id, efficient_link_rate)))
+        for session in network.sessions
+    ]
+
+
 def _water_fill(
     state: "_State",
     network: Network,
@@ -242,6 +262,7 @@ class _WaterFillState:
         # Linear link loads grow by a closed-form slope only when every
         # active receiver moves with the level itself.
         self.unit_weights = all(w == 1.0 for w in self.weights.values())
+        self.max_rates = _session_max_rates(network, functions)
         # Pre-compute, per link, which sessions have receivers there and the
         # receiver sets R_{i,j}; only links on some data-path matter.
         self.relevant_links: List[int] = sorted(network.routing.links_used())
@@ -337,7 +358,7 @@ class _WaterFillState:
         """Increment bound imposed by the sessions' maximum desired rates."""
         bound = math.inf
         for rid in self.active:
-            rho = self.network.session(rid[0]).max_rate
+            rho = self.max_rates[rid[0]]
             if math.isfinite(rho):
                 bound = min(bound, rho / self.weights[rid] - self.level)
         if math.isinf(bound):
@@ -377,10 +398,8 @@ class _WaterFillState:
 
         frozen: Set[ReceiverId] = set()
         for rid in list(self.active):
-            session = self.network.session(rid[0])
-            at_rho = math.isfinite(session.max_rate) and self.rates[rid] >= session.max_rate - self.tolerance * max(
-                1.0, session.max_rate
-            )
+            rho = self.max_rates[rid[0]]
+            at_rho = math.isfinite(rho) and self.rates[rid] >= rho - self.tolerance * max(1.0, rho)
             on_saturated = any(
                 link_id in saturated for link_id in self.network.data_path(rid)
             )
@@ -477,10 +496,13 @@ class _VectorizedWaterFillState:
 
         self.session_active_count = inc.session_receiver_count.copy()
         self.has_nonlinear = bool(self.nonlinear_idx.size)
-        self.any_finite_rho = inc.any_finite_rho
+        self.session_max_rate = np.array(
+            _session_max_rates(network, functions), dtype=np.float64
+        )
+        self.any_finite_rho = bool(np.isfinite(self.session_max_rate).any())
 
         # Per-receiver rho thresholds (freeze test vectorised over receivers).
-        rho = inc.session_max_rate[inc.receiver_session]
+        rho = self.session_max_rate[inc.receiver_session]
         self.rcv_rho_finite = np.isfinite(rho)
         with np.errstate(invalid="ignore"):
             self.rcv_rho_threshold = rho - tolerance * np.maximum(1.0, rho)
@@ -577,7 +599,7 @@ class _VectorizedWaterFillState:
     def _rho_bound(self) -> float:
         if self.any_finite_rho:
             active_sessions = self.session_active_count > 0
-            rhos = self.inc.session_max_rate[active_sessions]
+            rhos = self.session_max_rate[active_sessions]
             finite = rhos[np.isfinite(rhos)]
             if finite.size:
                 return float(finite.min()) - self.level
@@ -621,7 +643,7 @@ class _VectorizedWaterFillState:
             # because all receivers start active and the propagation is
             # intra-session, so active single-rate sessions are always
             # all-active.
-            session_hit = np.zeros(len(inc.session_max_rate), dtype=bool)
+            session_hit = np.zeros(len(self.session_max_rate), dtype=bool)
             session_hit[inc.receiver_session[newly]] = True
             newly = newly | (
                 self.active_mask
@@ -734,9 +756,10 @@ class _ScalarWaterFillState:
                 self.link_slope[link] += factor
 
         self.session_active_count = inc.session_receiver_count.tolist()
-        self.any_finite_rho = inc.any_finite_rho
+        self.session_max_rate = _session_max_rates(network, functions)
+        self.any_finite_rho = any(math.isfinite(rho) for rho in self.session_max_rate)
         self.session_rho_threshold: List[Optional[float]] = []
-        for rho in view.session_max_rate:
+        for rho in self.session_max_rate:
             if math.isfinite(rho):
                 self.session_rho_threshold.append(rho - tolerance * max(1.0, rho))
             else:
@@ -804,7 +827,7 @@ class _ScalarWaterFillState:
             for session_id, count in enumerate(self.session_active_count):
                 if count == 0:
                     continue
-                rho = self.view.session_max_rate[session_id]
+                rho = self.session_max_rate[session_id]
                 if math.isfinite(rho):
                     bound = min(bound, rho - self.level)
             if math.isfinite(bound):

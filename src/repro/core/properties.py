@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence
 from ..network.network import Network
 from ..network.session import ReceiverId
 from .allocation import Allocation, DEFAULT_TOLERANCE
+from .redundancy import flat_rate
 
 __all__ = [
     "PropertyViolation",
@@ -75,7 +76,16 @@ class PropertyReport:
 
 
 def _at_max_rate(network: Network, allocation: Allocation, rid: ReceiverId, tol: float) -> bool:
-    rho = network.session(rid[0]).max_rate
+    """Whether the receiver sits at its session's effective ``rho``.
+
+    As in the water-filling construction, ``rho`` is folded with the rate
+    above which the session's link-rate function is flat: no receiver can
+    take more than one layer offers.
+    """
+    rho = min(
+        network.session(rid[0]).max_rate,
+        flat_rate(allocation.link_rate_function(rid[0])),
+    )
     rate = allocation.rate(rid)
     return rate >= rho - tol * max(1.0, rho)
 

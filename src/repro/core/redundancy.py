@@ -25,10 +25,14 @@ the standard choices of ``v_i``:
 plus the closed forms behind Figure 6 (:func:`bottleneck_fair_rate`,
 :func:`normalized_fair_rate`) and helpers for measuring redundancy from an
 observed link rate.
+
+A link-rate function that stops growing above some receiver rate declares
+that rate as a ``transmission_rate`` attribute; :func:`flat_rate` reads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -39,6 +43,7 @@ __all__ = [
     "efficient_link_rate",
     "constant_redundancy",
     "random_join_link_rate",
+    "flat_rate",
     "link_redundancy",
     "session_redundancy_bound",
     "bottleneck_fair_rate",
@@ -106,8 +111,24 @@ def constant_redundancy(factor: float, min_receivers: int = 1) -> LinkRateFuncti
     return link_rate
 
 
+def _expected_random_join_rate(rates: Sequence[float], transmission_rate: float) -> float:
+    """The Appendix B expectation behind :func:`random_join_link_rate`."""
+    rates = list(rates)
+    if not rates:
+        return 0.0
+    # Work in log space (log1p/expm1) so that tiny receiver rates do not
+    # underflow to a link rate of exactly zero.
+    log_miss = 0.0
+    for rate in rates:
+        fraction = min(max(rate, 0.0), transmission_rate) / transmission_rate
+        if fraction >= 1.0:
+            return transmission_rate
+        log_miss += math.log1p(-fraction)
+    return transmission_rate * (-math.expm1(log_miss))
+
+
 def random_join_link_rate(transmission_rate: float) -> LinkRateFunction:
-    """The Appendix B expected link rate under uncoordinated random joins.
+    """The Appendix B link-rate function ``v_i`` of one layer under random joins.
 
     A single layer transmits at rate ``transmission_rate`` (the paper's
     ``lambda``); each downstream receiver ``t`` independently picks the
@@ -117,31 +138,32 @@ def random_join_link_rate(transmission_rate: float) -> LinkRateFunction:
 
         E[U] = lambda * (1 - prod_t (1 - a_t / lambda))
 
-    Receiver rates above ``lambda`` are clamped to ``lambda`` (a receiver
-    cannot take more than the layer offers).
+    Receiver rates are clamped to ``[0, lambda]``: a receiver cannot take
+    more than the layer offers.  The function is therefore flat above
+    ``lambda`` and declares it as its ``transmission_rate`` attribute (see
+    :func:`flat_rate`).
     """
     if transmission_rate <= 0:
         raise AllocationError(
             f"layer transmission rate must be positive, got {transmission_rate}"
         )
 
-    def link_rate(rates: Sequence[float]) -> float:
-        rates = list(rates)
-        if not rates:
-            return 0.0
-        # Work in log space (log1p/expm1) so that tiny receiver rates do not
-        # underflow to a link rate of exactly zero.
-        log_miss = 0.0
-        for rate in rates:
-            fraction = min(max(rate, 0.0), transmission_rate) / transmission_rate
-            if fraction >= 1.0:
-                return transmission_rate
-            log_miss += math.log1p(-fraction)
-        return transmission_rate * (-math.expm1(log_miss))
-
+    link_rate = functools.partial(
+        _expected_random_join_rate, transmission_rate=transmission_rate
+    )
     link_rate.transmission_rate = float(transmission_rate)  # type: ignore[attr-defined]
     link_rate.__name__ = f"random_join_link_rate_{transmission_rate}"  # type: ignore[attr-defined]
     return link_rate
+
+
+def flat_rate(function: LinkRateFunction) -> float:
+    """The receiver rate above which ``function`` stops growing (``inf`` if undeclared).
+
+    Raising a receiver past this rate adds no load on any link, so no link
+    can saturate it there: the water-filling solvers and the fairness
+    properties fold it into the session's maximum desired rate ``rho``.
+    """
+    return float(getattr(function, "transmission_rate", math.inf))
 
 
 def link_redundancy(link_rate: float, receiver_rates: Sequence[float]) -> float:

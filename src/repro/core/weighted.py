@@ -37,7 +37,7 @@ from ..network.session import ReceiverId
 from .allocation import Allocation, DEFAULT_TOLERANCE
 from .maxmin import _merged_link_rate_functions, _water_fill, _WaterFillState
 from .ordering import ordered_vector
-from .properties import PropertyReport, PropertyViolation
+from .properties import PropertyReport, PropertyViolation, _at_max_rate
 
 __all__ = [
     "validate_weights",
@@ -163,8 +163,7 @@ def weighted_same_path_receiver_fairness(
                 if abs(norm_a - norm_b) <= tolerance * max(1.0, norm_a, norm_b):
                     continue
                 lower = rid_a if norm_a < norm_b else rid_b
-                rho = network.session(lower[0]).max_rate
-                if allocation.rate(lower) >= rho - tolerance * max(1.0, rho):
+                if _at_max_rate(network, allocation, lower, tolerance):
                     continue
                 violations.append(
                     PropertyViolation(

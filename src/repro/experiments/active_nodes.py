@@ -21,7 +21,6 @@ from .registry import Experiment, register
 __all__ = [
     "ActiveNodesSpec",
     "ActiveNodeResult",
-    "run_active_nodes",
     "DEFAULT_INDEPENDENT_LOSS_RATES",
 ]
 
@@ -42,21 +41,22 @@ class ActiveNodesSpec(ExperimentSpec):
     base_seed: int = 0
     protocols: Optional[Sequence[str]] = None
 
-
-_PRESETS = {
-    "reduced": {
-        "independent_loss_rates": DEFAULT_INDEPENDENT_LOSS_RATES,
-        "num_receivers": 40,
-        "duration_units": 1000,
-        "repetitions": 2,
-    },
-    "paper": {
-        "independent_loss_rates": DEFAULT_INDEPENDENT_LOSS_RATES,
-        "num_receivers": 100,
-        "duration_units": 2000,
-        "repetitions": 5,
-    },
-}
+    PRESETS = {
+        "reduced": {
+            "independent_loss_rates": DEFAULT_INDEPENDENT_LOSS_RATES,
+            "num_receivers": 40,
+            "duration_units": 1000,
+            "repetitions": 2,
+            "protocols": PROTOCOLS,
+        },
+        "paper": {
+            "independent_loss_rates": DEFAULT_INDEPENDENT_LOSS_RATES,
+            "num_receivers": 100,
+            "duration_units": 2000,
+            "repetitions": 5,
+            "protocols": PROTOCOLS,
+        },
+    }
 
 
 @dataclass
@@ -96,59 +96,36 @@ class ActiveNodeResult:
         )
 
 
-def run_active_nodes(
-    independent_loss_rates: Sequence[float] = DEFAULT_INDEPENDENT_LOSS_RATES,
-    shared_loss_rate: float = 0.0001,
-    num_receivers: int = 40,
-    duration_units: int = 1000,
-    repetitions: int = 2,
-    base_seed: int = 0,
-    protocols: Sequence[str] = PROTOCOLS,
-    engine: str = "bitpacked",
-) -> ActiveNodeResult:
+def body(spec: ActiveNodesSpec) -> ActiveNodeResult:
     """Measure redundancy for the receiver-driven protocols and the active node."""
+    loss_rates = tuple(spec.independent_loss_rates)
     result = ActiveNodeResult(
-        shared_loss_rate=shared_loss_rate,
-        independent_loss_rates=tuple(independent_loss_rates),
-        num_receivers=num_receivers,
+        shared_loss_rate=spec.shared_loss_rate,
+        independent_loss_rates=loss_rates,
+        num_receivers=spec.num_receivers,
     )
-    for protocol_name in protocols:
+    for protocol_name in spec.protocols:
         redundancy: List[float] = []
         rates: List[float] = []
-        for independent_loss in independent_loss_rates:
+        for independent_loss in loss_rates:
             config = uniform_star(
-                num_receivers=num_receivers,
-                shared_loss_rate=shared_loss_rate,
+                num_receivers=spec.num_receivers,
+                shared_loss_rate=spec.shared_loss_rate,
                 independent_loss_rate=independent_loss,
-                duration_units=duration_units,
+                duration_units=spec.duration_units,
             )
             measurement = star_redundancy(
                 make_protocol(protocol_name),
                 config,
-                repetitions=repetitions,
-                base_seed=base_seed,
-                engine=engine,
+                repetitions=spec.repetitions,
+                base_seed=spec.base_seed,
+                engine=spec.engine,
             )
             redundancy.append(measurement.mean_redundancy)
             rates.append(measurement.mean_receiver_rate)
         result.redundancy[protocol_name] = redundancy
         result.mean_receiver_rate[protocol_name] = rates
     return result
-
-
-def _run(spec: ActiveNodesSpec) -> ActiveNodeResult:
-    """Run the active-node comparison described by ``spec``."""
-    spec = spec.resolved(_PRESETS)
-    return run_active_nodes(
-        independent_loss_rates=tuple(spec.independent_loss_rates),
-        shared_loss_rate=spec.shared_loss_rate,
-        num_receivers=spec.num_receivers,
-        duration_units=spec.duration_units,
-        repetitions=spec.repetitions,
-        base_seed=spec.base_seed,
-        protocols=tuple(spec.protocols) if spec.protocols is not None else PROTOCOLS,
-        engine=spec.engine,
-    )
 
 
 def _records(result: ActiveNodeResult) -> List[Dict[str, object]]:
@@ -175,7 +152,7 @@ EXPERIMENT = register(
         key="active_nodes",
         title="Extension: active-node coordination",
         spec_cls=ActiveNodesSpec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

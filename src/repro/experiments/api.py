@@ -6,8 +6,9 @@ Every experiment in this package is described by three first-class objects:
   scale preset (``"reduced"`` or ``"paper"``), the execution knobs shared by
   every experiment (``jobs``, ``engine``), and per-experiment overrides
   (seeds, receiver counts, loss grids, ...) declared by each experiment's
-  spec subclass.  Fields left at ``None`` resolve to the preset value for
-  the chosen scale (:meth:`ExperimentSpec.resolved`).
+  spec subclass.  Fields left at ``None`` resolve to the value in the spec
+  class's :attr:`~ExperimentSpec.PRESETS` table for the chosen scale
+  (:meth:`ExperimentSpec.resolved`).
 * :class:`Verdict` — the machine-readable outcome of an experiment's
   qualitative claim check (``ok`` plus a one-line summary).
 * :class:`ExperimentResult` — the uniform envelope every experiment
@@ -33,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 from ..errors import ExperimentError
 from ..protocols.kernel import ENGINES, resolve_engine
@@ -107,7 +108,8 @@ class ExperimentSpec:
 
     Subclasses add per-experiment override fields (loss grids, receiver
     counts, seeds, ...); fields defaulting to ``None`` mean "use the preset
-    value for :attr:`scale`" and are filled in by :meth:`resolved`.
+    value for :attr:`scale`" and are filled in from :attr:`PRESETS` by
+    :meth:`resolved`.
 
     Parameters
     ----------
@@ -129,6 +131,11 @@ class ExperimentSpec:
     scale: str = "reduced"
     jobs: int = 1
     engine: str = "bitpacked"
+
+    #: Scale presets: ``{scale: {field: value}}`` for the fields left at
+    #: ``None``.  A class variable, not a field, so it is neither echoed
+    #: in results nor hashed into store addresses.
+    PRESETS: ClassVar[Mapping[str, Mapping[str, Any]]] = {}
 
     def __post_init__(self) -> None:
         if self.scale not in SCALES:
@@ -153,17 +160,13 @@ class ExperimentSpec:
         """A copy of this spec with the given fields replaced (re-validated)."""
         return dataclasses.replace(self, **overrides)
 
-    def resolved(self, presets: Mapping[str, Mapping[str, Any]]) -> "ExperimentSpec":
-        """Fill every ``None`` field from the preset table for this scale.
+    def resolved(self) -> "ExperimentSpec":
+        """Fill every ``None`` field from :attr:`PRESETS` for this scale.
 
-        ``presets`` maps each scale name to a ``{field: value}`` table;
-        explicitly-set fields always win over the preset.
+        Explicitly-set fields always win over the preset.  The registry
+        resolves each spec once, right before the experiment body runs.
         """
-        if self.scale not in presets:
-            raise ExperimentError(
-                f"no preset table for scale {self.scale!r}; have {sorted(presets)}"
-            )
-        table = presets[self.scale]
+        table = self.PRESETS.get(self.scale, {})
         updates = {
             name: value
             for name, value in table.items()

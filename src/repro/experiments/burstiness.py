@@ -34,7 +34,6 @@ from .registry import Experiment, register
 __all__ = [
     "BurstinessSpec",
     "BurstinessResult",
-    "run_burstiness",
     "DEFAULT_BURST_LENGTHS",
     "gilbert_for_average_loss",
 ]
@@ -58,6 +57,23 @@ class BurstinessSpec(ExperimentSpec):
     base_seed: int = 0
     protocols: Optional[Sequence[str]] = None
 
+    PRESETS = {
+        "reduced": {
+            "burst_lengths": DEFAULT_BURST_LENGTHS,
+            "num_receivers": 40,
+            "duration_units": 1000,
+            "repetitions": 2,
+            "protocols": PROTOCOLS,
+        },
+        "paper": {
+            "burst_lengths": DEFAULT_BURST_LENGTHS,
+            "num_receivers": 100,
+            "duration_units": 2000,
+            "repetitions": 5,
+            "protocols": PROTOCOLS,
+        },
+    }
+
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.protocols is not None:
@@ -79,22 +95,6 @@ def _check_protocols(protocols: Sequence[str]) -> None:
             f"protocols: unknown protocol(s) {unknown}; "
             f"choose from {sorted(PROTOCOL_FACTORIES)}"
         )
-
-
-_PRESETS = {
-    "reduced": {
-        "burst_lengths": DEFAULT_BURST_LENGTHS,
-        "num_receivers": 40,
-        "duration_units": 1000,
-        "repetitions": 2,
-    },
-    "paper": {
-        "burst_lengths": DEFAULT_BURST_LENGTHS,
-        "num_receivers": 100,
-        "duration_units": 2000,
-        "repetitions": 5,
-    },
-}
 
 
 def gilbert_for_average_loss(average_loss: float, mean_burst_length: float) -> LossProcess:
@@ -163,17 +163,7 @@ class BurstinessResult:
         return max(abs(value - baseline) for value in self.redundancy[protocol])
 
 
-def run_burstiness(
-    burst_lengths: Sequence[float] = DEFAULT_BURST_LENGTHS,
-    average_loss_rate: float = 0.05,
-    shared_loss_rate: float = 0.0001,
-    num_receivers: int = 40,
-    duration_units: int = 1000,
-    repetitions: int = 2,
-    base_seed: int = 0,
-    protocols: Sequence[str] = PROTOCOLS,
-    engine: str = "bitpacked",
-) -> BurstinessResult:
+def body(spec: BurstinessSpec) -> BurstinessResult:
     """Sweep the fan-out loss burst length at a fixed average loss rate.
 
     Every (burst length, repetition) run of one protocol shares the session
@@ -181,27 +171,29 @@ def run_burstiness(
     (:func:`repro.simulator.engine.simulate_session_group`); each result is
     bit for bit what the run would give solo.
     """
-    _check_protocols(protocols)
+    burst_lengths = tuple(spec.burst_lengths)
     result = BurstinessResult(
-        average_loss_rate=average_loss_rate,
-        burst_lengths=tuple(burst_lengths),
-        num_receivers=num_receivers,
+        average_loss_rate=spec.average_loss_rate,
+        burst_lengths=burst_lengths,
+        num_receivers=spec.num_receivers,
     )
-    seeds = spawn_run_entropy(base_seed, repetitions)
-    shared_loss = BernoulliLoss(shared_loss_rate) if shared_loss_rate > 0 else NoLoss()
-    for protocol_name in protocols:
+    seeds = spawn_run_entropy(spec.base_seed, spec.repetitions)
+    shared_loss = (
+        BernoulliLoss(spec.shared_loss_rate) if spec.shared_loss_rate > 0 else NoLoss()
+    )
+    for protocol_name in spec.protocols:
         simulators = [
             session_engine.LayeredSessionSimulator(
                 protocol=make_protocol(protocol_name),
-                num_receivers=num_receivers,
+                num_receivers=spec.num_receivers,
                 shared_loss=shared_loss,
                 independent_loss=[
-                    gilbert_for_average_loss(average_loss_rate, burst_length)
-                    for _ in range(num_receivers)
+                    gilbert_for_average_loss(spec.average_loss_rate, burst_length)
+                    for _ in range(spec.num_receivers)
                 ],
                 scheme=ExponentialLayerScheme(8),
-                duration_units=duration_units,
-                engine=engine,
+                duration_units=spec.duration_units,
+                engine=spec.engine,
             )
             for burst_length in burst_lengths
         ]
@@ -212,22 +204,6 @@ def run_burstiness(
             mean([run.redundancy for run in runs]) for runs in grouped
         ]
     return result
-
-
-def _run(spec: BurstinessSpec) -> BurstinessResult:
-    """Run the burstiness sweep described by ``spec``."""
-    spec = spec.resolved(_PRESETS)
-    return run_burstiness(
-        burst_lengths=tuple(spec.burst_lengths),
-        average_loss_rate=spec.average_loss_rate,
-        shared_loss_rate=spec.shared_loss_rate,
-        num_receivers=spec.num_receivers,
-        duration_units=spec.duration_units,
-        repetitions=spec.repetitions,
-        base_seed=spec.base_seed,
-        protocols=tuple(spec.protocols) if spec.protocols is not None else PROTOCOLS,
-        engine=spec.engine,
-    )
 
 
 def _records(result: BurstinessResult) -> List[Dict[str, object]]:
@@ -259,7 +235,7 @@ EXPERIMENT = register(
         key="burstiness",
         title="Extension: bursty loss",
         spec_cls=BurstinessSpec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

@@ -19,7 +19,7 @@ from ..network.topologies import FIGURE1_EXPECTED_RATES
 from .api import ExperimentSpec, Verdict
 from .registry import Experiment, register
 
-__all__ = ["Figure1Spec", "Figure1Result", "run_figure1"]
+__all__ = ["Figure1Spec", "Figure1Result"]
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class Figure1Result:
         return "\n\n".join([receiver_table, link_table, property_table])
 
 
-def run_figure1(spec: Figure1Spec = Figure1Spec()) -> Figure1Result:
+def body(spec: Figure1Spec) -> Figure1Result:
     """Compute the Figure 1 multi-rate max-min fair allocation and properties."""
     del spec  # deterministic closed-form example; no tunable parameters
     network = figure1_network()
@@ -113,7 +113,7 @@ EXPERIMENT = register(
         key="figure1",
         title="Figure 1 (sample network)",
         spec_cls=Figure1Spec,
-        runner=run_figure1,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

@@ -29,7 +29,7 @@ from ..network.topologies import FIGURE2_EXPECTED_MULTI_RATE, FIGURE2_EXPECTED_S
 from .api import ExperimentSpec, Verdict
 from .registry import Experiment, register
 
-__all__ = ["Figure2Spec", "Figure2Result", "run_figure2"]
+__all__ = ["Figure2Spec", "Figure2Result"]
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class Figure2Result:
         return "\n\n".join([rate_table, property_table])
 
 
-def run_figure2(spec: Figure2Spec = Figure2Spec()) -> Figure2Result:
+def body(spec: Figure2Spec) -> Figure2Result:
     """Compute both variants of the Figure 2 example."""
     del spec  # deterministic closed-form example; no tunable parameters
     single_network = figure2_network(single_rate=True)
@@ -152,7 +152,7 @@ EXPERIMENT = register(
         key="figure2",
         title="Figure 2 (single-rate limitations)",
         spec_cls=Figure2Spec,
-        runner=run_figure2,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

@@ -19,7 +19,7 @@ from ..network.topologies import FIGURE3A_EXPECTED, FIGURE3B_EXPECTED
 from .api import ExperimentSpec, Verdict
 from .registry import Experiment, register
 
-__all__ = ["Figure3Spec", "RemovalOutcome", "Figure3Result", "run_figure3"]
+__all__ = ["Figure3Spec", "RemovalOutcome", "Figure3Result"]
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def _run_example(
     )
 
 
-def run_figure3(spec: Figure3Spec = Figure3Spec()) -> Figure3Result:
+def body(spec: Figure3Spec) -> Figure3Result:
     """Compute the before/after allocations for both Figure 3 examples."""
     del spec  # deterministic closed-form example; no tunable parameters
     return Figure3Result(
@@ -140,7 +140,7 @@ EXPERIMENT = register(
         key="figure3",
         title="Figure 3 (receiver removal)",
         spec_cls=Figure3Spec,
-        runner=run_figure3,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

@@ -26,7 +26,7 @@ from ..network.topologies import FIGURE4_EXPECTED_RATES
 from .api import ExperimentSpec, Verdict
 from .registry import Experiment, register
 
-__all__ = ["Figure4Spec", "Figure4Result", "run_figure4"]
+__all__ = ["Figure4Spec", "Figure4Result"]
 
 #: The shared link of the Figure 4 topology (``l4``) by link id.
 SHARED_LINK_ID = 3
@@ -87,7 +87,7 @@ class Figure4Result:
         return "\n\n".join([rate_table, link_table, property_table])
 
 
-def _run(spec: Figure4Spec) -> Figure4Result:
+def body(spec: Figure4Spec) -> Figure4Result:
     """Compute the Figure 4 allocation described by ``spec``."""
     network = figure4_network().with_link_rate_functions(
         {0: constant_redundancy(spec.redundancy, min_receivers=2)}
@@ -103,15 +103,6 @@ def _run(spec: Figure4Spec) -> Figure4Result:
         shared_link_rates=shared_rates,
         shared_link_redundancy=allocation.link_redundancy(0, SHARED_LINK_ID),
     )
-
-
-def run_figure4(redundancy: float = 2.0) -> Figure4Result:
-    """Compute the Figure 4 allocation with the given redundancy on the shared link.
-
-    Back-compat wrapper over :class:`Figure4Spec`; prefer
-    ``get_experiment("figure4").run(redundancy=...)`` for the typed envelope.
-    """
-    return _run(Figure4Spec(redundancy=redundancy))
 
 
 def _records(result: Figure4Result) -> List[Dict[str, object]]:
@@ -154,7 +145,7 @@ EXPERIMENT = register(
         key="figure4",
         title="Figure 4 (redundancy vs session fairness)",
         spec_cls=Figure4Spec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

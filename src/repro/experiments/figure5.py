@@ -28,7 +28,7 @@ from ..layering.random_joins import (
 from .api import ExperimentSpec, Verdict
 from .registry import Experiment, register
 
-__all__ = ["Figure5Spec", "Figure5Result", "run_figure5", "DEFAULT_RECEIVER_COUNTS"]
+__all__ = ["Figure5Spec", "Figure5Result", "DEFAULT_RECEIVER_COUNTS"]
 
 #: Logarithmic receiver-count sweep matching the paper's 1..100 x-axis.
 DEFAULT_RECEIVER_COUNTS = (1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 70, 100)
@@ -50,11 +50,10 @@ class Figure5Spec(ExperimentSpec):
     num_quanta: int = 200
     seed: int = 0
 
-
-_PRESETS = {
-    "reduced": {"receiver_counts": DEFAULT_RECEIVER_COUNTS},
-    "paper": {"receiver_counts": DEFAULT_RECEIVER_COUNTS},
-}
+    PRESETS = {
+        "reduced": {"receiver_counts": DEFAULT_RECEIVER_COUNTS},
+        "paper": {"receiver_counts": DEFAULT_RECEIVER_COUNTS},
+    }
 
 
 @dataclass
@@ -78,9 +77,8 @@ class Figure5Result:
         )
 
 
-def _run(spec: Figure5Spec) -> Figure5Result:
+def body(spec: Figure5Spec) -> Figure5Result:
     """Evaluate the Figure 5 curves described by ``spec``."""
-    spec = spec.resolved(_PRESETS)
     receiver_counts = tuple(spec.receiver_counts)
     transmission_rate = spec.transmission_rate
     curves = figure5_curves(receiver_counts, transmission_rate)
@@ -118,33 +116,6 @@ def _run(spec: Figure5Spec) -> Figure5Result:
     )
 
 
-def run_figure5(
-    receiver_counts: Sequence[int] = DEFAULT_RECEIVER_COUNTS,
-    transmission_rate: float = 1.0,
-    simulate: bool = False,
-    packets_per_quantum: int = 100,
-    num_quanta: int = 200,
-    seed: int = 0,
-) -> Figure5Result:
-    """Evaluate the Figure 5 curves; optionally cross-check by simulation.
-
-    When ``simulate`` is true, each analytical point is re-estimated with the
-    Monte-Carlo quantum model (``packets_per_quantum`` packets per quantum,
-    ``num_quanta`` quanta), which is slower but validates the closed form.
-    Back-compat wrapper over :class:`Figure5Spec`.
-    """
-    return _run(
-        Figure5Spec(
-            receiver_counts=tuple(receiver_counts),
-            transmission_rate=transmission_rate,
-            simulate=simulate,
-            packets_per_quantum=packets_per_quantum,
-            num_quanta=num_quanta,
-            seed=seed,
-        )
-    )
-
-
 def _records(result: Figure5Result) -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
     for name, values in result.curves.items():
@@ -175,7 +146,7 @@ EXPERIMENT = register(
         key="figure5",
         title="Figure 5 (random-join redundancy)",
         spec_cls=Figure5Spec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

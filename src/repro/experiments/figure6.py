@@ -27,7 +27,6 @@ from .registry import Experiment, register
 __all__ = [
     "Figure6Spec",
     "Figure6Result",
-    "run_figure6",
     "DEFAULT_REDUNDANCIES",
     "DEFAULT_FRACTIONS",
 ]
@@ -56,21 +55,20 @@ class Figure6Spec(ExperimentSpec):
     cross_check_redundancies: Optional[Sequence[float]] = None
     capacity: float = 1.0
 
-
-_PRESETS = {
-    "reduced": {
-        "redundancies": DEFAULT_REDUNDANCIES,
-        "fractions": DEFAULT_FRACTIONS,
-        "cross_check_sessions": 20,
-        "cross_check_redundancies": (1.0, 2.0, 5.0, 10.0),
-    },
-    "paper": {
-        "redundancies": DEFAULT_REDUNDANCIES,
-        "fractions": DEFAULT_FRACTIONS,
-        "cross_check_sessions": 100,
-        "cross_check_redundancies": (1.0, 2.0, 5.0, 10.0),
-    },
-}
+    PRESETS = {
+        "reduced": {
+            "redundancies": DEFAULT_REDUNDANCIES,
+            "fractions": DEFAULT_FRACTIONS,
+            "cross_check_sessions": 20,
+            "cross_check_redundancies": (1.0, 2.0, 5.0, 10.0),
+        },
+        "paper": {
+            "redundancies": DEFAULT_REDUNDANCIES,
+            "fractions": DEFAULT_FRACTIONS,
+            "cross_check_sessions": 100,
+            "cross_check_redundancies": (1.0, 2.0, 5.0, 10.0),
+        },
+    }
 
 
 @dataclass
@@ -94,9 +92,8 @@ class Figure6Result:
         return max(abs(expected - measured) for *_rest, expected, measured in self.cross_checks)
 
 
-def _run(spec: Figure6Spec) -> Figure6Result:
+def body(spec: Figure6Spec) -> Figure6Result:
     """Evaluate the Figure 6 curves and cross-checks described by ``spec``."""
-    spec = spec.resolved(_PRESETS)
     redundancies = tuple(spec.redundancies)
     fractions = tuple(spec.fractions)
     cross_check_sessions = spec.cross_check_sessions
@@ -128,31 +125,6 @@ def _run(spec: Figure6Spec) -> Figure6Result:
         fractions=tuple(fractions),
         curves=curves,
         cross_checks=cross_checks,
-    )
-
-
-def run_figure6(
-    redundancies: Sequence[float] = DEFAULT_REDUNDANCIES,
-    fractions: Sequence[float] = DEFAULT_FRACTIONS,
-    cross_check_sessions: int = 20,
-    cross_check_redundancies: Sequence[float] = (1.0, 2.0, 5.0, 10.0),
-    capacity: float = 1.0,
-) -> Figure6Result:
-    """Evaluate the Figure 6 curves and verify them against the water-filling solver.
-
-    ``cross_check_sessions`` controls the size of the concrete bottleneck
-    networks built for verification (with ``m = max(1, n/10)`` redundant
-    sessions, mirroring the "small fraction of multi-rate sessions" regime
-    the paper argues for).  Back-compat wrapper over :class:`Figure6Spec`.
-    """
-    return _run(
-        Figure6Spec(
-            redundancies=tuple(redundancies),
-            fractions=tuple(fractions),
-            cross_check_sessions=cross_check_sessions,
-            cross_check_redundancies=tuple(cross_check_redundancies),
-            capacity=capacity,
-        )
     )
 
 
@@ -194,7 +166,7 @@ EXPERIMENT = register(
         key="figure6",
         title="Figure 6 (redundancy vs fair rate)",
         spec_cls=Figure6Spec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

@@ -18,7 +18,7 @@ from ..protocols.markov import TwoReceiverMarkovModel
 from .api import ExperimentSpec, Verdict
 from .registry import Experiment, register
 
-__all__ = ["Figure7Spec", "Figure7Result", "run_figure7", "DEFAULT_SPLITS"]
+__all__ = ["Figure7Spec", "Figure7Result", "DEFAULT_SPLITS"]
 
 #: How the fixed independent-loss budget is split between the two receivers.
 DEFAULT_SPLITS = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
@@ -35,11 +35,10 @@ class Figure7Spec(ExperimentSpec):
     shared_loss_rate: float = 0.0001
     num_layers: int = 8
 
-
-_PRESETS = {
-    "reduced": {"splits": DEFAULT_SPLITS},
-    "paper": {"splits": DEFAULT_SPLITS},
-}
+    PRESETS = {
+        "reduced": {"splits": DEFAULT_SPLITS},
+        "paper": {"splits": DEFAULT_SPLITS},
+    }
 
 
 @dataclass
@@ -66,9 +65,8 @@ class Figure7Result:
         return all(abs(self.peak_split(protocol) - 0.5) <= 0.13 for protocol in self.redundancy)
 
 
-def _run(spec: Figure7Spec) -> Figure7Result:
+def body(spec: Figure7Spec) -> Figure7Result:
     """Analyse the two-receiver star for every protocol and loss split."""
-    spec = spec.resolved(_PRESETS)
     splits = tuple(spec.splits)
     redundancy: Dict[str, List[float]] = {name: [] for name in PROTOCOLS}
     mean_levels: Dict[str, List[Tuple[float, float]]] = {name: [] for name in PROTOCOLS}
@@ -90,26 +88,6 @@ def _run(spec: Figure7Spec) -> Figure7Result:
         shared_loss_rate=spec.shared_loss_rate,
         redundancy=redundancy,
         mean_levels=mean_levels,
-    )
-
-
-def run_figure7(
-    splits: Sequence[float] = DEFAULT_SPLITS,
-    total_independent_loss: float = 0.04,
-    shared_loss_rate: float = 0.0001,
-    num_layers: int = 8,
-) -> Figure7Result:
-    """Analyse the two-receiver star for every protocol and loss split.
-
-    Back-compat wrapper over :class:`Figure7Spec`.
-    """
-    return _run(
-        Figure7Spec(
-            splits=tuple(splits),
-            total_independent_loss=total_independent_loss,
-            shared_loss_rate=shared_loss_rate,
-            num_layers=num_layers,
-        )
     )
 
 
@@ -142,7 +120,7 @@ EXPERIMENT = register(
         key="figure7",
         title="Figure 7(a) Markov analysis",
         spec_cls=Figure7Spec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

@@ -43,8 +43,6 @@ __all__ = [
     "Figure8Point",
     "Figure8Panel",
     "Figure8Result",
-    "run_figure8_panel",
-    "run_figure8",
     "DEFAULT_INDEPENDENT_LOSS_RATES",
     "PAPER_INDEPENDENT_LOSS_RATES",
 ]
@@ -57,23 +55,6 @@ DEFAULT_INDEPENDENT_LOSS_RATES = (0.005, 0.02, 0.05, 0.08, 0.1)
 
 #: The paper's full x-axis.
 PAPER_INDEPENDENT_LOSS_RATES = tuple(round(0.01 * i, 3) for i in range(0, 11))
-
-#: Scale presets shared by :class:`Figure8Spec` and :class:`Figure8PanelSpec`.
-_PRESETS = {
-    "reduced": {
-        "independent_loss_rates": DEFAULT_INDEPENDENT_LOSS_RATES,
-        "num_receivers": 60,
-        "duration_units": 1200,
-        "repetitions": 3,
-    },
-    "paper": {
-        "independent_loss_rates": PAPER_INDEPENDENT_LOSS_RATES,
-        "num_receivers": 100,
-        "duration_units": 2000,
-        "repetitions": 5,
-    },
-}
-
 
 @dataclass(frozen=True)
 class Figure8Spec(ExperimentSpec):
@@ -94,10 +75,28 @@ class Figure8Spec(ExperimentSpec):
     low_shared_loss: float = 0.0001
     high_shared_loss: float = 0.05
 
+    PRESETS = {
+        "reduced": {
+            "independent_loss_rates": DEFAULT_INDEPENDENT_LOSS_RATES,
+            "num_receivers": 60,
+            "duration_units": 1200,
+            "repetitions": 3,
+        },
+        "paper": {
+            "independent_loss_rates": PAPER_INDEPENDENT_LOSS_RATES,
+            "num_receivers": 100,
+            "duration_units": 2000,
+            "repetitions": 5,
+        },
+    }
+
 
 @dataclass(frozen=True)
 class Figure8PanelSpec(ExperimentSpec):
-    """Spec for a single Figure 8 panel at one fixed shared loss rate."""
+    """Spec for a single Figure 8 panel at one fixed shared loss rate.
+
+    Presets match :class:`Figure8Spec`, plus all three protocols.
+    """
 
     shared_loss_rate: float = 0.05
     independent_loss_rates: Optional[Sequence[float]] = None
@@ -107,6 +106,11 @@ class Figure8PanelSpec(ExperimentSpec):
     repetitions: Optional[int] = None
     base_seed: int = 0
     protocols: Optional[Sequence[str]] = None
+
+    PRESETS = {
+        scale: {**table, "protocols": PROTOCOLS}
+        for scale, table in Figure8Spec.PRESETS.items()
+    }
 
 
 @dataclass
@@ -227,18 +231,7 @@ def _run_figure8_point(
     )
 
 
-def run_figure8_panel(
-    shared_loss_rate: float,
-    independent_loss_rates: Sequence[float] = DEFAULT_INDEPENDENT_LOSS_RATES,
-    num_receivers: int = 60,
-    num_layers: int = 8,
-    duration_units: int = 1200,
-    repetitions: int = 3,
-    base_seed: int = 0,
-    protocols: Sequence[str] = PROTOCOLS,
-    jobs: int = 1,
-    engine: str = "bitpacked",
-) -> Figure8Panel:
+def panel_body(spec: Figure8PanelSpec) -> Figure8Panel:
     """Simulate one Figure 8 panel (one shared loss rate).
 
     With ``jobs > 1`` the panel's (protocol, loss-rate) points are computed
@@ -248,26 +241,27 @@ def run_figure8_panel(
     carries its own fixed seeds, so results are identical for any ``jobs``
     and either ``engine``.
     """
+    loss_rates = tuple(spec.independent_loss_rates)
     panel = Figure8Panel(
-        shared_loss_rate=shared_loss_rate,
-        independent_loss_rates=tuple(independent_loss_rates),
-        num_receivers=num_receivers,
+        shared_loss_rate=spec.shared_loss_rate,
+        independent_loss_rates=loss_rates,
+        num_receivers=spec.num_receivers,
     )
-    if jobs == 1:
-        for protocol_name in protocols:
+    if spec.jobs == 1:
+        for protocol_name in spec.protocols:
             configs = [
                 _point_config(
-                    independent_loss, shared_loss_rate, num_receivers,
-                    num_layers, duration_units,
+                    independent_loss, spec.shared_loss_rate, spec.num_receivers,
+                    spec.num_layers, spec.duration_units,
                 )
-                for independent_loss in independent_loss_rates
+                for independent_loss in loss_rates
             ]
             measurements = star_redundancy_group(
                 [make_protocol(protocol_name) for _ in configs],
                 configs,
-                repetitions=repetitions,
-                base_seed=base_seed,
-                engine=engine,
+                repetitions=spec.repetitions,
+                base_seed=spec.base_seed,
+                engine=spec.engine,
             )
             panel.points.extend(
                 Figure8Point(
@@ -275,77 +269,50 @@ def run_figure8_panel(
                     independent_loss_rate=independent_loss,
                     measurement=measurement,
                 )
-                for independent_loss, measurement in zip(independent_loss_rates, measurements)
+                for independent_loss, measurement in zip(loss_rates, measurements)
             )
         return panel
     tasks = [
         (
             protocol_name,
             independent_loss,
-            shared_loss_rate,
-            num_receivers,
-            num_layers,
-            duration_units,
-            repetitions,
-            base_seed,
-            engine,
+            spec.shared_loss_rate,
+            spec.num_receivers,
+            spec.num_layers,
+            spec.duration_units,
+            spec.repetitions,
+            spec.base_seed,
+            spec.engine,
         )
-        for protocol_name in protocols
-        for independent_loss in independent_loss_rates
+        for protocol_name in spec.protocols
+        for independent_loss in loss_rates
     ]
-    panel.points.extend(resilient_map(_run_figure8_point, tasks, jobs=jobs))
+    panel.points.extend(resilient_map(_run_figure8_point, tasks, jobs=spec.jobs))
     return panel
 
 
-def run_figure8(
-    independent_loss_rates: Sequence[float] = DEFAULT_INDEPENDENT_LOSS_RATES,
-    num_receivers: int = 60,
-    duration_units: int = 1200,
-    repetitions: int = 3,
-    base_seed: int = 0,
-    low_shared_loss: float = 0.0001,
-    high_shared_loss: float = 0.05,
-    jobs: int = 1,
-    engine: str = "bitpacked",
-) -> Figure8Result:
+def body(spec: Figure8Spec) -> Figure8Result:
     """Simulate both Figure 8 panels (optionally across ``jobs`` processes)."""
+
+    def panel(shared_loss_rate: float) -> Figure8Panel:
+        return panel_body(
+            Figure8PanelSpec(
+                scale=spec.scale,
+                jobs=spec.jobs,
+                engine=spec.engine,
+                shared_loss_rate=shared_loss_rate,
+                independent_loss_rates=spec.independent_loss_rates,
+                num_receivers=spec.num_receivers,
+                duration_units=spec.duration_units,
+                repetitions=spec.repetitions,
+                base_seed=spec.base_seed,
+                protocols=PROTOCOLS,
+            )
+        )
+
     return Figure8Result(
-        low_shared_loss=run_figure8_panel(
-            low_shared_loss,
-            independent_loss_rates=independent_loss_rates,
-            num_receivers=num_receivers,
-            duration_units=duration_units,
-            repetitions=repetitions,
-            base_seed=base_seed,
-            jobs=jobs,
-            engine=engine,
-        ),
-        high_shared_loss=run_figure8_panel(
-            high_shared_loss,
-            independent_loss_rates=independent_loss_rates,
-            num_receivers=num_receivers,
-            duration_units=duration_units,
-            repetitions=repetitions,
-            base_seed=base_seed,
-            jobs=jobs,
-            engine=engine,
-        ),
-    )
-
-
-def _run_spec(spec: Figure8Spec) -> Figure8Result:
-    """Run both Figure 8 panels as described by ``spec``."""
-    spec = spec.resolved(_PRESETS)
-    return run_figure8(
-        independent_loss_rates=tuple(spec.independent_loss_rates),
-        num_receivers=spec.num_receivers,
-        duration_units=spec.duration_units,
-        repetitions=spec.repetitions,
-        base_seed=spec.base_seed,
-        low_shared_loss=spec.low_shared_loss,
-        high_shared_loss=spec.high_shared_loss,
-        jobs=spec.jobs,
-        engine=spec.engine,
+        low_shared_loss=panel(spec.low_shared_loss),
+        high_shared_loss=panel(spec.high_shared_loss),
     )
 
 
@@ -378,23 +345,6 @@ def _verdict(result: Figure8Result) -> Verdict:
     return Verdict(ok, "coordinated protocol lowest; below 2.5" if ok else "shape differs")
 
 
-def _run_panel_spec(spec: Figure8PanelSpec) -> Figure8Panel:
-    """Run one Figure 8 panel as described by ``spec``."""
-    spec = spec.resolved(_PRESETS)
-    return run_figure8_panel(
-        shared_loss_rate=spec.shared_loss_rate,
-        independent_loss_rates=tuple(spec.independent_loss_rates),
-        num_receivers=spec.num_receivers,
-        num_layers=spec.num_layers,
-        duration_units=spec.duration_units,
-        repetitions=spec.repetitions,
-        base_seed=spec.base_seed,
-        protocols=tuple(spec.protocols) if spec.protocols is not None else PROTOCOLS,
-        jobs=spec.jobs,
-        engine=spec.engine,
-    )
-
-
 def _panel_only_records(panel: Figure8Panel) -> List[Dict[str, object]]:
     return _panel_records(panel, f"shared loss {panel.shared_loss_rate:g}")
 
@@ -409,7 +359,7 @@ EXPERIMENT = register(
         key="figure8",
         title="Figure 8 (protocol redundancy)",
         spec_cls=Figure8Spec,
-        runner=_run_spec,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )
@@ -422,7 +372,7 @@ PANEL_EXPERIMENT = register(
         key="figure8_panel",
         title="Figure 8 single panel (one shared loss rate)",
         spec_cls=Figure8PanelSpec,
-        runner=_run_panel_spec,
+        body=panel_body,
         to_records=_panel_only_records,
         judge=_panel_verdict,
         default=False,

@@ -21,7 +21,7 @@ from ..network.topologies import single_bottleneck_network
 from .api import ExperimentSpec, Verdict
 from .registry import Experiment, register
 
-__all__ = ["FixedLayersSpec", "FixedLayerResult", "run_fixed_layers"]
+__all__ = ["FixedLayersSpec", "FixedLayerResult"]
 
 
 @dataclass(frozen=True)
@@ -81,18 +81,13 @@ class FixedLayerResult:
         )
 
 
-def _run(spec: FixedLayersSpec) -> FixedLayerResult:
-    """Enumerate the fixed-layer example at the spec's capacity."""
-    return run_fixed_layers(capacity=spec.capacity)
-
-
-def run_fixed_layers(capacity: float = 1.0) -> FixedLayerResult:
+def body(spec: FixedLayersSpec) -> FixedLayerResult:
     """Enumerate the paper's fixed-layer example and contrast with the fluid rates."""
-    feasible, max_min = section3_nonexistence_example(capacity)
-    network = single_bottleneck_network(num_sessions=2, capacity=capacity)
+    feasible, max_min = section3_nonexistence_example(spec.capacity)
+    network = single_bottleneck_network(num_sessions=2, capacity=spec.capacity)
     allocation = max_min_fair_allocation(network)
     return FixedLayerResult(
-        capacity=capacity,
+        capacity=spec.capacity,
         feasible_allocations=feasible,
         max_min_fair=max_min,
         unconstrained_fair_rates=allocation.ordered_vector(),
@@ -125,7 +120,7 @@ EXPERIMENT = register(
         key="fixed_layers",
         title="Section 3 fixed-layer example",
         spec_cls=FixedLayersSpec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

@@ -19,7 +19,7 @@ from ..layering.random_joins import layer_count_ablation, one_fast_rest_slow, un
 from .api import ExperimentSpec, Verdict
 from .registry import Experiment, register
 
-__all__ = ["LayerAblationSpec", "LayerAblationResult", "run_layer_ablation", "DEFAULT_LAYER_COUNTS"]
+__all__ = ["LayerAblationSpec", "LayerAblationResult", "DEFAULT_LAYER_COUNTS"]
 
 DEFAULT_LAYER_COUNTS = (1, 2, 4, 8)
 
@@ -31,11 +31,11 @@ class LayerAblationSpec(ExperimentSpec):
     layer_counts: Optional[Sequence[int]] = None
     max_rate: float = 1.0
 
+    PRESETS = {
+        "reduced": {"layer_counts": DEFAULT_LAYER_COUNTS},
+        "paper": {"layer_counts": (1, 2, 4, 8, 16, 32)},
+    }
 
-_PRESETS = {
-    "reduced": {"layer_counts": DEFAULT_LAYER_COUNTS},
-    "paper": {"layer_counts": (1, 2, 4, 8, 16, 32)},
-}
 
 #: Receiver-rate populations studied (transmission budget 1.0).
 DEFAULT_POPULATIONS = {
@@ -81,31 +81,18 @@ class LayerAblationResult:
         )
 
 
-def run_layer_ablation(
-    layer_counts: Sequence[int] = DEFAULT_LAYER_COUNTS,
-    populations: Dict[str, List[float]] | None = None,
-    max_rate: float = 1.0,
-) -> LayerAblationResult:
+def body(spec: LayerAblationSpec) -> LayerAblationResult:
     """Evaluate random-join redundancy for each population and layer count."""
+    layer_counts = tuple(spec.layer_counts)
     if not layer_counts or layer_counts[0] != 1:
         raise ExperimentError("layer_counts must start with 1 (the single-layer baseline)")
-    if populations is None:
-        populations = dict(DEFAULT_POPULATIONS)
-    redundancy: Dict[str, Dict[int, float]] = {}
-    for name, rates in populations.items():
-        redundancy[name] = layer_count_ablation(rates, max_rate, layer_counts)
     return LayerAblationResult(
-        layer_counts=tuple(layer_counts),
-        max_rate=max_rate,
-        redundancy=redundancy,
-    )
-
-
-def _run(spec: LayerAblationSpec) -> LayerAblationResult:
-    """Run the layer-count ablation described by ``spec``."""
-    spec = spec.resolved(_PRESETS)
-    return run_layer_ablation(
-        layer_counts=tuple(spec.layer_counts), max_rate=spec.max_rate
+        layer_counts=layer_counts,
+        max_rate=spec.max_rate,
+        redundancy={
+            name: layer_count_ablation(rates, spec.max_rate, layer_counts)
+            for name, rates in DEFAULT_POPULATIONS.items()
+        },
     )
 
 
@@ -132,7 +119,7 @@ EXPERIMENT = register(
         key="layer_ablation",
         title="Ablation: layer count",
         spec_cls=LayerAblationSpec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

@@ -28,7 +28,7 @@ from ..simulator.loss import BernoulliLoss, NoLoss
 from .api import ExperimentSpec, Verdict
 from .registry import Experiment, register
 
-__all__ = ["LeaveLatencySpec", "LeaveLatencyResult", "run_leave_latency", "DEFAULT_LATENCIES"]
+__all__ = ["LeaveLatencySpec", "LeaveLatencyResult", "DEFAULT_LATENCIES"]
 
 DEFAULT_LATENCIES = (0.0, 0.5, 1.0, 2.0, 4.0)
 
@@ -46,21 +46,20 @@ class LeaveLatencySpec(ExperimentSpec):
     repetitions: Optional[int] = None
     base_seed: int = 0
 
-
-_PRESETS = {
-    "reduced": {
-        "latencies": DEFAULT_LATENCIES,
-        "num_receivers": 40,
-        "duration_units": 1000,
-        "repetitions": 2,
-    },
-    "paper": {
-        "latencies": DEFAULT_LATENCIES,
-        "num_receivers": 100,
-        "duration_units": 2000,
-        "repetitions": 5,
-    },
-}
+    PRESETS = {
+        "reduced": {
+            "latencies": DEFAULT_LATENCIES,
+            "num_receivers": 40,
+            "duration_units": 1000,
+            "repetitions": 2,
+        },
+        "paper": {
+            "latencies": DEFAULT_LATENCIES,
+            "num_receivers": 100,
+            "duration_units": 2000,
+            "repetitions": 5,
+        },
+    }
 
 
 @dataclass
@@ -99,43 +98,36 @@ class LeaveLatencyResult:
         )
 
 
-def run_leave_latency(
-    latencies: Sequence[float] = DEFAULT_LATENCIES,
-    protocol_name: str = "coordinated",
-    independent_loss_rate: float = 0.05,
-    shared_loss_rate: float = 0.0001,
-    num_receivers: int = 40,
-    duration_units: int = 1000,
-    repetitions: int = 2,
-    base_seed: int = 0,
-    engine: str = "bitpacked",
-) -> LeaveLatencyResult:
+def body(spec: LeaveLatencySpec) -> LeaveLatencyResult:
     """Sweep the leave latency and measure shared-link redundancy."""
+    latencies = tuple(spec.latencies)
     if any(latency < 0 for latency in latencies):
         raise ExperimentError("latencies must be non-negative")
     result = LeaveLatencyResult(
-        protocol=protocol_name,
-        latencies=tuple(latencies),
-        independent_loss_rate=independent_loss_rate,
-        shared_loss_rate=shared_loss_rate,
-        num_receivers=num_receivers,
+        protocol=spec.protocol,
+        latencies=latencies,
+        independent_loss_rate=spec.independent_loss_rate,
+        shared_loss_rate=spec.shared_loss_rate,
+        num_receivers=spec.num_receivers,
     )
-    seeds = spawn_run_entropy(base_seed, repetitions)
+    seeds = spawn_run_entropy(spec.base_seed, spec.repetitions)
     for latency in latencies:
         redundancies = []
         rates = []
-        for repetition in range(repetitions):
+        for repetition in range(spec.repetitions):
             simulator = LayeredSessionSimulator(
-                protocol=make_protocol(protocol_name),
-                num_receivers=num_receivers,
-                shared_loss=BernoulliLoss(shared_loss_rate) if shared_loss_rate > 0 else NoLoss(),
-                independent_loss=BernoulliLoss(independent_loss_rate)
-                if independent_loss_rate > 0
+                protocol=make_protocol(spec.protocol),
+                num_receivers=spec.num_receivers,
+                shared_loss=BernoulliLoss(spec.shared_loss_rate)
+                if spec.shared_loss_rate > 0
+                else NoLoss(),
+                independent_loss=BernoulliLoss(spec.independent_loss_rate)
+                if spec.independent_loss_rate > 0
                 else NoLoss(),
                 scheme=ExponentialLayerScheme(8),
-                duration_units=duration_units,
+                duration_units=spec.duration_units,
                 leave_latency=latency,
-                engine=engine,
+                engine=spec.engine,
             )
             run = simulator.run(seed=seeds[repetition])
             redundancies.append(run.redundancy)
@@ -143,22 +135,6 @@ def run_leave_latency(
         result.redundancy.append(mean(redundancies))
         result.mean_receiver_rate.append(mean(rates))
     return result
-
-
-def _run(spec: LeaveLatencySpec) -> LeaveLatencyResult:
-    """Run the leave-latency sweep described by ``spec``."""
-    spec = spec.resolved(_PRESETS)
-    return run_leave_latency(
-        latencies=tuple(spec.latencies),
-        protocol_name=spec.protocol,
-        independent_loss_rate=spec.independent_loss_rate,
-        shared_loss_rate=spec.shared_loss_rate,
-        num_receivers=spec.num_receivers,
-        duration_units=spec.duration_units,
-        repetitions=spec.repetitions,
-        base_seed=spec.base_seed,
-        engine=spec.engine,
-    )
 
 
 def _records(result: LeaveLatencyResult) -> List[Dict[str, object]]:
@@ -186,7 +162,7 @@ EXPERIMENT = register(
         key="leave_latency",
         title="Extension: leave latency",
         spec_cls=LeaveLatencySpec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

@@ -31,7 +31,6 @@ from .registry import Experiment, register
 __all__ = [
     "LossCorrelationSpec",
     "LossCorrelationResult",
-    "run_loss_correlation",
     "DEFAULT_CORRELATED_FRACTIONS",
 ]
 
@@ -53,21 +52,22 @@ class LossCorrelationSpec(ExperimentSpec):
     base_seed: int = 0
     protocols: Optional[Sequence[str]] = None
 
-
-_PRESETS = {
-    "reduced": {
-        "correlated_fractions": DEFAULT_CORRELATED_FRACTIONS,
-        "num_receivers": 40,
-        "duration_units": 1000,
-        "repetitions": 2,
-    },
-    "paper": {
-        "correlated_fractions": DEFAULT_CORRELATED_FRACTIONS,
-        "num_receivers": 100,
-        "duration_units": 2000,
-        "repetitions": 5,
-    },
-}
+    PRESETS = {
+        "reduced": {
+            "correlated_fractions": DEFAULT_CORRELATED_FRACTIONS,
+            "num_receivers": 40,
+            "duration_units": 1000,
+            "repetitions": 2,
+            "protocols": PROTOCOLS,
+        },
+        "paper": {
+            "correlated_fractions": DEFAULT_CORRELATED_FRACTIONS,
+            "num_receivers": 100,
+            "duration_units": 2000,
+            "repetitions": 5,
+            "protocols": PROTOCOLS,
+        },
+    }
 
 
 @dataclass
@@ -96,29 +96,22 @@ class LossCorrelationResult:
         return all(self.correlated_helps(protocol) for protocol in self.redundancy)
 
 
-def run_loss_correlation(
-    total_loss_rate: float = 0.05,
-    correlated_fractions: Sequence[float] = DEFAULT_CORRELATED_FRACTIONS,
-    num_receivers: int = 40,
-    duration_units: int = 1000,
-    repetitions: int = 2,
-    base_seed: int = 0,
-    protocols: Sequence[str] = PROTOCOLS,
-    engine: str = "bitpacked",
-) -> LossCorrelationResult:
+def body(spec: LossCorrelationSpec) -> LossCorrelationResult:
     """Sweep the correlated share of a fixed end-to-end loss budget."""
+    total_loss_rate = spec.total_loss_rate
     if not 0.0 < total_loss_rate < 1.0:
         raise ExperimentError(
             f"total_loss_rate must lie in (0, 1), got {total_loss_rate}"
         )
+    fractions = tuple(spec.correlated_fractions)
     result = LossCorrelationResult(
         total_loss_rate=total_loss_rate,
-        correlated_fractions=tuple(correlated_fractions),
-        num_receivers=num_receivers,
+        correlated_fractions=fractions,
+        num_receivers=spec.num_receivers,
     )
-    for protocol_name in protocols:
+    for protocol_name in spec.protocols:
         curve: List[float] = []
-        for fraction in correlated_fractions:
+        for fraction in fractions:
             if not 0.0 <= fraction <= 1.0:
                 raise ExperimentError(f"fractions must lie in [0, 1], got {fraction}")
             shared = fraction * total_loss_rate
@@ -126,36 +119,21 @@ def run_loss_correlation(
             # to the budget as the split varies.
             independent = 1.0 - (1.0 - total_loss_rate) / (1.0 - shared)
             config = uniform_star(
-                num_receivers=num_receivers,
+                num_receivers=spec.num_receivers,
                 shared_loss_rate=shared,
                 independent_loss_rate=max(independent, 0.0),
-                duration_units=duration_units,
+                duration_units=spec.duration_units,
             )
             measurement = star_redundancy(
                 make_protocol(protocol_name),
                 config,
-                repetitions=repetitions,
-                base_seed=base_seed,
-                engine=engine,
+                repetitions=spec.repetitions,
+                base_seed=spec.base_seed,
+                engine=spec.engine,
             )
             curve.append(measurement.mean_redundancy)
         result.redundancy[protocol_name] = curve
     return result
-
-
-def _run(spec: LossCorrelationSpec) -> LossCorrelationResult:
-    """Run the loss-correlation sweep described by ``spec``."""
-    spec = spec.resolved(_PRESETS)
-    return run_loss_correlation(
-        total_loss_rate=spec.total_loss_rate,
-        correlated_fractions=tuple(spec.correlated_fractions),
-        num_receivers=spec.num_receivers,
-        duration_units=spec.duration_units,
-        repetitions=spec.repetitions,
-        base_seed=spec.base_seed,
-        protocols=tuple(spec.protocols) if spec.protocols is not None else PROTOCOLS,
-        engine=spec.engine,
-    )
 
 
 def _records(result: LossCorrelationResult) -> List[Dict[str, object]]:
@@ -181,7 +159,7 @@ EXPERIMENT = register(
         key="loss_correlation",
         title="Ablation: loss correlation",
         spec_cls=LossCorrelationSpec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

@@ -35,7 +35,7 @@ from ..network.topologies import random_multicast_network
 from .api import ExperimentSpec, Verdict
 from .registry import Experiment, register
 
-__all__ = ["MixedSessionsSpec", "ConversionStep", "MixedSessionsResult", "run_mixed_sessions"]
+__all__ = ["MixedSessionsSpec", "ConversionStep", "MixedSessionsResult"]
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,18 @@ class MixedSessionsSpec(ExperimentSpec):
     num_sessions: Optional[int] = None
     max_receivers_per_session: Optional[int] = None
 
-
-_PRESETS = {
-    "reduced": {
-        "num_links": 12,
-        "num_sessions": 5,
-        "max_receivers_per_session": 4,
-    },
-    "paper": {
-        "num_links": 24,
-        "num_sessions": 10,
-        "max_receivers_per_session": 6,
-    },
-}
+    PRESETS = {
+        "reduced": {
+            "num_links": 12,
+            "num_sessions": 5,
+            "max_receivers_per_session": 4,
+        },
+        "paper": {
+            "num_links": 24,
+            "num_sessions": 10,
+            "max_receivers_per_session": 6,
+        },
+    }
 
 
 @dataclass
@@ -137,25 +136,20 @@ def _theorem2_checks(network: Network, allocation: Allocation) -> Tuple[bool, bo
     return receiver_side, session_side
 
 
-def run_mixed_sessions(
-    seed: int = 7,
-    num_links: int = 12,
-    num_sessions: int = 5,
-    max_receivers_per_session: int = 4,
-) -> MixedSessionsResult:
+def body(spec: MixedSessionsSpec) -> MixedSessionsResult:
     """Convert sessions one at a time from single-rate to multi-rate.
 
     The conversion order is session-id order; step ``k`` has the first ``k``
     sessions multi-rate and the rest single-rate.
     """
     base = random_multicast_network(
-        seed=seed,
-        num_links=num_links,
-        num_sessions=num_sessions,
-        max_receivers_per_session=max_receivers_per_session,
+        seed=spec.seed,
+        num_links=spec.num_links,
+        num_sessions=spec.num_sessions,
+        max_receivers_per_session=spec.max_receivers_per_session,
         multi_rate_fraction=0.0,
     )
-    result = MixedSessionsResult(seed=seed, num_sessions=base.num_sessions)
+    result = MixedSessionsResult(seed=spec.seed, num_sessions=base.num_sessions)
     for num_multi in range(base.num_sessions + 1):
         types = {
             session_id: (
@@ -177,17 +171,6 @@ def run_mixed_sessions(
             )
         )
     return result
-
-
-def _run(spec: MixedSessionsSpec) -> MixedSessionsResult:
-    """Run the conversion chain described by ``spec``."""
-    spec = spec.resolved(_PRESETS)
-    return run_mixed_sessions(
-        seed=spec.seed,
-        num_links=spec.num_links,
-        num_sessions=spec.num_sessions,
-        max_receivers_per_session=spec.max_receivers_per_session,
-    )
 
 
 def _records(result: MixedSessionsResult) -> List[Dict[str, object]]:
@@ -215,7 +198,7 @@ EXPERIMENT = register(
         key="mixed_sessions",
         title="Ablation: mixed session types (Lemma 3)",
         spec_cls=MixedSessionsSpec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

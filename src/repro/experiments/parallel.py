@@ -1,8 +1,8 @@
 """Deterministic seeding and worker counts for experiment sweeps.
 
 The figure-level experiments are embarrassingly parallel: every
-``(protocol, loss-rate)`` point of a Figure-8 panel, and every experiment of
-:func:`~repro.experiments.runner.run_all`, is an independent computation
+``(protocol, loss-rate)`` point of a Figure-8 panel, and every task of
+:func:`~repro.experiments.runner.run_specs`, is an independent computation
 with its own fixed seeds.  Process fan-out itself is
 :func:`repro.experiments.resilient.resilient_map` (order-preserving,
 fail-fast, with retries and worker-crash recovery; ``jobs=1`` runs
@@ -11,9 +11,7 @@ in-process).  This module holds what the sweeps share on top of it:
 * :func:`default_jobs` — a worker count that respects CPU affinity;
 * :func:`task_seeds` — the canonical per-task seed schedule: one spawned
   ``SeedSequence`` child per task (RNG scheme 4), shared by serial and
-  parallel paths so that the two produce identical results;
-* :func:`run_star_repetitions` — fan the repetitions of one modified-star
-  redundancy measurement across workers.
+  parallel paths so that the two produce identical results.
 
 Determinism.  Workers receive explicit seeds derived from the caller's
 ``base_seed``; no worker draws from an unseeded generator.  Because the
@@ -29,9 +27,8 @@ from typing import List
 
 from ..errors import SimulationError
 from ..simulator.rng import spawn_run_entropy
-from .resilient import resilient_map
 
-__all__ = ["default_jobs", "task_seeds", "run_star_repetitions"]
+__all__ = ["default_jobs", "task_seeds"]
 
 
 def default_jobs() -> int:
@@ -65,34 +62,3 @@ def task_seeds(base_seed: int, num_tasks: int) -> List[int]:
     if num_tasks < 1:
         raise SimulationError(f"num_tasks must be positive, got {num_tasks}")
     return spawn_run_entropy(base_seed, num_tasks)
-
-
-def _star_repetition(protocol_name: str, config, seed: int):
-    """Worker: one seeded run of a modified-star simulation."""
-    from ..protocols import make_protocol
-    from ..simulator.star import build_simulator
-
-    simulator = build_simulator(make_protocol(protocol_name), config)
-    return simulator.run(seed=seed)
-
-
-def run_star_repetitions(
-    protocol_name: str,
-    config,
-    repetitions: int,
-    base_seed: int = 0,
-    jobs: int = 1,
-):
-    """Replicate a star simulation across workers; returns results in seed order.
-
-    Equivalent to :func:`repro.simulator.metrics.replicate` over a freshly
-    built simulator per run, with the same :func:`task_seeds` schedule.
-    ``protocol_name`` (rather than a protocol instance) keeps the task
-    payload picklable and gives every worker a fresh protocol.
-    """
-    seeds = task_seeds(base_seed, repetitions)
-    return resilient_map(
-        _star_repetition,
-        [(protocol_name, config, seed) for seed in seeds],
-        jobs=jobs,
-    )

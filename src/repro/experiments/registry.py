@@ -4,10 +4,16 @@ Each experiment module registers a single :class:`Experiment` describing how
 to run it from a spec (:meth:`Experiment.run`), how its result is judged
 against the paper (:meth:`Experiment.verdict`), and how its data points
 serialise (the record rows inside :class:`~repro.experiments.api.ExperimentResult`).
-The runner, the parallel executor, and the ``python -m repro`` CLI all
-iterate this registry — workers are handed a plain ``(key, spec)`` pair and
-resolve the experiment here, so nothing but dataclasses ever crosses a
-process boundary.
+:meth:`Experiment.run` is the one entry point: it resolves the spec's scale
+presets and hands the resolved spec to the module's ``body``.  The runner,
+the serving daemon and the ``python -m repro`` CLI all iterate this
+registry — workers are handed a plain ``(key, spec)`` pair and resolve the
+experiment here, so nothing but dataclasses ever crosses a process
+boundary.
+
+Registration order is execution order: the package ``__init__`` imports
+the built-in experiment modules in it (paper figures first, then ablations
+and extensions), and modules added with :func:`register_module` follow.
 
 >>> from repro.experiments.registry import get_experiment
 >>> result = get_experiment("figure1").run()
@@ -20,7 +26,7 @@ from __future__ import annotations
 import importlib
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Type
 
 from ..errors import ExperimentError
 from .api import ExperimentResult, ExperimentSpec, Verdict
@@ -35,51 +41,6 @@ __all__ = [
     "select_experiments",
 ]
 
-#: Modules that register experiments, in canonical execution order.  Loaded
-#: lazily on first registry access so importing :mod:`repro.experiments.api`
-#: alone stays cheap and cycle-free.
-_EXPERIMENT_MODULES: Tuple[str, ...] = (
-    "repro.experiments.figure1",
-    "repro.experiments.figure2",
-    "repro.experiments.figure3",
-    "repro.experiments.figure4",
-    "repro.experiments.figure5",
-    "repro.experiments.figure6",
-    "repro.experiments.fixed_layers",
-    "repro.experiments.figure7",
-    "repro.experiments.figure8",
-    "repro.experiments.layer_ablation",
-    "repro.experiments.loss_correlation",
-    "repro.experiments.mixed_sessions",
-    "repro.experiments.active_nodes",
-    "repro.experiments.leave_latency",
-    "repro.experiments.burstiness",
-    "repro.experiments.scalefree_bottleneck",
-)
-
-#: Canonical execution order of the built-in experiment keys (paper figures
-#: first, then ablations and extensions).  Keys registered by third parties
-#: sort after these, in registration order.
-_CANONICAL_KEY_ORDER: Tuple[str, ...] = (
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "fixed_layers",
-    "figure7",
-    "figure8",
-    "figure8_panel",
-    "layer_ablation",
-    "loss_correlation",
-    "mixed_sessions",
-    "active_nodes",
-    "leave_latency",
-    "burstiness",
-    "scalefree_bottleneck",
-)
-
 _REGISTRY: Dict[str, "Experiment"] = {}
 
 #: Extra experiment modules registered at runtime (:func:`register_module`):
@@ -93,22 +54,22 @@ _EXTRA_MODULES: List[str] = []
 class Experiment:
     """One registered experiment: key, title, spec class, and behaviour.
 
-    ``runner`` produces the experiment's rich in-memory payload (the
-    module's result dataclass) from a spec; ``to_records`` flattens that
-    payload into JSON-safe record rows; ``judge`` checks the paper's
-    qualitative claim.  :meth:`run` composes the three into the uniform
+    ``body`` produces the experiment's rich in-memory payload (the module's
+    result dataclass) from a *resolved* spec (every preset field filled
+    in); ``to_records`` flattens that payload into JSON-safe record rows;
+    ``judge`` checks the paper's qualitative claim.  :meth:`run` composes
+    the three into the uniform
     :class:`~repro.experiments.api.ExperimentResult` envelope.
 
     ``default`` marks experiments included in the full-suite sweeps
-    (``run_all`` / ``python -m repro run all`` / ``verify``); non-default
-    entries (e.g. the single-panel ``figure8_panel``) remain invocable by
-    key.
+    (``python -m repro run all`` / ``verify``); non-default entries (e.g.
+    the single-panel ``figure8_panel``) remain invocable by key.
     """
 
     key: str
     title: str
     spec_cls: Type[ExperimentSpec]
-    runner: Callable[[ExperimentSpec], Any]
+    body: Callable[[ExperimentSpec], Any]
     to_records: Callable[[Any], Sequence[Mapping[str, Any]]]
     judge: Callable[[Any], Verdict]
     default: bool = True
@@ -121,9 +82,12 @@ class Experiment:
         """Execute the experiment and wrap the outcome in a typed envelope.
 
         Pass a prebuilt ``spec`` or spec-field ``overrides`` (not both).
-        The envelope carries the spec echo, the record rows, the verdict,
-        the simulator's RNG scheme version, and the wall time; the rich
-        payload object rides along in-memory as ``result.payload``.
+        The body receives the spec resolved against its scale presets
+        (:meth:`~repro.experiments.api.ExperimentSpec.resolved`); the
+        envelope echoes the spec as given, so preset fields stay ``None``.
+        The envelope also carries the record rows, the verdict, the
+        simulator's RNG scheme version, and the wall time; the rich payload
+        object rides along in-memory as ``result.payload``.
         """
         from ..simulator.engine import RNG_SCHEME_VERSION
 
@@ -137,7 +101,7 @@ class Experiment:
                 f"got {type(spec).__name__}"
             )
         start = time.perf_counter()
-        payload = self.runner(spec)
+        payload = self.body(spec.resolved())
         wall_time = time.perf_counter() - start
         return ExperimentResult(
             key=self.key,
@@ -183,7 +147,8 @@ def register_module(module_name: str) -> None:
 
     For experiments defined outside this package (extensions, the
     fault-injection test harness): the module is imported immediately —
-    so its :func:`register` calls run — and recorded so every later
+    so its :func:`register` calls run, after the built-ins, which the
+    package import has already registered — and recorded so every later
     :func:`_load` re-imports it.  This matters for multi-process sweeps:
     a worker resolves experiments by key from a *fresh* registry, so an
     experiment registered only by direct :func:`register` calls in the
@@ -196,9 +161,11 @@ def register_module(module_name: str) -> None:
 
 
 def _load() -> None:
-    """Import every experiment module so its ``register`` call has run."""
-    for module_name in _EXPERIMENT_MODULES:
-        importlib.import_module(module_name)
+    """Import every extra experiment module so its ``register`` call has run.
+
+    The built-in modules need no loading here: importing this module
+    imports the package, whose ``__init__`` imports them all.
+    """
     for module_name in list(_EXTRA_MODULES):
         importlib.import_module(module_name)
 
@@ -225,21 +192,12 @@ def experiment_keys(default_only: bool = True) -> List[str]:
 
 
 def all_experiments(default_only: bool = True) -> List[Experiment]:
-    """Registered experiments in execution order (see :func:`experiment_keys`)."""
+    """Registered experiments in registration order (see :func:`experiment_keys`)."""
     _load()
-    registered = list(_REGISTRY.values())
-    position = {key: index for index, key in enumerate(_CANONICAL_KEY_ORDER)}
-    ordered = sorted(
-        range(len(registered)),
-        key=lambda index: (
-            position.get(registered[index].key, len(_CANONICAL_KEY_ORDER)),
-            index,
-        ),
-    )
     return [
-        registered[index]
-        for index in ordered
-        if registered[index].default or not default_only
+        experiment
+        for experiment in _REGISTRY.values()
+        if experiment.default or not default_only
     ]
 
 
@@ -248,9 +206,8 @@ def select_experiments(keys: Optional[Sequence[str]] = None) -> List[Experiment]
 
     ``None`` (or an empty sequence) selects the default suite.  Named keys
     may include non-default entries like ``figure8_panel``; unknown keys
-    raise :class:`KeyError` listing the valid ones.  Shared by
-    :func:`repro.experiments.runner.run_all` and the ``python -m repro``
-    CLI so both validate and order selections identically.
+    raise :class:`KeyError` listing the valid ones.  The ``python -m repro``
+    CLI validates and orders its selections through it.
     """
     if not keys:
         return all_experiments()

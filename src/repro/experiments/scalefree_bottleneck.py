@@ -47,7 +47,6 @@ __all__ = [
     "ScaleFreeBottleneckSpec",
     "ScaleFreeBottleneckResult",
     "TopologyOutcome",
-    "run_scalefree_bottleneck",
 ]
 
 #: Topology descriptors with no betweenness signal (symmetric/regular
@@ -80,21 +79,20 @@ class ScaleFreeBottleneckSpec(ExperimentSpec):
     betweenness_pivots: Optional[int] = None
     top_bottlenecks: int = 5
 
-
-_PRESETS = {
-    "reduced": {
-        "topologies": ("ba", "abilene", "triangle"),
-        "num_nodes": 60,
-        "num_sessions": 8,
-        "receivers_per_session": 3,
-    },
-    "paper": {
-        "topologies": ("ba", "waxman", "fat-tree", "abilene", "triangle"),
-        "num_nodes": 1000,
-        "num_sessions": 100,
-        "receivers_per_session": 8,
-    },
-}
+    PRESETS = {
+        "reduced": {
+            "topologies": ("ba", "abilene", "triangle"),
+            "num_nodes": 60,
+            "num_sessions": 8,
+            "receivers_per_session": 3,
+        },
+        "paper": {
+            "topologies": ("ba", "waxman", "fat-tree", "abilene", "triangle"),
+            "num_nodes": 1000,
+            "num_sessions": 100,
+            "receivers_per_session": 8,
+        },
+    }
 
 
 @dataclass
@@ -273,8 +271,7 @@ def _measure_topology(
     )
 
 
-def _run(spec: ScaleFreeBottleneckSpec) -> ScaleFreeBottleneckResult:
-    spec = spec.resolved(_PRESETS)
+def body(spec: ScaleFreeBottleneckSpec) -> ScaleFreeBottleneckResult:
     topologies = tuple(spec.topologies)
     if not topologies:
         raise ExperimentError("scalefree_bottleneck needs at least one topology")
@@ -284,11 +281,6 @@ def _run(spec: ScaleFreeBottleneckSpec) -> ScaleFreeBottleneckResult:
         for descriptor, topology_seed in zip(topologies, seeds)
     ]
     return ScaleFreeBottleneckResult(outcomes=outcomes)
-
-
-def run_scalefree_bottleneck(**overrides: object) -> ScaleFreeBottleneckResult:
-    """Convenience wrapper over :class:`ScaleFreeBottleneckSpec`."""
-    return _run(ScaleFreeBottleneckSpec(**overrides))  # type: ignore[arg-type]
 
 
 def _records(result: ScaleFreeBottleneckResult) -> List[Dict[str, object]]:
@@ -360,7 +352,7 @@ EXPERIMENT = register(
         key="scalefree_bottleneck",
         title="Scale-free bottlenecks (topology subsystem)",
         spec_cls=ScaleFreeBottleneckSpec,
-        runner=_run,
+        body=body,
         to_records=_records,
         judge=_verdict,
     )

@@ -16,9 +16,9 @@ layers reduce redundancy (the Appendix E observation).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence
 
+from ..core.redundancy import random_join_link_rate
 from ..errors import LayeringError
 from .layers import LayerScheme
 
@@ -41,25 +41,16 @@ def expected_link_rate(rates: Sequence[float], transmission_rate: float) -> floa
     """The Appendix B expectation ``lambda * (1 - prod_t (1 - a_t / lambda))``.
 
     ``rates`` are the downstream receivers' (average) receiving rates
-    ``a_t``; each must lie in ``[0, lambda]``.
+    ``a_t``.  Evaluates the water-filling link-rate function
+    :func:`repro.core.redundancy.random_join_link_rate`, so both share one
+    formula and one policy: rates are clamped to ``[0, lambda]``, since a
+    receiver cannot take more than the layer offers.
     """
     if transmission_rate <= 0:
         raise LayeringError(
             f"transmission rate must be positive, got {transmission_rate}"
         )
-    # log1p/expm1 keep the expectation accurate even for rates tiny enough
-    # that ``1 - a/lambda`` would round to exactly 1 in floating point.
-    log_miss = 0.0
-    for rate in rates:
-        if rate < -1e-12 or rate > transmission_rate + 1e-9:
-            raise LayeringError(
-                f"receiver rate {rate} outside [0, {transmission_rate}]"
-            )
-        fraction = min(max(rate, 0.0), transmission_rate) / transmission_rate
-        if fraction >= 1.0:
-            return transmission_rate
-        log_miss += math.log1p(-fraction)
-    return transmission_rate * (-math.expm1(log_miss))
+    return random_join_link_rate(transmission_rate)(rates)
 
 
 def single_layer_redundancy(rates: Sequence[float], transmission_rate: float) -> float:

@@ -94,7 +94,6 @@ class ScalarIncidenceView:
     receiver_links: List[List[int]]
     link_pairs: List[List[int]]
     capacities: List[float]
-    session_max_rate: List[float]
     session_single_rate: List[bool]
     receiver_session: List[int]
     session_receivers: List[List[int]]
@@ -247,7 +246,6 @@ class NetworkIncidence:
         self.session_single_rate = np.array(
             [session.is_single_rate for session in network.sessions], dtype=bool
         )
-        self.any_finite_rho = bool(np.isfinite(self.session_max_rate).any())
         self.session_receiver_count = np.bincount(
             self.receiver_session, minlength=len(self.session_max_rate)
         ).astype(np.int64)
@@ -310,7 +308,6 @@ class NetworkIncidence:
                 receiver_links=receiver_links,
                 link_pairs=link_pairs,
                 capacities=self.capacities.tolist(),
-                session_max_rate=self.session_max_rate.tolist(),
                 session_single_rate=self.session_single_rate.tolist(),
                 receiver_session=self.receiver_session.tolist(),
                 session_receivers=session_receivers,

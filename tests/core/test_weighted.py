@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -196,3 +197,32 @@ class TestWeightedSamePathProperty:
     def test_unweighted_reduces_to_property2(self, figure1):
         allocation = max_min_fair_allocation(figure1)
         assert weighted_same_path_receiver_fairness(allocation, unit_weights(figure1)).holds
+
+
+def test_random_join_layer_rates_below_capacity_never_stall():
+    """Weighted receivers cap at their layer rate (rho / w on the level).
+
+    Above its layer rate a random-join link-rate function is flat, so
+    without the cap the water-fill stalled on 18 of these 60 trees.
+    """
+    for seed in range(60):
+        base = random_multicast_network(
+            seed, num_links=60, num_sessions=15, max_receivers_per_session=6
+        )
+        rng = random.Random(seed)
+        network = Network(
+            base.graph,
+            base.sessions,
+            link_rate_functions={
+                session.session_id: random_join_link_rate(rng.uniform(4.0, 12.0))
+                for session in base.sessions
+            },
+        )
+        weights = {}
+        for session in network.sessions:
+            shared = rng.uniform(0.5, 2.0)
+            for rid in session.receiver_ids:
+                weights[rid] = shared if session.is_single_rate else rng.uniform(0.5, 2.0)
+        allocation = weighted_max_min_fair_allocation(network, weights)
+        assert is_feasible(allocation)
+        assert weighted_same_path_receiver_fairness(allocation, weights).holds

@@ -183,7 +183,7 @@ register(
         key="fault_probe",
         title="Fault-injection probe (test harness)",
         spec_cls=FaultProbeSpec,
-        runner=_run_probe,
+        body=_run_probe,
         to_records=lambda inner_result: inner_result.records,
         judge=lambda inner_result: inner_result.verdict,
         default=False,

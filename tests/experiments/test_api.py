@@ -3,27 +3,21 @@
 Every registered experiment must produce an
 :class:`~repro.experiments.api.ExperimentResult` that survives a lossless
 JSON round-trip (``from_dict(to_dict()) == result``), echo its spec and the
-RNG scheme version, and agree with the historical ``run_*`` wrappers.  The
-simulation-heavy experiments run at reduced scale with small grid overrides
-so the whole module stays fast.
+RNG scheme version, and carry the result dataclass its registered ``body``
+declares as payload.  The simulation-heavy experiments run at reduced scale
+with small grid overrides so the whole module stays fast.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import (
-    get_experiment,
-    experiment_keys,
-    run_figure4,
-    run_figure6,
-    run_figure7,
-    run_mixed_sessions,
-)
+from repro.experiments import get_experiment, experiment_keys
 from repro.experiments.api import (
     RESULT_SCHEMA_VERSION,
     ExperimentResult,
@@ -190,37 +184,10 @@ class TestEnvelope:
         assert experiment.verdict(rebuilt) == result.verdict
 
 
-class TestWrapperEquivalence:
-    """The historical run_* wrappers return the same results as the registry."""
-
-    def test_figure4(self, results):
-        wrapper = run_figure4()
-        assert type(results["figure4"].payload) is type(wrapper)
-        assert wrapper.matches_paper
-        assert results["figure4"].records == tuple(
-            get_experiment("figure4").to_records(wrapper)
-        )
-
-    def test_figure6(self, results):
-        wrapper = run_figure6()
-        assert results["figure6"].records == tuple(
-            get_experiment("figure6").to_records(wrapper)
-        )
-
-    def test_figure7(self, results):
-        wrapper = run_figure7()
-        assert results["figure7"].records == tuple(
-            get_experiment("figure7").to_records(wrapper)
-        )
-
-    def test_mixed_sessions(self, results):
-        wrapper = run_mixed_sessions()
-        assert results["mixed_sessions"].records == tuple(
-            get_experiment("mixed_sessions").to_records(wrapper)
-        )
-
-    def test_all_payload_types_match_wrapper_return_annotations(self, results):
-        # Every payload is the module's documented result dataclass.
+class TestPayloadTypes:
+    def test_payload_is_the_body_return_annotation(self, results):
+        # Every payload is the module's documented result dataclass, which
+        # the registered body declares as its return type.
         import repro.experiments as experiments
 
         expected = {
@@ -243,7 +210,8 @@ class TestWrapperEquivalence:
             "scalefree_bottleneck": experiments.ScaleFreeBottleneckResult,
         }
         for key, result in results.items():
-            assert type(result.payload) is expected[key], key
+            declared = typing.get_type_hints(get_experiment(key).body)["return"]
+            assert type(result.payload) is declared is expected[key], key
 
 
 class TestDeterminism:
@@ -270,6 +238,13 @@ class TestSpecEcho:
         spec_echo = results["figure8"].to_dict()["spec"]
         assert spec_echo["num_receivers"] == 8
         assert spec_echo["independent_loss_rates"] == [0.02, 0.08]
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_presets_are_not_spec_fields(self, key):
+        # A class variable: never echoed, never part of a store address.
+        spec_cls = get_experiment(key).spec_cls
+        assert "PRESETS" not in {spec_field.name for spec_field in dataclasses.fields(spec_cls)}
+        assert "PRESETS" not in spec_cls().to_dict()
 
     def test_preset_fields_stay_none_in_echo(self):
         result = get_experiment("layer_ablation").run()

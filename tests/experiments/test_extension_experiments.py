@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import (
-    gilbert_for_average_loss,
-    run_active_nodes,
-    run_burstiness,
-    run_leave_latency,
-)
+from repro.experiments import gilbert_for_average_loss
 from repro.experiments.registry import get_experiment
 from repro.simulator import BernoulliLoss, GilbertElliottLoss
 
@@ -18,12 +13,12 @@ from repro.simulator import BernoulliLoss, GilbertElliottLoss
 class TestActiveNodeExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_active_nodes(
+        return get_experiment("active_nodes").run(
             independent_loss_rates=(0.02, 0.08),
             num_receivers=20,
             duration_units=400,
             repetitions=2,
-        )
+        ).payload
 
     def test_redundancy_of_one_is_feasible(self, result):
         assert result.active_node_redundancy_near_one
@@ -43,12 +38,12 @@ class TestActiveNodeExperiment:
 class TestLeaveLatencyExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_leave_latency(
+        return get_experiment("leave_latency").run(
             latencies=(0.0, 2.0, 4.0),
             num_receivers=20,
             duration_units=400,
             repetitions=2,
-        )
+        ).payload
 
     def test_redundancy_increases(self, result):
         assert result.redundancy_increases_with_latency
@@ -63,7 +58,9 @@ class TestLeaveLatencyExperiment:
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            run_leave_latency(latencies=(-1.0,), repetitions=1, duration_units=100)
+            get_experiment("leave_latency").run(
+                latencies=(-1.0,), repetitions=1, duration_units=100
+            )
 
 
 class TestBurstinessExperiment:
@@ -82,12 +79,12 @@ class TestBurstinessExperiment:
             gilbert_for_average_loss(0.99, 2.0)
 
     def test_ordering_preserved_under_burstiness(self):
-        result = run_burstiness(
+        result = get_experiment("burstiness").run(
             burst_lengths=(1.0, 4.0),
             num_receivers=20,
             duration_units=400,
             repetitions=2,
-        )
+        ).payload
         assert result.ordering_preserved
         assert "burst length" in result.table()
         assert result.max_shift_from_bernoulli("coordinated") < 1.5
@@ -107,4 +104,6 @@ class TestBurstinessExperiment:
         with pytest.raises(ExperimentError, match="protocols"):
             get_experiment("burstiness").make_spec(protocols=("deterministic", "bogus"))
         with pytest.raises(ExperimentError, match="protocols"):
-            run_burstiness(protocols=("bogus",), repetitions=1, duration_units=100)
+            get_experiment("burstiness").run(
+                protocols=("bogus",), repetitions=1, duration_units=100
+            )

@@ -9,21 +9,15 @@ here.
 from __future__ import annotations
 
 import os
-import re
 import time
 
 import pytest
 
 from repro.errors import ExecutionError, SimulationError
-from repro.experiments import run_figure8_panel
-from repro.experiments.parallel import (
-    default_jobs,
-    run_star_repetitions,
-    task_seeds,
-)
+from repro.experiments import run_specs
+from repro.experiments.parallel import default_jobs, task_seeds
+from repro.experiments.registry import experiment_keys, get_experiment, select_experiments
 from repro.experiments.resilient import resilient_map
-from repro.experiments.runner import EXPERIMENT_KEYS, run_all
-from repro.simulator import uniform_star
 
 
 def _square(value):
@@ -99,42 +93,26 @@ class TestTaskSeeds:
             task_seeds(0, 0)
 
 
-class TestStarRepetitions:
-    def test_parallel_repetitions_match_serial(self):
-        config = uniform_star(5, 0.001, 0.05, duration_units=80)
-        serial = run_star_repetitions("deterministic", config, 3, base_seed=2, jobs=1)
-        parallel = run_star_repetitions("deterministic", config, 3, base_seed=2, jobs=2)
-        assert [r.shared_link_packets for r in serial] == [
-            r.shared_link_packets for r in parallel
+class TestRunSpecsJobs:
+    def test_canonical_json_identical_for_jobs_1_and_2(self):
+        tasks = [
+            (experiment.key, experiment.make_spec())
+            for experiment in select_experiments(["figure1", "figure3", "figure7"])
         ]
-        for first, second in zip(serial, parallel):
-            assert (first.receiver_packets == second.receiver_packets).all()
-
-
-#: Verdicts end with a per-experiment timing suffix " (1.2s)" — the only
-#: jobs-dependent part of the output, stripped before comparing.
-_TIMING_SUFFIX = re.compile(r" \(\d+\.\d+s\)$")
-
-
-class TestRunAllJobs:
-    def test_verdicts_identical_for_jobs_1_and_2(self):
-        subset = ["figure1", "figure3", "figure7"]
-        serial = run_all(only=subset, jobs=1)
-        parallel = run_all(only=subset, jobs=2)
-        assert [(name, _TIMING_SUFFIX.sub("", verdict)) for name, _, verdict in serial] == [
-            (name, _TIMING_SUFFIX.sub("", verdict)) for name, _, verdict in parallel
+        serial = run_specs(tasks, jobs=1)
+        parallel = run_specs(tasks, jobs=2)
+        assert [result.key for result in serial] == ["figure1", "figure3", "figure7"]
+        assert [result.canonical_json() for result in serial] == [
+            result.canonical_json() for result in parallel
         ]
-        for _name, _result, verdict in serial:
-            assert _TIMING_SUFFIX.search(verdict), f"missing timing suffix: {verdict!r}"
-        assert len(serial) == len(subset)
 
-    def test_only_rejects_unknown_keys(self):
-        with pytest.raises(KeyError):
-            run_all(only=["figure1", "nonsense"])
+    def test_selection_rejects_unknown_keys(self):
+        with pytest.raises(KeyError, match="nonsense"):
+            select_experiments(["figure1", "nonsense"])
 
-    def test_registry_keys_exposed(self):
-        assert "figure8" in EXPERIMENT_KEYS
-        assert len(EXPERIMENT_KEYS) == 16
+    def test_default_suite_keys(self):
+        assert "figure8" in experiment_keys()
+        assert len(experiment_keys()) == 16
 
 
 class TestFigure8Jobs:
@@ -146,8 +124,9 @@ class TestFigure8Jobs:
             duration_units=80,
             repetitions=2,
         )
-        serial = run_figure8_panel(**kwargs, jobs=1)
-        parallel = run_figure8_panel(**kwargs, jobs=2)
+        experiment = get_experiment("figure8_panel")
+        serial = experiment.run(**kwargs, jobs=1).payload
+        parallel = experiment.run(**kwargs, jobs=2).payload
         assert [(p.protocol, p.independent_loss_rate, p.redundancy) for p in serial.points] == [
             (p.protocol, p.independent_loss_rate, p.redundancy) for p in parallel.points
         ]

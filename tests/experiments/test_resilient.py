@@ -18,9 +18,9 @@ import pytest
 
 import faults
 from repro.errors import ExecutionError, SimulationError, TaskTimeoutError
+from repro.experiments import run_specs
 from repro.experiments.registry import get_experiment
 from repro.experiments.resilient import ResilientPool, resilient_map
-from repro.experiments.runner import run_specs
 from repro.experiments.store import ResultStore
 
 #: Fast wall-clock budget for hang tests: real tasks here finish in

@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import run_figure8_panel, run_loss_correlation
+from repro.experiments import get_experiment
 from repro.experiments.figure8 import Figure8Panel
 
 
 @pytest.fixture(scope="module")
 def small_panel() -> Figure8Panel:
-    return run_figure8_panel(
+    return get_experiment("figure8_panel").run(
         shared_loss_rate=0.0001,
         independent_loss_rates=(0.01, 0.08),
         num_receivers=25,
         duration_units=500,
         repetitions=2,
         base_seed=0,
-    )
+    ).payload
 
 
 class TestFigure8Panel:
@@ -56,13 +56,13 @@ class TestFigure8Panel:
 
 class TestLossCorrelation:
     def test_correlated_loss_lowers_redundancy(self):
-        result = run_loss_correlation(
+        result = get_experiment("loss_correlation").run(
             total_loss_rate=0.05,
             correlated_fractions=(0.0, 1.0),
             num_receivers=20,
             duration_units=400,
             repetitions=2,
-        )
+        ).payload
         assert result.all_protocols_benefit_from_correlation
         assert "fraction of loss" in result.table()
 
@@ -70,6 +70,8 @@ class TestLossCorrelation:
         from repro.errors import ExperimentError
 
         with pytest.raises(ExperimentError):
-            run_loss_correlation(total_loss_rate=0.0)
+            get_experiment("loss_correlation").run(total_loss_rate=0.0)
         with pytest.raises(ExperimentError):
-            run_loss_correlation(correlated_fractions=(2.0,), repetitions=1, duration_units=100)
+            get_experiment("loss_correlation").run(
+                correlated_fractions=(2.0,), repetitions=1, duration_units=100
+            )

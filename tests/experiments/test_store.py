@@ -17,9 +17,9 @@ import pytest
 
 import faults
 from repro.errors import ResultStoreError
+from repro.experiments import run_specs
 from repro.experiments.api import ExperimentResult
 from repro.experiments.registry import get_experiment, register_module
-from repro.experiments.runner import run_specs
 from repro.experiments.store import STORE_VERSION, ResultStore, StoreStats, cache_key
 from repro.simulator.engine import RNG_SCHEME_VERSION
 

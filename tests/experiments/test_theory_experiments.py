@@ -4,41 +4,35 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import (
-    run_figure1,
-    run_figure2,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_fixed_layers,
-    run_layer_ablation,
-    run_mixed_sessions,
-)
+from repro.experiments import get_experiment
+
+
+def payload(key: str, **fields):
+    """The rich result object of one run of a registered experiment."""
+    return get_experiment(key).run(**fields).payload
 
 
 class TestFigure1:
     def test_matches_paper(self):
-        result = run_figure1()
+        result = payload("figure1")
         assert result.matches_paper
         assert all(result.properties.values())
         assert result.session_link_rates["l3"] == (0.0, 2.0, 2.0)
         assert result.session_link_rates["l4"] == (1.0, 1.0, 1.0)
 
     def test_table_renders(self):
-        table = run_figure1().table()
+        table = payload("figure1").table()
         assert "r2,2" in table and "fairness property" in table
 
 
 class TestFigure2:
     def test_matches_paper(self):
-        result = run_figure2()
+        result = payload("figure2")
         assert result.single_rate_matches_paper
         assert result.multi_rate_is_more_max_min_fair
 
     def test_property_flip(self):
-        result = run_figure2()
+        result = payload("figure2")
         assert not result.single_rate_properties["same-path-receiver-fairness"]
         assert not result.single_rate_properties["fully-utilized-receiver-fairness"]
         assert not result.single_rate_properties["per-receiver-link-fairness"]
@@ -46,51 +40,52 @@ class TestFigure2:
         assert all(result.multi_rate_properties.values())
 
     def test_table_renders(self):
-        assert "single-rate S1" in run_figure2().table()
+        assert "single-rate S1" in payload("figure2").table()
 
 
 class TestFigure3:
     def test_both_directions(self):
-        result = run_figure3()
+        result = payload("figure3")
         assert result.example_a.matches_paper
         assert result.example_b.matches_paper
         assert result.demonstrates_both_directions
 
     def test_rate_changes(self):
-        result = run_figure3()
+        result = payload("figure3")
         assert result.example_a.rate_change((2, 0)) == pytest.approx(-2.0)
         assert result.example_a.rate_change((0, 0)) == pytest.approx(2.0)
         assert result.example_b.rate_change((2, 0)) == pytest.approx(2.0)
         assert result.example_b.rate_change((0, 0)) == pytest.approx(-2.0)
 
     def test_table_renders(self):
-        assert "Figure 3(a)" in run_figure3().table()
+        assert "Figure 3(a)" in payload("figure3").table()
 
 
 class TestFigure4:
     def test_matches_paper(self):
-        result = run_figure4()
+        result = payload("figure4")
         assert result.matches_paper
         assert result.shared_link_redundancy == pytest.approx(2.0)
 
     def test_higher_redundancy_lowers_rates_further(self):
-        mild = run_figure4(redundancy=1.5)
-        severe = run_figure4(redundancy=3.0)
+        mild = payload("figure4", redundancy=1.5)
+        severe = payload("figure4", redundancy=3.0)
         assert severe.allocation.min_rate() < mild.allocation.min_rate()
 
     def test_table_renders(self):
-        assert "shared link" in run_figure4().table()
+        assert "shared link" in payload("figure4").table()
 
 
 class TestFigure5:
     def test_bounds_and_monotonicity(self):
-        result = run_figure5()
+        result = payload("figure5")
         assert result.respects_upper_bounds
         for values in result.curves.values():
             assert values == sorted(values)
 
     def test_simulation_cross_check(self):
-        result = run_figure5(
+        result = payload(
+            "figure5",
             receiver_counts=(1, 5, 20),
             simulate=True,
             packets_per_quantum=50,
@@ -103,58 +98,58 @@ class TestFigure5:
                 assert measured == pytest.approx(analytic, rel=0.15)
 
     def test_table_renders(self):
-        assert "receivers" in run_figure5().table()
+        assert "receivers" in payload("figure5").table()
 
 
 class TestFigure6:
     def test_formula_matches_water_filling(self):
-        result = run_figure6()
+        result = payload("figure6")
         assert result.cross_check_max_error < 1e-9
 
     def test_curves_decrease_in_redundancy(self):
-        result = run_figure6()
+        result = payload("figure6")
         for values in result.curves.values():
             assert values == sorted(values, reverse=True)
 
     def test_full_population_curve_is_inverse(self):
-        result = run_figure6()
+        result = payload("figure6")
         for redundancy, value in zip(result.redundancies, result.curves[1.0]):
             assert value == pytest.approx(1.0 / redundancy)
 
     def test_table_renders(self):
-        assert "m/n=0.05" in run_figure6().table()
+        assert "m/n=0.05" in payload("figure6").table()
 
 
 class TestFixedLayers:
     def test_paper_example(self):
-        result = run_fixed_layers()
+        result = payload("fixed_layers")
         assert result.matches_paper_set
         assert result.no_max_min_fair_exists
         assert result.unconstrained_fair_rates == pytest.approx((0.5, 0.5))
 
     def test_table_renders(self):
-        assert "no max-min fair allocation" in run_fixed_layers().table()
+        assert "no max-min fair allocation" in payload("fixed_layers").table()
 
 
 class TestFigure7:
     def test_equal_loss_is_worst_for_every_protocol(self):
-        result = run_figure7()
+        result = payload("figure7")
         assert result.equal_loss_is_worst
 
     def test_coordinated_never_higher_than_uncoordinated(self):
-        result = run_figure7()
+        result = payload("figure7")
         for coordinated, uncoordinated in zip(
             result.redundancy["coordinated"], result.redundancy["uncoordinated"]
         ):
             assert coordinated <= uncoordinated + 1e-9
 
     def test_table_renders(self):
-        assert "loss split" in run_figure7().table()
+        assert "loss split" in payload("figure7").table()
 
 
 class TestAblations:
     def test_layer_ablation_claims(self):
-        result = run_layer_ablation()
+        result = payload("layer_ablation")
         assert result.never_worse_than_single_layer
         assert result.monotone_in_layers
         assert "layers" in result.table()
@@ -163,10 +158,10 @@ class TestAblations:
         from repro.errors import ExperimentError
 
         with pytest.raises(ExperimentError):
-            run_layer_ablation(layer_counts=(2, 4))
+            get_experiment("layer_ablation").run(layer_counts=(2, 4))
 
     def test_mixed_sessions_lemma3(self):
-        result = run_mixed_sessions(seed=3)
+        result = payload("mixed_sessions", seed=3)
         assert result.ordering_is_monotone
         assert result.theorem2_holds_throughout
         assert len(result.steps) == result.num_sessions + 1
@@ -174,5 +169,5 @@ class TestAblations:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mixed_sessions_other_seeds(self, seed):
-        result = run_mixed_sessions(seed=seed)
+        result = payload("mixed_sessions", seed=seed)
         assert result.ordering_is_monotone

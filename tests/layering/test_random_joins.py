@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import random_join_link_rate
 from repro.errors import LayeringError
 from repro.layering import (
     FIGURE5_CONFIGURATIONS,
@@ -44,8 +45,18 @@ class TestExpectedLinkRate:
     def test_validation(self):
         with pytest.raises(LayeringError):
             expected_link_rate([0.5], 0.0)
-        with pytest.raises(LayeringError):
-            expected_link_rate([2.0], 1.0)
+
+    def test_clamps_rates_to_layer_rate(self):
+        # One policy with random_join_link_rate: a receiver cannot take
+        # more than the layer offers, so rates above lambda count as lambda.
+        assert expected_link_rate([2.0], 1.0) == 1.0
+        assert expected_link_rate([2.0, 0.5], 1.0) == 1.0
+        assert expected_link_rate([-0.5, 0.3], 1.0) == pytest.approx(0.3)
+
+    def test_same_formula_as_the_water_filling_function(self):
+        function = random_join_link_rate(2.5)
+        for rates in ([0.5], [0.1, 1.2, 2.4], [3.0, 0.2], []):
+            assert expected_link_rate(rates, 2.5) == function(rates)
 
     @given(bounded_rates)
     @settings(max_examples=80, deadline=None)

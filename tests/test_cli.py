@@ -4,9 +4,8 @@ Covers the documented surface: ``list`` (text and JSON), ``run`` with the
 typed JSON result envelope (spec echo, RNG scheme version, lossless
 ``from_dict`` round-trip), ``--out`` files, ``--set`` spec overrides,
 ``verify`` exit codes, the fault-tolerance flags (``--cache``,
-``--resume``, ``--retries``), error hygiene (clean one-line messages,
-exit code 2, SIGINT → 130 with the checkpoint preserved), and the legacy
-flag-style ``repro.experiments.runner`` entry point.
+``--resume``, ``--retries``), and error hygiene (clean one-line messages,
+exit code 2, SIGINT → 130 with the checkpoint preserved).
 """
 
 from __future__ import annotations
@@ -20,9 +19,18 @@ import time
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.api import ExperimentResult
-from repro.experiments.runner import EXPERIMENT_KEYS, main as legacy_main
 from repro.__main__ import main
+
+#: ``repro list`` order: the paper figures, then ablations and extensions,
+#: then modules registered at runtime.
+LIST_ORDER = [
+    "figure1", "figure2", "figure3", "figure4", "figure5", "figure6",
+    "fixed_layers", "figure7", "figure8", "figure8_panel", "layer_ablation",
+    "loss_correlation", "mixed_sessions", "active_nodes", "leave_latency",
+    "burstiness", "scalefree_bottleneck",
+]
 
 #: Fast figure8 overrides for subprocess runs (reduced scale, tiny grids).
 FIGURE8_SET_FLAGS = [
@@ -33,17 +41,21 @@ FIGURE8_SET_FLAGS = [
 ]
 
 
-def _run_cli(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str) -> subprocess.CompletedProcess:
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    return _run_python("-m", "repro", *args)
 
 
 class TestHelp:
@@ -81,6 +93,24 @@ class TestList:
         by_key = {entry["key"]: entry for entry in listing}
         assert by_key["figure8_panel"]["default"] is False
         assert "scale" in by_key["figure8"]["spec_fields"]
+        assert [entry["key"] for entry in listing] == LIST_ORDER
+
+    def test_list_order_with_an_extra_module_registered(self):
+        # The extra module is imported before the CLI touches the registry;
+        # the built-ins still come first, in order, and the extra follows.
+        harness = os.path.join(os.path.dirname(os.path.abspath(__file__)), "experiments")
+        completed = _run_python(
+            "-c",
+            "import sys; "
+            f"sys.path.insert(0, {harness!r}); "
+            "from repro.experiments.registry import register_module; "
+            "register_module('faults'); "
+            "from repro.__main__ import main; "
+            "sys.exit(main(['list', '--format', 'json']))",
+        )
+        assert completed.returncode == 0, completed.stderr
+        listing = json.loads(completed.stdout)
+        assert [entry["key"] for entry in listing] == LIST_ORDER + ["fault_probe"]
 
 
 class TestRun:
@@ -119,7 +149,7 @@ class TestRun:
 
     def test_run_rejects_unknown_key(self):
         completed = _run_cli("run", "not-an-experiment")
-        assert completed.returncode != 0
+        assert completed.returncode == 2
         assert "unknown experiment" in completed.stderr
 
     def test_run_rejects_unknown_spec_field(self):
@@ -129,7 +159,8 @@ class TestRun:
 
     def test_run_rejects_unknown_engine(self):
         completed = _run_cli("run", "figure1", "--engine", "warp-drive")
-        assert completed.returncode != 0
+        assert completed.returncode == 2
+        assert "warp-drive" in completed.stderr
 
     def test_run_rejects_unknown_burstiness_protocol(self, capsys):
         assert main(["run", "burstiness", "--set", 'protocols=["bogus"]']) == 2
@@ -268,7 +299,7 @@ class TestVerify:
             key="figure1",
             title=experiment.title,
             spec_cls=experiment.spec_cls,
-            runner=experiment.runner,
+            body=experiment.body,
             to_records=experiment.to_records,
             judge=lambda payload: Verdict(False, "forced mismatch"),
         )
@@ -336,27 +367,23 @@ class TestShards:
     KEYS = ["figure1", "figure2", "figure4"]
 
     def test_shard_tasks_partitions_deterministically(self):
-        from repro.experiments.runner import shard_tasks
-
         tasks = list("abcdefg")
-        halves = [shard_tasks(tasks, 2, index) for index in range(2)]
+        halves = [runner.shard_tasks(tasks, 2, index) for index in range(2)]
         assert halves == [["a", "c", "e", "g"], ["b", "d", "f"]]
         # Every task lands in exactly one shard, and re-sharding is stable.
         rebuilt = sorted(halves[0] + halves[1])
         assert rebuilt == sorted(tasks)
-        assert shard_tasks(tasks, 2, 0) == halves[0]
-        assert shard_tasks(tasks, 1, 0) == tasks
+        assert runner.shard_tasks(tasks, 2, 0) == halves[0]
+        assert runner.shard_tasks(tasks, 1, 0) == tasks
 
     def test_shard_tasks_validates_arguments(self):
         from repro.errors import ExperimentError
-        from repro.experiments.runner import shard_tasks
-
         with pytest.raises(ExperimentError):
-            shard_tasks([1, 2], 0, 0)
+            runner.shard_tasks([1, 2], 0, 0)
         with pytest.raises(ExperimentError):
-            shard_tasks([1, 2], 2, 2)
+            runner.shard_tasks([1, 2], 2, 2)
         with pytest.raises(ExperimentError):
-            shard_tasks([1, 2], 2, -1)
+            runner.shard_tasks([1, 2], 2, -1)
 
     def test_invalid_shard_flags_exit_2(self, capsys):
         assert main(["run", "figure1", "--shards", "0"]) == 2
@@ -534,19 +561,3 @@ class TestTopo:
         warm_result = ExperimentResult.from_dict(warm)
         assert warm_result.canonical_json() == cold_result.canonical_json()
         assert cold_result.verdict.ok
-
-
-class TestLegacyRunner:
-    def test_legacy_main_runs_a_subset(self, capsys):
-        assert legacy_main(["--only", "figure1"]) == 0
-        out = capsys.readouterr().out
-        assert "matches paper" in out
-
-    def test_legacy_main_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit) as excinfo:
-            legacy_main(["--engine", "warp-drive"])
-        assert excinfo.value.code == 2
-
-    def test_experiment_keys_are_unique_and_nonempty(self):
-        assert len(EXPERIMENT_KEYS) == len(set(EXPERIMENT_KEYS))
-        assert "figure8" in EXPERIMENT_KEYS
