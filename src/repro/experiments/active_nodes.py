@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.tables import format_series
 from ..protocols import make_protocol
-from ..simulator.star import star_redundancy, uniform_star
-from .api import ExperimentSpec, Verdict
+from ..simulator.star import star_redundancy_group, uniform_star
+from .api import ExperimentSpec, Verdict, check_protocols
 from .registry import Experiment, register
 
 __all__ = [
@@ -31,7 +31,11 @@ DEFAULT_INDEPENDENT_LOSS_RATES = (0.01, 0.05, 0.1)
 
 @dataclass(frozen=True)
 class ActiveNodesSpec(ExperimentSpec):
-    """Spec for the active-node coordination extension experiment."""
+    """Spec for the active-node coordination extension experiment.
+
+    A ``protocols`` subset must include ``"active-node"``, the protocol the
+    verdict judges.
+    """
 
     independent_loss_rates: Optional[Sequence[float]] = None
     shared_loss_rate: float = 0.0001
@@ -57,6 +61,10 @@ class ActiveNodesSpec(ExperimentSpec):
             "protocols": PROTOCOLS,
         },
     }
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_protocols(self.protocols, required=("active-node",))
 
 
 @dataclass
@@ -88,43 +96,54 @@ class ActiveNodeResult:
 
     @property
     def active_node_is_lowest(self) -> bool:
-        return all(
+        """The active node's redundancy is at most every other simulated
+        protocol's; vacuously true when it ran alone."""
+        others = [curve for name, curve in self.redundancy.items() if name != "active-node"]
+        return not others or all(
             self.redundancy["active-node"][index]
-            <= min(self.redundancy[name][index] for name in PROTOCOLS if name != "active-node")
-            + 1e-9
+            <= min(curve[index] for curve in others) + 1e-9
             for index in range(len(self.independent_loss_rates))
         )
 
 
 def body(spec: ActiveNodesSpec) -> ActiveNodeResult:
-    """Measure redundancy for the receiver-driven protocols and the active node."""
+    """Measure redundancy for the receiver-driven protocols and the active node.
+
+    Every (protocol, loss rate) point goes to one
+    :func:`~repro.simulator.star.star_redundancy_group` call: each
+    receiver-driven protocol's points ride one stacked scan, and the
+    active node's group state runs each repetition solo.
+    """
     loss_rates = tuple(spec.independent_loss_rates)
+    configs = [
+        uniform_star(
+            num_receivers=spec.num_receivers,
+            shared_loss_rate=spec.shared_loss_rate,
+            independent_loss_rate=independent_loss,
+            duration_units=spec.duration_units,
+        )
+        for independent_loss in loss_rates
+    ]
+    measurements = iter(
+        star_redundancy_group(
+            [make_protocol(name) for name in spec.protocols for _ in configs],
+            [config for _ in spec.protocols for config in configs],
+            repetitions=spec.repetitions,
+            base_seed=spec.base_seed,
+            engine=spec.engine,
+        )
+    )
     result = ActiveNodeResult(
         shared_loss_rate=spec.shared_loss_rate,
         independent_loss_rates=loss_rates,
         num_receivers=spec.num_receivers,
     )
     for protocol_name in spec.protocols:
-        redundancy: List[float] = []
-        rates: List[float] = []
-        for independent_loss in loss_rates:
-            config = uniform_star(
-                num_receivers=spec.num_receivers,
-                shared_loss_rate=spec.shared_loss_rate,
-                independent_loss_rate=independent_loss,
-                duration_units=spec.duration_units,
-            )
-            measurement = star_redundancy(
-                make_protocol(protocol_name),
-                config,
-                repetitions=spec.repetitions,
-                base_seed=spec.base_seed,
-                engine=spec.engine,
-            )
-            redundancy.append(measurement.mean_redundancy)
-            rates.append(measurement.mean_receiver_rate)
-        result.redundancy[protocol_name] = redundancy
-        result.mean_receiver_rate[protocol_name] = rates
+        points = [next(measurements) for _ in configs]
+        result.redundancy[protocol_name] = [point.mean_redundancy for point in points]
+        result.mean_receiver_rate[protocol_name] = [
+            point.mean_receiver_rate for point in points
+        ]
     return result
 
 

@@ -34,9 +34,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
+from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError
+from ..protocols import PROTOCOL_FACTORIES
 from ..protocols.kernel import ENGINES, resolve_engine
 
 __all__ = [
@@ -118,7 +119,8 @@ class ExperimentSpec:
         (the paper's full sweep sizes).
     jobs:
         Worker processes for experiments that fan out internally (Figure
-        8's point sweep).  Results are identical for every value.
+        8's (panel, protocol) sweeps).  Results are identical for every
+        value.
     engine:
         Simulation engine for the packet-level experiments — ``"bitpacked"``
         (the default) or ``"reference"``; the retired names ``"batched"``
@@ -205,6 +207,36 @@ class ExperimentSpec:
                 f"unknown {cls.__name__} fields {unknown}; expected subset of {sorted(known)}"
             )
         return cls(**{name: _freeze(value) for name, value in data.items()})
+
+
+def check_protocols(protocols: Any, required: Sequence[str] = ()) -> None:
+    """Validate a spec's ``protocols`` field before anything is simulated.
+
+    ``None`` (resolved from the scale preset later) passes.  Anything else
+    must be a non-empty list of known protocol names that includes every
+    name in ``required`` — the protocols the experiment's claim is judged
+    against.
+    """
+    if protocols is None:
+        return
+    if not isinstance(protocols, (list, tuple)) or not protocols:
+        raise ExperimentError(
+            f"protocols must be a non-empty list of protocol names, got {protocols!r}"
+        )
+    unknown = [
+        name for name in protocols
+        if not isinstance(name, str) or name.lower() not in PROTOCOL_FACTORIES
+    ]
+    if unknown:
+        raise ExperimentError(
+            f"protocols: unknown protocol(s) {unknown}; "
+            f"choose from {sorted(PROTOCOL_FACTORIES)}"
+        )
+    missing = [name for name in required if name not in protocols]
+    if missing:
+        raise ExperimentError(
+            f"protocols must include {missing}: the verdict compares against them"
+        )
 
 
 @dataclass(frozen=True)

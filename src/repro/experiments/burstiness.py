@@ -22,13 +22,13 @@ from ..analysis.stats import mean
 from ..analysis.tables import format_series
 from ..errors import ExperimentError
 from ..layering.layers import ExponentialLayerScheme
-from ..protocols import PROTOCOL_FACTORIES, make_protocol
+from ..protocols import make_protocol
 # Called through the module so that wrappers patched onto it (span tracers)
 # see the group call.
 from ..simulator import engine as session_engine
 from ..simulator.rng import spawn_run_entropy
 from ..simulator.loss import BernoulliLoss, GilbertElliottLoss, LossProcess, NoLoss
-from .api import ExperimentSpec, Verdict
+from .api import ExperimentSpec, Verdict, check_protocols
 from .registry import Experiment, register
 
 __all__ = [
@@ -76,25 +76,7 @@ class BurstinessSpec(ExperimentSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.protocols is not None:
-            _check_protocols(self.protocols)
-
-
-def _check_protocols(protocols: Sequence[str]) -> None:
-    """Reject a ``protocols`` value that is not a non-empty list of known names."""
-    if not isinstance(protocols, (list, tuple)) or not protocols:
-        raise ExperimentError(
-            f"protocols must be a non-empty list of protocol names, got {protocols!r}"
-        )
-    unknown = [
-        name for name in protocols
-        if not isinstance(name, str) or name.lower() not in PROTOCOL_FACTORIES
-    ]
-    if unknown:
-        raise ExperimentError(
-            f"protocols: unknown protocol(s) {unknown}; "
-            f"choose from {sorted(PROTOCOL_FACTORIES)}"
-        )
+        check_protocols(self.protocols)
 
 
 def gilbert_for_average_loss(average_loss: float, mean_burst_length: float) -> LossProcess:

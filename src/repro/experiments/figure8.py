@@ -32,8 +32,8 @@ from typing import Dict, List, Optional, Sequence
 from ..analysis.tables import format_series
 from ..protocols import make_protocol
 from ..simulator.metrics import RedundancyMeasurement
-from ..simulator.star import star_redundancy, star_redundancy_group, uniform_star
-from .api import ExperimentSpec, Verdict
+from ..simulator.star import star_redundancy_group, uniform_star
+from .api import ExperimentSpec, Verdict, check_protocols
 from .resilient import resilient_map
 from .registry import Experiment, register
 
@@ -63,7 +63,7 @@ class Figure8Spec(ExperimentSpec):
     Fields left at ``None`` resolve to the scale preset: reduced runs 60
     receivers x 1200 units x 3 repetitions over a 5-point loss grid; paper
     runs 100 x 2000 x 5 over the full 0..0.1 grid.  ``jobs`` fans the
-    (protocol, loss-rate) points across worker processes with identical
+    six (panel, protocol) sweeps across worker processes with identical
     results.
     """
 
@@ -95,7 +95,9 @@ class Figure8Spec(ExperimentSpec):
 class Figure8PanelSpec(ExperimentSpec):
     """Spec for a single Figure 8 panel at one fixed shared loss rate.
 
-    Presets match :class:`Figure8Spec`, plus all three protocols.
+    Presets match :class:`Figure8Spec`, plus all three protocols.  A
+    ``protocols`` subset must include ``"coordinated"``, the protocol the
+    verdict judges.
     """
 
     shared_loss_rate: float = 0.05
@@ -111,6 +113,10 @@ class Figure8PanelSpec(ExperimentSpec):
         scale: {**table, "protocols": PROTOCOLS}
         for scale, table in Figure8Spec.PRESETS.items()
     }
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_protocols(self.protocols, required=("coordinated",))
 
 
 @dataclass
@@ -143,7 +149,9 @@ class Figure8Panel:
         ]
 
     def curves(self) -> Dict[str, List[float]]:
-        return {protocol: self.curve(protocol) for protocol in PROTOCOLS}
+        """One curve per protocol the panel simulated, in simulation order."""
+        protocols = dict.fromkeys(point.protocol for point in self.points)
+        return {protocol: self.curve(protocol) for protocol in protocols}
 
     def max_redundancy(self, protocol: str) -> float:
         return max(self.curve(protocol))
@@ -157,13 +165,13 @@ class Figure8Panel:
 
     @property
     def coordinated_is_lowest(self) -> bool:
-        """Coordinated redundancy never exceeds the other protocols' (with slack)."""
-        coordinated = self.curve("coordinated")
-        return all(
-            coordinated[index] <= min(
-                self.curve("uncoordinated")[index],
-                self.curve("deterministic")[index],
-            ) + 0.35
+        """Coordinated redundancy never exceeds the other simulated
+        protocols' (with slack); vacuously true when it ran alone."""
+        curves = self.curves()
+        coordinated = curves.pop("coordinated")
+        others = list(curves.values())
+        return not others or all(
+            coordinated[index] <= min(curve[index] for curve in others) + 0.35
             for index in range(len(coordinated))
         )
 
@@ -184,121 +192,82 @@ class Figure8Result:
         )
 
 
-def _point_config(
-    independent_loss: float,
-    shared_loss_rate: float,
-    num_receivers: int,
-    num_layers: int,
-    duration_units: int,
-):
-    """The star configuration of one Figure 8 point — the single source the
-    serial (grouped) and multi-process paths both build from."""
-    return uniform_star(
-        num_receivers=num_receivers,
-        shared_loss_rate=shared_loss_rate,
-        independent_loss_rate=independent_loss,
-        num_layers=num_layers,
-        duration_units=duration_units,
+def _protocol_sweep(protocol_name: str, spec: Figure8PanelSpec) -> List[Figure8Point]:
+    """One protocol's points of one panel; picklable for workers.
+
+    The whole loss grid and its repetitions go to one
+    :func:`~repro.simulator.star.star_redundancy_group` call, so they ride
+    one stacked scan.
+    """
+    loss_rates = tuple(spec.independent_loss_rates)
+    configs = [
+        uniform_star(
+            num_receivers=spec.num_receivers,
+            shared_loss_rate=spec.shared_loss_rate,
+            independent_loss_rate=independent_loss,
+            num_layers=spec.num_layers,
+            duration_units=spec.duration_units,
+        )
+        for independent_loss in loss_rates
+    ]
+    measurements = star_redundancy_group(
+        [make_protocol(protocol_name) for _ in configs],
+        configs,
+        repetitions=spec.repetitions,
+        base_seed=spec.base_seed,
+        engine=spec.engine,
     )
+    return [
+        Figure8Point(
+            protocol=protocol_name,
+            independent_loss_rate=independent_loss,
+            measurement=measurement,
+        )
+        for independent_loss, measurement in zip(loss_rates, measurements)
+    ]
 
 
-def _run_figure8_point(
-    protocol_name: str,
-    independent_loss: float,
-    shared_loss_rate: float,
-    num_receivers: int,
-    num_layers: int,
-    duration_units: int,
-    repetitions: int,
-    base_seed: int,
-    engine: str = "bitpacked",
-) -> Figure8Point:
-    """One (protocol, independent-loss) measurement; picklable for workers."""
-    config = _point_config(
-        independent_loss, shared_loss_rate, num_receivers, num_layers, duration_units
-    )
-    measurement = star_redundancy(
-        make_protocol(protocol_name),
-        config,
-        repetitions=repetitions,
-        base_seed=base_seed,
-        engine=engine,
-    )
-    return Figure8Point(
-        protocol=protocol_name,
-        independent_loss_rate=independent_loss,
-        measurement=measurement,
-    )
+def _panels(specs: Sequence[Figure8PanelSpec], jobs: int) -> List[Figure8Panel]:
+    """Simulate panels as one list of (panel, protocol) sweeps.
+
+    With ``jobs > 1`` the sweeps run in parallel worker processes.  Every
+    sweep carries its own fixed seeds, so results are identical for any
+    ``jobs`` and either ``engine``.
+    """
+    tasks = [(protocol_name, spec) for spec in specs for protocol_name in spec.protocols]
+    if jobs == 1:
+        sweeps = [_protocol_sweep(*task) for task in tasks]
+    else:
+        sweeps = resilient_map(_protocol_sweep, tasks, jobs=jobs)
+    points = iter(sweeps)
+    panels = []
+    for spec in specs:
+        panel = Figure8Panel(
+            shared_loss_rate=spec.shared_loss_rate,
+            independent_loss_rates=tuple(spec.independent_loss_rates),
+            num_receivers=spec.num_receivers,
+        )
+        for _protocol_name in spec.protocols:
+            panel.points.extend(next(points))
+        panels.append(panel)
+    return panels
 
 
 def panel_body(spec: Figure8PanelSpec) -> Figure8Panel:
-    """Simulate one Figure 8 panel (one shared loss rate).
-
-    With ``jobs > 1`` the panel's (protocol, loss-rate) points are computed
-    in parallel worker processes; serially, each protocol's loss sweep and
-    repetitions ride one batched group scan
-    (:func:`repro.simulator.star.star_redundancy_group`).  Every point
-    carries its own fixed seeds, so results are identical for any ``jobs``
-    and either ``engine``.
-    """
-    loss_rates = tuple(spec.independent_loss_rates)
-    panel = Figure8Panel(
-        shared_loss_rate=spec.shared_loss_rate,
-        independent_loss_rates=loss_rates,
-        num_receivers=spec.num_receivers,
-    )
-    if spec.jobs == 1:
-        for protocol_name in spec.protocols:
-            configs = [
-                _point_config(
-                    independent_loss, spec.shared_loss_rate, spec.num_receivers,
-                    spec.num_layers, spec.duration_units,
-                )
-                for independent_loss in loss_rates
-            ]
-            measurements = star_redundancy_group(
-                [make_protocol(protocol_name) for _ in configs],
-                configs,
-                repetitions=spec.repetitions,
-                base_seed=spec.base_seed,
-                engine=spec.engine,
-            )
-            panel.points.extend(
-                Figure8Point(
-                    protocol=protocol_name,
-                    independent_loss_rate=independent_loss,
-                    measurement=measurement,
-                )
-                for independent_loss, measurement in zip(loss_rates, measurements)
-            )
-        return panel
-    tasks = [
-        (
-            protocol_name,
-            independent_loss,
-            spec.shared_loss_rate,
-            spec.num_receivers,
-            spec.num_layers,
-            spec.duration_units,
-            spec.repetitions,
-            spec.base_seed,
-            spec.engine,
-        )
-        for protocol_name in spec.protocols
-        for independent_loss in loss_rates
-    ]
-    panel.points.extend(resilient_map(_run_figure8_point, tasks, jobs=spec.jobs))
-    return panel
+    """Simulate one Figure 8 panel (one shared loss rate)."""
+    return _panels([spec], spec.jobs)[0]
 
 
 def body(spec: Figure8Spec) -> Figure8Result:
-    """Simulate both Figure 8 panels (optionally across ``jobs`` processes)."""
+    """Simulate both Figure 8 panels (optionally across ``jobs`` processes).
 
-    def panel(shared_loss_rate: float) -> Figure8Panel:
-        return panel_body(
+    Each (panel, protocol) sweep keeps its own stacked scan: merging the
+    panels would double the stack height and so halve the scan window.
+    """
+    low, high = _panels(
+        [
             Figure8PanelSpec(
                 scale=spec.scale,
-                jobs=spec.jobs,
                 engine=spec.engine,
                 shared_loss_rate=shared_loss_rate,
                 independent_loss_rates=spec.independent_loss_rates,
@@ -308,12 +277,11 @@ def body(spec: Figure8Spec) -> Figure8Result:
                 base_seed=spec.base_seed,
                 protocols=PROTOCOLS,
             )
-        )
-
-    return Figure8Result(
-        low_shared_loss=panel(spec.low_shared_loss),
-        high_shared_loss=panel(spec.high_shared_loss),
+            for shared_loss_rate in (spec.low_shared_loss, spec.high_shared_loss)
+        ],
+        spec.jobs,
     )
+    return Figure8Result(low_shared_loss=low, high_shared_loss=high)
 
 
 def _panel_records(panel: Figure8Panel, section: str) -> List[Dict[str, object]]:

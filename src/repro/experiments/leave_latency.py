@@ -22,7 +22,7 @@ from ..analysis.tables import format_series
 from ..errors import ExperimentError
 from ..layering.layers import ExponentialLayerScheme
 from ..protocols import make_protocol
-from ..simulator.engine import LayeredSessionSimulator
+from ..simulator.engine import LayeredSessionSimulator, simulate_session_group
 from ..simulator.rng import spawn_run_entropy
 from ..simulator.loss import BernoulliLoss, NoLoss
 from .api import ExperimentSpec, Verdict
@@ -111,29 +111,27 @@ def body(spec: LeaveLatencySpec) -> LeaveLatencyResult:
         num_receivers=spec.num_receivers,
     )
     seeds = spawn_run_entropy(spec.base_seed, spec.repetitions)
-    for latency in latencies:
-        redundancies = []
-        rates = []
-        for repetition in range(spec.repetitions):
-            simulator = LayeredSessionSimulator(
-                protocol=make_protocol(spec.protocol),
-                num_receivers=spec.num_receivers,
-                shared_loss=BernoulliLoss(spec.shared_loss_rate)
-                if spec.shared_loss_rate > 0
-                else NoLoss(),
-                independent_loss=BernoulliLoss(spec.independent_loss_rate)
-                if spec.independent_loss_rate > 0
-                else NoLoss(),
-                scheme=ExponentialLayerScheme(8),
-                duration_units=spec.duration_units,
-                leave_latency=latency,
-                engine=spec.engine,
-            )
-            run = simulator.run(seed=seeds[repetition])
-            redundancies.append(run.redundancy)
-            rates.append(run.mean_receiver_rate)
-        result.redundancy.append(mean(redundancies))
-        result.mean_receiver_rate.append(mean(rates))
+    simulators = [
+        LayeredSessionSimulator(
+            protocol=make_protocol(spec.protocol),
+            num_receivers=spec.num_receivers,
+            shared_loss=BernoulliLoss(spec.shared_loss_rate)
+            if spec.shared_loss_rate > 0
+            else NoLoss(),
+            independent_loss=BernoulliLoss(spec.independent_loss_rate)
+            if spec.independent_loss_rate > 0
+            else NoLoss(),
+            scheme=ExponentialLayerScheme(8),
+            duration_units=spec.duration_units,
+            leave_latency=latency,
+            engine=spec.engine,
+        )
+        for latency in latencies
+    ]
+    # Each latency's repetitions stack into one scan.
+    for runs in simulate_session_group(simulators, [seeds] * len(simulators)):
+        result.redundancy.append(mean([run.redundancy for run in runs]))
+        result.mean_receiver_rate.append(mean([run.mean_receiver_rate for run in runs]))
     return result
 
 

@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence
 from ..analysis.tables import format_series
 from ..errors import ExperimentError
 from ..protocols import make_protocol
-from ..simulator.star import star_redundancy, uniform_star
-from .api import ExperimentSpec, Verdict
+from ..simulator.star import star_redundancy_group, uniform_star
+from .api import ExperimentSpec, Verdict, check_protocols
 from .registry import Experiment, register
 
 __all__ = [
@@ -69,6 +69,10 @@ class LossCorrelationSpec(ExperimentSpec):
         },
     }
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_protocols(self.protocols)
+
 
 @dataclass
 class LossCorrelationResult:
@@ -97,42 +101,52 @@ class LossCorrelationResult:
 
 
 def body(spec: LossCorrelationSpec) -> LossCorrelationResult:
-    """Sweep the correlated share of a fixed end-to-end loss budget."""
+    """Sweep the correlated share of a fixed end-to-end loss budget.
+
+    Every (protocol, fraction) point goes to one
+    :func:`~repro.simulator.star.star_redundancy_group` call, so each
+    protocol's whole sweep rides one stacked scan.
+    """
     total_loss_rate = spec.total_loss_rate
     if not 0.0 < total_loss_rate < 1.0:
         raise ExperimentError(
             f"total_loss_rate must lie in (0, 1), got {total_loss_rate}"
         )
     fractions = tuple(spec.correlated_fractions)
+    configs = []
+    for fraction in fractions:
+        if not 0.0 <= fraction <= 1.0:
+            raise ExperimentError(f"fractions must lie in [0, 1], got {fraction}")
+        shared = fraction * total_loss_rate
+        # Keep the end-to-end loss (1 - (1-shared)(1-independent)) equal
+        # to the budget as the split varies.
+        independent = 1.0 - (1.0 - total_loss_rate) / (1.0 - shared)
+        configs.append(
+            uniform_star(
+                num_receivers=spec.num_receivers,
+                shared_loss_rate=shared,
+                independent_loss_rate=max(independent, 0.0),
+                duration_units=spec.duration_units,
+            )
+        )
+    measurements = iter(
+        star_redundancy_group(
+            [make_protocol(name) for name in spec.protocols for _ in configs],
+            [config for _ in spec.protocols for config in configs],
+            repetitions=spec.repetitions,
+            base_seed=spec.base_seed,
+            engine=spec.engine,
+        )
+    )
     result = LossCorrelationResult(
         total_loss_rate=total_loss_rate,
         correlated_fractions=fractions,
         num_receivers=spec.num_receivers,
     )
     for protocol_name in spec.protocols:
-        curve: List[float] = []
-        for fraction in fractions:
-            if not 0.0 <= fraction <= 1.0:
-                raise ExperimentError(f"fractions must lie in [0, 1], got {fraction}")
-            shared = fraction * total_loss_rate
-            # Keep the end-to-end loss (1 - (1-shared)(1-independent)) equal
-            # to the budget as the split varies.
-            independent = 1.0 - (1.0 - total_loss_rate) / (1.0 - shared)
-            config = uniform_star(
-                num_receivers=spec.num_receivers,
-                shared_loss_rate=shared,
-                independent_loss_rate=max(independent, 0.0),
-                duration_units=spec.duration_units,
-            )
-            measurement = star_redundancy(
-                make_protocol(protocol_name),
-                config,
-                repetitions=spec.repetitions,
-                base_seed=spec.base_seed,
-                engine=spec.engine,
-            )
-            curve.append(measurement.mean_redundancy)
-        result.redundancy[protocol_name] = curve
+        result.redundancy[protocol_name] = [
+            next(measurements).mean_redundancy for _ in configs
+        ]
     return result
 
 

@@ -49,8 +49,9 @@ def default_jobs() -> int:
 def task_seeds(base_seed: int, num_tasks: int) -> List[int]:
     """The per-task seed schedule: one ``SeedSequence.spawn`` child per task.
 
-    Matches :func:`repro.simulator.metrics.replicate`, so replicated runs
-    produce the same seeds whether executed serially or in parallel.
+    Matches :func:`repro.simulator.star.star_redundancy_group`'s repetition
+    seeds, so replicated runs produce the same seeds whether executed
+    serially or in parallel.
     Through RNG scheme 3 this was ``base_seed + index``, under which two
     sweeps with nearby base seeds silently shared most of their replicate
     streams (base 0 and base 1 overlap in all but one seed); scheme 4

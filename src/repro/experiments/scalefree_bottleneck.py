@@ -197,20 +197,26 @@ def _build_graph(descriptor: str, spec: ScaleFreeBottleneckSpec, seed: int) -> N
     )
 
 
-def _measure_topology(
+def _build_network(
     descriptor: str, spec: ScaleFreeBottleneckSpec, topology_seed: int
-) -> TopologyOutcome:
+) -> Network:
+    """One topology's graph with the spec's sessions placed on it."""
     graph_seed, placement_seed = spawn_run_entropy(topology_seed, 2)
     graph = _build_graph(descriptor, spec, graph_seed)
-    num_sessions = min(spec.num_sessions, max(1, graph.num_nodes // 2))
-    receivers = min(spec.receivers_per_session, graph.num_nodes - 1)
-    network = Network.from_graph(
+    return Network.from_graph(
         graph,
-        num_sessions=num_sessions,
-        receivers_per_session=receivers,
+        num_sessions=min(spec.num_sessions, max(1, graph.num_nodes // 2)),
+        receivers_per_session=min(spec.receivers_per_session, graph.num_nodes - 1),
         seed=placement_seed,
         placement=spec.placement,
     )
+
+
+def _measure_topology(
+    descriptor: str, spec: ScaleFreeBottleneckSpec, topology_seed: int
+) -> TopologyOutcome:
+    network = _build_network(descriptor, spec, topology_seed)
+    graph = network.graph
     incidence = network.incidence()
 
     trace = MaxMinTrace()
@@ -254,7 +260,7 @@ def _measure_topology(
         descriptor=descriptor,
         num_nodes=graph.num_nodes,
         num_links=graph.num_links,
-        num_sessions=num_sessions,
+        num_sessions=len(network.sessions),
         density=float(incidence.density),
         sparse=bool(incidence.is_sparse),
         min_rate=float(rates.min()),

@@ -78,7 +78,7 @@ class LayeredProtocol(abc.ABC):
 
     #: Whether the protocol's state is strictly per-receiver, allowing the
     #: engine to stack independently-seeded runs as receiver blocks of one
-    #: batched session (see ``LayeredSessionSimulator.run_many``).  Group
+    #: batched session (see ``simulate_session_group``).  Group
     #: protocols with session-global state (the active-node extension)
     #: leave this false.
     supports_stacked_runs: bool = False

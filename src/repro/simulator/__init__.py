@@ -10,7 +10,7 @@
 * :mod:`~repro.simulator.rng` — counter-based Philox streams (RNG scheme
   5): per-run stream families and per-receiver draw streams;
 * :mod:`~repro.simulator.star` — Figure 7 experiment configurations;
-* :mod:`~repro.simulator.metrics` — replication and summary statistics.
+* :mod:`~repro.simulator.metrics` — summary statistics of replicated runs.
 """
 
 from .engine import (
@@ -22,12 +22,7 @@ from .engine import (
     simulate_session_group,
 )
 from .loss import BernoulliLoss, GilbertElliottLoss, LossProcess, NoLoss
-from .metrics import (
-    RedundancyMeasurement,
-    measure_redundancy,
-    replicate,
-    summarize_redundancy,
-)
+from .metrics import RedundancyMeasurement, summarize_redundancy
 from .packets import Packet, PacketSchedule
 from .rng import ReceiverDrawStreams, RunStreams, spawn_run_entropy
 from .star import (
@@ -52,8 +47,6 @@ __all__ = [
     "LossProcess",
     "NoLoss",
     "RedundancyMeasurement",
-    "measure_redundancy",
-    "replicate",
     "summarize_redundancy",
     "Packet",
     "PacketSchedule",

@@ -423,45 +423,14 @@ class LayeredSessionSimulator:
         consume the same counter-based random streams and return identical
         results.
         """
-        context = self._make_run_context(seed)
-        self.protocol.reset(
-            self.num_receivers, self.scheme, context.streams.protocol_rng
-        )
-        self.protocol.bind_run_streams([context.streams], self.num_receivers)
-        if self.engine == "bitpacked" and self.protocol.supports_batched_units:
-            return self._run_batched([(self, context)])[0]
-        return self._run_reference(context)
+        return simulate_session_group([self], [[seed]])[0][0]
 
     def run_many(self, seeds: Sequence[Optional[int]]) -> List[SessionSimulationResult]:
         """Simulate one run per seed; equals ``[run(s) for s in seeds]`` bit for bit.
 
-        When the chunked engine drives a protocol whose per-receiver state
-        stacks (the three Section-4 protocols), the runs are simulated
-        *together* — each run's receivers become an independent block of a
-        wider session, with its own random generator and loss samples — so
-        the scan's per-iteration cost is shared across repetitions.  This
-        is the fast path behind replicated measurements such as the
-        Figure 8 points.
+        Stackable runs ride one chunk scan (see :func:`simulate_session_group`).
         """
-        seeds = list(seeds)
-        if not seeds:
-            return []
-        stacked = (
-            len(seeds) > 1
-            and self.engine == "bitpacked"
-            and self.protocol.supports_batched_units
-            and self.protocol.supports_stacked_runs
-        )
-        if not stacked:
-            return [self.run(seed=seed) for seed in seeds]
-        contexts = [self._make_run_context(seed) for seed in seeds]
-        self.protocol.reset(
-            self.num_receivers * len(contexts), self.scheme, contexts[0].streams.protocol_rng
-        )
-        self.protocol.bind_run_streams(
-            [context.streams for context in contexts], self.num_receivers
-        )
-        return self._run_batched([(self, context) for context in contexts])
+        return simulate_session_group([self], [list(seeds)])[0]
 
     # ------------------------------------------------------------------
     # reference engine: one packet at a time
@@ -640,39 +609,18 @@ class LayeredSessionSimulator:
                     for run in range(num_runs):
                         shared_link_packets[run] += int(carried[run])
             if track_advertised:
-                if num_runs == 1:
-                    blocks = [
-                        (
-                            slice(0, receivers),
-                            result.event_cols,
-                            result.event_receivers,
-                            result.event_old_levels,
-                            result.event_new_levels,
-                        )
-                    ]
-                else:
-                    run_of_event = result.event_receivers // receivers
-                    blocks = []
-                    for run in range(num_runs):
-                        mine = run_of_event == run
-                        blocks.append(
-                            (
-                                slice(run * receivers, (run + 1) * receivers),
-                                result.event_cols[mine],
-                                result.event_receivers[mine] - run * receivers,
-                                result.event_old_levels[mine],
-                                result.event_new_levels[mine],
-                            )
-                        )
-                for run, (block, event_cols, event_receivers, event_old, event_new) in enumerate(blocks):
+                run_of_event = result.event_receivers // receivers
+                for run in range(num_runs):
+                    mine = run_of_event == run
+                    block = slice(run * receivers, (run + 1) * receivers)
                     carried = self._advertised_carriage(
                         chunk,
                         start_levels[block],
                         levels[block],
-                        event_cols,
-                        event_receivers,
-                        event_old,
-                        event_new,
+                        result.event_cols[mine],
+                        result.event_receivers[mine] - run * receivers,
+                        result.event_old_levels[mine],
+                        result.event_new_levels[mine],
                         advertised[block],
                         advert_expiry[block],
                     )
@@ -1062,78 +1010,85 @@ def simulate_session_group(
     simulators: Sequence[LayeredSessionSimulator],
     seeds: Sequence[Sequence[Optional[int]]],
 ) -> List[List[SessionSimulationResult]]:
-    """Run several simulators' seeded repetitions in one chunk scan.
+    """Run several simulators' seeded repetitions, stacking what can stack.
 
-    The Figure 8 sweep evaluates many (loss-rate, repetition) points that
-    share everything but their loss processes; since every run's receivers
-    are independent blocks with their own random stream, *all* of a
-    protocol's points can ride one scan.  ``seeds[i]`` lists the seeds for
-    ``simulators[i]``; the return value mirrors that shape, and every
-    result is bit-for-bit what ``simulators[i].run(seed)`` returns.
-
-    Simulators must share geometry (receivers, scheme, duration, warm-up,
-    leave latency) and behaviourally identical protocols; incompatible or
-    non-stackable groups transparently fall back to per-simulator
-    :meth:`~LayeredSessionSimulator.run_many` calls, with identical
-    results.
+    ``seeds[i]`` lists the seeds for ``simulators[i]``; the return value
+    mirrors that shape, and every result is bit-for-bit what a solo run of
+    ``simulators[i]`` with that seed gives.  This is the one place that
+    decides which runs share a scan and then runs them: the (simulator,
+    seed) pairs are partitioned by :func:`_stack_key`, and each partition
+    rides one chunk scan — every run's receivers become an independent
+    block of a wider session, driven by its own streams and loss
+    processes — so a whole sweep (the Figure 8 loss grid, the burstiness
+    burst lengths) shares the scan's per-iteration cost.  Runs that cannot
+    stack (``engine="reference"``, protocols without chunk support, group
+    protocols such as the active node) run solo.
     """
     if len(simulators) != len(seeds):
         raise SimulationError(
             f"need one seed list per simulator ({len(simulators)} != {len(seeds)})"
         )
-    if not simulators:
-        return []
-    lead = simulators[0]
-    flat = [
-        (simulator, seed)
-        for simulator, seed_list in zip(simulators, seeds)
-        for seed in seed_list
-    ]
-    stackable = (
-        len(flat) > 1
-        and lead.engine == "bitpacked"
-        and lead.protocol.supports_batched_units
-        and lead.protocol.supports_stacked_runs
-        and all(_stack_compatible(lead, simulator) for simulator in simulators[1:])
-    )
-    if not stackable:
-        return [
-            simulator.run_many(seed_list)
-            for simulator, seed_list in zip(simulators, seeds)
+    keys = [_stack_key(simulator) for simulator in simulators]
+    partitions: Dict[tuple, List[int]] = {}
+    flat: List[Tuple[LayeredSessionSimulator, Optional[int]]] = []
+    for simulator, key, seed_list in zip(simulators, keys, seeds):
+        for seed in seed_list:
+            partitions.setdefault(key or ("solo", len(flat)), []).append(len(flat))
+            flat.append((simulator, seed))
+    results: List[Optional[SessionSimulationResult]] = [None] * len(flat)
+    for members in partitions.values():
+        runs = [
+            (flat[index][0], flat[index][0]._make_run_context(flat[index][1]))
+            for index in members
         ]
-    runs = [
-        (simulator, simulator._make_run_context(seed)) for simulator, seed in flat
-    ]
-    lead.protocol.reset(
-        lead.num_receivers * len(runs), lead.scheme, runs[0][1].streams.protocol_rng
-    )
-    lead.protocol.bind_run_streams(
-        [context.streams for _simulator, context in runs], lead.num_receivers
-    )
-    flat_results = lead._run_batched(runs)
+        lead, lead_context = runs[0]
+        # One protocol instance drives every block of the stacked session.
+        lead.protocol.reset(
+            lead.num_receivers * len(runs), lead.scheme, lead_context.streams.protocol_rng
+        )
+        lead.protocol.bind_run_streams(
+            [context.streams for _simulator, context in runs], lead.num_receivers
+        )
+        if lead.engine == "bitpacked" and lead.protocol.supports_batched_units:
+            batch = lead._run_batched(runs)
+        else:
+            batch = [lead._run_reference(lead_context)]
+        for index, result in zip(members, batch):
+            results[index] = result
     grouped: List[List[SessionSimulationResult]] = []
     cursor = 0
     for seed_list in seeds:
-        grouped.append(flat_results[cursor:cursor + len(seed_list)])
+        grouped.append(results[cursor:cursor + len(seed_list)])
         cursor += len(seed_list)
     return grouped
 
 
-def _stack_compatible(lead: LayeredSessionSimulator, other: LayeredSessionSimulator) -> bool:
-    """Whether ``other``'s runs may ride in ``lead``'s batched session."""
+def _stack_key(simulator: LayeredSessionSimulator) -> Optional[tuple]:
+    """What runs must share to ride one chunk scan; ``None`` runs solo.
+
+    Only the ``bitpacked`` engine stacks, and only protocols with strictly
+    per-receiver state; stacked runs may differ in their loss processes
+    (and chunk size: the lead's is used) but share the session geometry,
+    the leave latency and a behaviourally identical protocol.
+    """
+    protocol = simulator.protocol
+    if not (
+        simulator.engine == "bitpacked"
+        and protocol.supports_batched_units
+        and protocol.supports_stacked_runs
+    ):
+        return None
+    schedule = simulator.schedule
     return (
-        other.engine == lead.engine
-        and other.num_receivers == lead.num_receivers
-        and other.duration_units == lead.duration_units
-        and other.warmup_units == lead.warmup_units
-        and other.leave_latency == lead.leave_latency
-        and other.protocol.supports_batched_units
-        and other.protocol.supports_stacked_runs
-        and other.protocol.stacking_key() == lead.protocol.stacking_key()
-        and other.scheme.num_layers == lead.scheme.num_layers
-        and np.array_equal(other.schedule.pattern_layers, lead.schedule.pattern_layers)
-        and np.array_equal(other.schedule.pattern_offsets, lead.schedule.pattern_offsets)
-        and other.schedule.num_sync_levels == lead.schedule.num_sync_levels
+        simulator.num_receivers,
+        simulator.duration_units,
+        simulator.warmup_units,
+        simulator.leave_latency,
+        protocol.stacking_key(),
+        simulator.scheme.num_layers,
+        schedule.pattern_layers.tobytes(),
+        schedule.pattern_offsets.tobytes(),
+        schedule.num_sync_levels,
     )
 
 

@@ -2,25 +2,22 @@
 
 Figure 8 reports, per (protocol, loss configuration) point, the mean
 redundancy over 30 independent runs together with a 95% confidence
-statement.  :func:`replicate` runs a simulator factory across seeds and
-:class:`RedundancyMeasurement` packages the per-run redundancies with their
+statement.  :func:`summarize_redundancy` packages replicated runs (see
+:func:`repro.simulator.star.star_redundancy_group`) as a
+:class:`RedundancyMeasurement`: the per-run redundancies with their
 summary statistics (via :mod:`repro.analysis.stats`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..analysis.stats import SummaryStatistics, summarize
 from ..errors import SimulationError
 from .engine import SessionSimulationResult
-from .rng import spawn_run_entropy
 
-__all__ = ["RedundancyMeasurement", "replicate", "measure_redundancy", "summarize_redundancy"]
-
-RunFactory = Callable[[int], SessionSimulationResult]
-RunManyFactory = Callable[[Sequence[int]], List[SessionSimulationResult]]
+__all__ = ["RedundancyMeasurement", "summarize_redundancy"]
 
 
 @dataclass
@@ -51,26 +48,6 @@ class RedundancyMeasurement:
         )
 
 
-def replicate(
-    run: RunFactory,
-    repetitions: int,
-    base_seed: int = 0,
-    run_many: Optional[RunManyFactory] = None,
-) -> List[SessionSimulationResult]:
-    """Run a simulation factory for ``repetitions`` distinct seeds.
-
-    When ``run_many`` is given (e.g. ``LayeredSessionSimulator.run_many``)
-    all repetitions are dispatched in one call, letting the batched engine
-    stack them into a single scan; results are identical either way.
-    """
-    if repetitions < 1:
-        raise SimulationError(f"repetitions must be positive, got {repetitions}")
-    seeds = spawn_run_entropy(base_seed, repetitions)
-    if run_many is not None:
-        return run_many(seeds)
-    return [run(seed) for seed in seeds]
-
-
 def summarize_redundancy(
     results: Sequence[SessionSimulationResult],
     confidence: float = 0.95,
@@ -89,15 +66,3 @@ def summarize_redundancy(
         receiver_rate_means=[result.mean_receiver_rate for result in results],
         statistics=summarize(redundancies, confidence),
     )
-
-
-def measure_redundancy(
-    run: RunFactory,
-    repetitions: int,
-    base_seed: int = 0,
-    confidence: float = 0.95,
-    run_many: Optional[RunManyFactory] = None,
-) -> RedundancyMeasurement:
-    """Replicate a run and summarise the shared-link redundancy."""
-    results = replicate(run, repetitions, base_seed, run_many=run_many)
-    return summarize_redundancy(results, confidence)

@@ -11,8 +11,8 @@ Figure 7 defines the two network models of the Section-4 experiments:
   ``p``; this is the workload of Figure 8.
 
 The helpers below build :class:`~repro.simulator.engine.LayeredSessionSimulator`
-instances for both models and wrap the replication logic used by the
-experiments and benchmarks.
+instances for both models and measure replicated redundancy through the
+one stacking driver, :func:`~repro.simulator.engine.simulate_session_group`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..layering.layers import ExponentialLayerScheme
 from ..protocols.base import LayeredProtocol
 from .engine import LayeredSessionSimulator, SessionSimulationResult, simulate_session_group
 from .loss import BernoulliLoss, LossProcess, NoLoss
-from .metrics import RedundancyMeasurement, measure_redundancy, summarize_redundancy
+from .metrics import RedundancyMeasurement, summarize_redundancy
 from .rng import spawn_run_entropy
 
 __all__ = [
@@ -153,18 +153,13 @@ def star_redundancy(
 ) -> RedundancyMeasurement:
     """Replicate a star simulation and summarise shared-link redundancy.
 
-    Repetitions are dispatched through
-    :meth:`~repro.simulator.engine.LayeredSessionSimulator.run_many`, which
-    the batched engine simulates together as stacked receiver blocks —
-    results are identical to running the seeds one by one.
+    The one-configuration case of :func:`star_redundancy_group`: the
+    repetitions stack into one scan where the protocol allows it, with
+    results identical to running the seeds one by one.
     """
-    simulator = build_simulator(protocol, config, engine=engine)
-    return measure_redundancy(
-        lambda seed: simulator.run(seed=seed),
-        repetitions=repetitions,
-        base_seed=base_seed,
-        run_many=simulator.run_many,
-    )
+    return star_redundancy_group(
+        [protocol], [config], repetitions=repetitions, base_seed=base_seed, engine=engine
+    )[0]
 
 
 def star_redundancy_group(
@@ -176,13 +171,17 @@ def star_redundancy_group(
 ) -> List[RedundancyMeasurement]:
     """Measure several star configurations' redundancy in one batched group.
 
-    One measurement per (protocol, config) pair, each identical to the
-    corresponding :func:`star_redundancy` call; when the protocols stack
-    (the three Section-4 protocols with matching parameters) every
-    repetition of every configuration rides a single batched scan, which
-    is how the Figure 8 sweep amortises its per-packet bookkeeping across
-    the whole panel.
+    One measurement per (protocol, config) pair, each summarising
+    ``repetitions`` runs seeded from ``base_seed``.  Every repetition of
+    every configuration goes to one
+    :func:`~repro.simulator.engine.simulate_session_group` call, which
+    stacks the runs that share a session geometry and protocol (the three
+    Section-4 protocols with matching parameters) into a single scan;
+    that is how the Figure 8 sweep amortises its per-packet bookkeeping
+    across a whole loss grid.
     """
+    if repetitions < 1:
+        raise SimulationError(f"repetitions must be positive, got {repetitions}")
     simulators = [
         build_simulator(protocol, config, engine=engine)
         for protocol, config in zip(protocols, configs)

@@ -18,7 +18,8 @@ run whatever the network's size.  Networks are random multicast trees and
 Barabasi-Albert, Waxman and fat-tree graphs placed through
 ``Network.from_graph``, with mixed session types, finite and infinite
 ``rho``, and linear and non-linear link-rate functions (random-join layer
-rates above and below the link capacities).  Tier-1 runs the
+rates above and below the link capacities), plus the networks the
+``scalefree_bottleneck`` experiment itself solves at its reduced preset.  Tier-1 runs the
 pinned ``ci`` hypothesis profile; ``--hypothesis-profile=thorough`` runs the
 larger randomised budget.
 """
@@ -47,6 +48,8 @@ from repro.core.maxmin import (
     _water_fill,
     _WaterFillState,
 )
+from repro.experiments.registry import get_experiment
+from repro.experiments.scalefree_bottleneck import _build_network
 from repro.network import SessionType, random_multicast_network
 from repro.network.network import Network
 from repro.network.topology.generators import barabasi_albert, fat_tree, waxman
@@ -154,6 +157,16 @@ def test_every_solver_is_max_min_fair_on_trees(network):
 @given(graph_networks())
 def test_every_solver_is_max_min_fair_on_generated_graphs(network):
     certify_every_solver(network)
+
+
+@given(
+    st.sampled_from(["ba", "waxman", "fat-tree", "abilene", "triangle"]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_every_solver_is_max_min_fair_on_scalefree_bottleneck_networks(descriptor, seed):
+    """The experiment's own networks, at its reduced preset's sizes."""
+    spec = get_experiment("scalefree_bottleneck").make_spec().resolved()
+    certify_every_solver(_build_network(descriptor, spec, seed))
 
 
 @settings(max_examples=max(3, settings.default.max_examples // 10))

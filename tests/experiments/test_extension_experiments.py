@@ -34,6 +34,26 @@ class TestActiveNodeExperiment:
         assert set(result.mean_receiver_rate) == set(result.redundancy)
         assert all(len(v) == 2 for v in result.mean_receiver_rate.values())
 
+    def test_protocol_subset_is_judged_on_what_it_ran(self):
+        result = get_experiment("active_nodes").run(
+            protocols=("active-node", "deterministic"),
+            independent_loss_rates=(0.02,),
+            num_receivers=8,
+            duration_units=100,
+            repetitions=1,
+        )
+        assert set(result.payload.redundancy) == {"active-node", "deterministic"}
+        assert isinstance(result.payload.active_node_is_lowest, bool)
+
+    @pytest.mark.parametrize(
+        "protocols",
+        [("coordinated", "deterministic"), ("active-node", "bogus")],
+        ids=["without-active-node", "unknown"],
+    )
+    def test_rejects_protocols_it_cannot_judge(self, protocols):
+        with pytest.raises(ExperimentError, match="protocols"):
+            get_experiment("active_nodes").make_spec(protocols=protocols)
+
 
 class TestLeaveLatencyExperiment:
     @pytest.fixture(scope="class")

@@ -116,17 +116,22 @@ class TestRunSpecsJobs:
 
 
 class TestFigure8Jobs:
-    def test_panel_identical_across_jobs(self):
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [("figure8_panel", {"shared_loss_rate": 0.001}), ("figure8", {})],
+        ids=["figure8_panel", "figure8"],
+    )
+    def test_panel_identical_across_jobs(self, key, overrides):
+        # Both keys fan their (panel, protocol) sweeps out as one task list.
         kwargs = dict(
-            shared_loss_rate=0.001,
             independent_loss_rates=(0.02, 0.08),
             num_receivers=6,
             duration_units=80,
             repetitions=2,
+            **overrides,
         )
-        experiment = get_experiment("figure8_panel")
-        serial = experiment.run(**kwargs, jobs=1).payload
-        parallel = experiment.run(**kwargs, jobs=2).payload
-        assert [(p.protocol, p.independent_loss_rate, p.redundancy) for p in serial.points] == [
-            (p.protocol, p.independent_loss_rate, p.redundancy) for p in parallel.points
-        ]
+        experiment = get_experiment(key)
+        serial = experiment.run(**kwargs, jobs=1)
+        parallel = experiment.run(**kwargs, jobs=2)
+        assert parallel.canonical_json() == serial.canonical_json()
+        assert len(serial.records) == (2 if key == "figure8" else 1) * 3 * 2

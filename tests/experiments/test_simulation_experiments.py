@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ExperimentError
 from repro.experiments import get_experiment
 from repro.experiments.figure8 import Figure8Panel
 
@@ -53,6 +54,29 @@ class TestFigure8Panel:
         assert "independent link loss" in table
         assert "coordinated" in table
 
+    def test_protocol_subset_is_judged_on_what_it_ran(self):
+        result = get_experiment("figure8_panel").run(
+            protocols=("coordinated", "deterministic"),
+            independent_loss_rates=(0.02, 0.08),
+            num_receivers=8,
+            duration_units=100,
+            repetitions=1,
+        )
+        assert set(result.payload.curves()) == {"coordinated", "deterministic"}
+        assert {record["protocol"] for record in result.records} == {
+            "coordinated", "deterministic"
+        }
+        assert isinstance(result.payload.coordinated_is_lowest, bool)
+
+    @pytest.mark.parametrize(
+        "protocols",
+        [("deterministic", "uncoordinated"), ("bogus",), ()],
+        ids=["without-coordinated", "unknown", "empty"],
+    )
+    def test_rejects_protocols_it_cannot_judge(self, protocols):
+        with pytest.raises(ExperimentError, match="protocols"):
+            get_experiment("figure8_panel").make_spec(protocols=protocols)
+
 
 class TestLossCorrelation:
     def test_correlated_loss_lowers_redundancy(self):
@@ -67,11 +91,13 @@ class TestLossCorrelation:
         assert "fraction of loss" in result.table()
 
     def test_validation(self):
-        from repro.errors import ExperimentError
-
         with pytest.raises(ExperimentError):
             get_experiment("loss_correlation").run(total_loss_rate=0.0)
         with pytest.raises(ExperimentError):
             get_experiment("loss_correlation").run(
                 correlated_fractions=(2.0,), repetitions=1, duration_units=100
             )
+
+    def test_unknown_protocol_is_a_spec_error(self):
+        with pytest.raises(ExperimentError, match="protocols"):
+            get_experiment("loss_correlation").make_spec(protocols=("bogus",))

@@ -23,6 +23,8 @@ by registering itself.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,56 @@ class TestStackedRuns:
                                   independent=rate, num_receivers=11,
                                   num_layers=6).run(seed=seed)
                 assert_identical(solo, result)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
+    def test_session_group_partitions_mixed_input(self, engine, geometry, monkeypatch):
+        # One call spanning several partitions: two leave latencies, two
+        # stackable protocols, a group protocol, a reference-engine run and
+        # a per-receiver loss list, interleaved so a partition's members
+        # are not adjacent.  Results come back in input order, each equal
+        # field for field to its solo run.
+        def build(protocol="coordinated", which=engine, **overrides):
+            return lambda: _simulator(protocol, which, geometry=geometry, **overrides)
+
+        makers = [
+            build(independent=0.02),
+            build(leave_latency=1.5),
+            build("deterministic"),
+            build("active-node"),
+            build(which="reference"),
+            build(independent_loss=[BernoulliLoss(0.01 * (1 + r % 3)) for r in range(17)]),
+            build(independent=0.08),
+            build("deterministic", leave_latency=1.5),
+            build(),
+        ]
+        seed_lists = [SEEDS[:3], SEEDS[:2], SEEDS[2:5], SEEDS[:2], SEEDS[:2],
+                      SEEDS[1:4], SEEDS[3:5], SEEDS[:2], []]
+        stacks = []
+        run_batched = LayeredSessionSimulator._run_batched
+
+        def counting_run_batched(simulator, runs):
+            stacks.append(len(runs))
+            return run_batched(simulator, runs)
+
+        monkeypatch.setattr(LayeredSessionSimulator, "_run_batched", counting_run_batched)
+        grouped = simulate_session_group([make() for make in makers], seed_lists)
+        # Coordinated without latency (0.02, the per-receiver list, 0.08),
+        # coordinated with latency, deterministic with and without latency,
+        # then the active node's two solo runs; the reference run never
+        # enters the chunk scan.
+        assert sorted(stacks) == [1, 1, 2, 2, 3, 8]
+        monkeypatch.undo()
+        assert [len(results) for results in grouped] == [len(s) for s in seed_lists]
+        for make, seeds, results in zip(makers, seed_lists, grouped):
+            for seed, result in zip(seeds, results):
+                solo = make().run(seed=seed)
+                for field in dataclasses.fields(solo):
+                    expected, actual = getattr(solo, field.name), getattr(result, field.name)
+                    if isinstance(expected, np.ndarray):
+                        assert np.array_equal(expected, actual), field.name
+                    else:
+                        assert expected == actual, field.name
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)

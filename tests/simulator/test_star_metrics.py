@@ -1,4 +1,4 @@
-"""Unit tests for star configurations, replication, and redundancy summaries."""
+"""Unit tests for star configurations, replicated runs, and redundancy summaries."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from repro.simulator import (
     RedundancyMeasurement,
     StarExperimentConfig,
     build_simulator,
-    replicate,
     simulate_star,
+    spawn_run_entropy,
     star_redundancy,
     two_receiver_star,
     uniform_star,
@@ -55,19 +55,22 @@ class TestStarConfigs:
 
 
 class TestReplicationAndSummary:
-    def test_replicate_uses_distinct_seeds(self):
+    def test_star_redundancy_uses_distinct_seeds(self):
         config = uniform_star(4, 0.001, 0.05, duration_units=120)
-        simulator = build_simulator(make_protocol("uncoordinated"), config)
-        results = replicate(lambda seed: simulator.run(seed=seed), repetitions=3, base_seed=5)
+        protocol = make_protocol("uncoordinated")
+        results = build_simulator(protocol, config).run_many(spawn_run_entropy(5, 3))
         assert len(results) == 3
         packet_counts = {tuple(r.receiver_packets) for r in results}
         assert len(packet_counts) == 3
+        measurement = star_redundancy(protocol, config, repetitions=3, base_seed=5)
+        assert measurement.redundancies == [r.redundancy for r in results]
 
-    def test_replicate_validation(self):
-        with pytest.raises(SimulationError):
-            replicate(lambda seed: None, repetitions=0)
+    def test_star_redundancy_validation(self):
+        config = uniform_star(4, 0.001, 0.05, duration_units=120)
+        with pytest.raises(SimulationError, match="repetitions"):
+            star_redundancy(make_protocol("coordinated"), config, repetitions=0)
 
-    def test_measure_redundancy_summary(self):
+    def test_star_redundancy_summary(self):
         config = uniform_star(6, 0.001, 0.05, duration_units=150)
         measurement = star_redundancy(
             make_protocol("coordinated"), config, repetitions=3, base_seed=0

@@ -162,8 +162,18 @@ class TestRun:
         assert completed.returncode == 2
         assert "warp-drive" in completed.stderr
 
-    def test_run_rejects_unknown_burstiness_protocol(self, capsys):
-        assert main(["run", "burstiness", "--set", 'protocols=["bogus"]']) == 2
+    @pytest.mark.parametrize(
+        "key, protocols",
+        [
+            ("burstiness", '["bogus"]'),
+            ("loss_correlation", '["bogus"]'),
+            ("figure8_panel", '["deterministic", "uncoordinated"]'),
+            ("active_nodes", '["coordinated", "deterministic"]'),
+        ],
+        ids=["burstiness", "loss_correlation", "figure8_panel", "active_nodes"],
+    )
+    def test_run_rejects_protocols_before_simulating(self, capsys, key, protocols):
+        assert main(["run", key, "--set", f"protocols={protocols}"]) == 2
         assert "protocols" in capsys.readouterr().err
 
     def test_main_callable_in_process(self, capsys):
