@@ -38,6 +38,7 @@ from ..errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type annotations
     from ..simulator.packets import Packet
+from . import bitpack
 from .base import LayeredProtocol, join_threshold_packets
 
 __all__ = ["ActiveNodeProtocol"]
@@ -48,7 +49,6 @@ class ActiveNodeProtocol(LayeredProtocol):
 
     name = "active-node"
     supports_batched_units = True
-    needs_dense_losses = True
 
     def __init__(
         self,
@@ -141,16 +141,16 @@ class ActiveNodeProtocol(LayeredProtocol):
 
         num_receivers = levels.size
         top = chunk.num_layers
-        layers = chunk.layers
-        shared = chunk.shared_lost
-        indep = chunk.independent_lost  # receiver-major (R, n)
-        n = layers.size
-        ind_count = indep.sum(axis=0, dtype=np.int64)
-        # congested.any() / the group-leave condition / received.any(),
-        # all conditional on the packet being subscribed at all.
-        any_congestion = shared | (ind_count > 0)
-        group_hit = shared | (ind_count >= self.group_loss_fraction * num_receivers)
-        recv_any = ~shared & (ind_count < num_receivers)
+        n = chunk.num_packets
+        receivable = bitpack.unpack_bits(chunk.receivable_packed, n)  # (R, n)
+        # A shared-link loss clears the whole column, so the per-column
+        # loss count alone decides congested.any(), the group-leave
+        # condition (the fraction is at most one) and received.any() — all
+        # conditional on the packet being subscribed at all.
+        lost = num_receivers - receivable.sum(axis=0, dtype=np.int64)
+        any_congestion = lost > 0
+        group_hit = lost >= self.group_loss_fraction * num_receivers
+        recv_any = lost < num_receivers
 
         received = np.zeros(num_receivers, dtype=np.int64)
         ev_cols = []
@@ -182,9 +182,7 @@ class ActiveNodeProtocol(LayeredProtocol):
                         break
             stretch = observed[observed < next_event]
             if stretch.size:
-                alive = stretch[~shared[stretch]]
-                if alive.size:
-                    received += alive.size - indep[:, alive].sum(axis=1)
+                received += receivable[:, stretch].sum(axis=1)
                 count += int(recv_any[stretch].sum())
             if next_event >= n:
                 break
@@ -200,7 +198,7 @@ class ActiveNodeProtocol(LayeredProtocol):
                         level -= 1
                         ev_new.append(level)
             if recv_any[col]:
-                received += 1 - indep[:, col]
+                received += receivable[:, col]
                 count += 1
                 sync_index = np.searchsorted(sync_cols, col)
                 if (

@@ -43,8 +43,8 @@ def join_threshold_packets(level: int) -> float:
     return float(2 ** (2 * (level - 1)))
 
 
-# join_threshold's per-level values, precomputed: the scan's join hooks
-# evaluate the threshold on every window/segment call, and a table gather
+# join_threshold's per-level values, precomputed: the scan's join locators
+# evaluate the threshold on every chain step, and a table gather
 # beats the float exponentiation there.  4^30 packets is far beyond any
 # session length, so the table covers every realistic layer scheme; larger
 # levels fall back to the direct formula.
@@ -68,12 +68,11 @@ class LayeredProtocol(abc.ABC):
 
     #: Whether the protocol runs on the ``bitpacked`` engine's chunk path:
     #: either it implements the packed ``scan_*`` hooks the default
-    #: :meth:`step_chunk` drives — the window join locator
-    #: :meth:`scan_first_join_packed` *and* the exact chain-join locator
-    #: :meth:`scan_chain_join_packed` — or it overrides :meth:`step_chunk`
-    #: itself.  The simulation engine falls back to the per-packet
-    #: reference loop when this is false, so custom protocol subclasses
-    #: keep working unmodified.
+    #: :meth:`step_chunk` drives — one join locator,
+    #: :meth:`scan_chain_join_packed`, plus the bookkeeping mirrors — or it
+    #: overrides :meth:`step_chunk` itself.  The simulation engine falls
+    #: back to the per-packet reference loop when this is false, so custom
+    #: protocol subclasses keep working unmodified.
     supports_batched_units: bool = False
 
     #: Whether the protocol's state is strictly per-receiver, allowing the
@@ -82,15 +81,6 @@ class LayeredProtocol(abc.ABC):
     #: protocols with session-global state (the active-node extension)
     #: leave this false.
     supports_stacked_runs: bool = False
-
-    #: Whether the protocol's batched path reads the dense per-packet loss
-    #: matrices (``UnitChunk.shared_lost`` / ``independent_lost``).  The
-    #: chunk scan only needs the packed ``receivable`` words, which the
-    #: engine builds by scattering sparse loss positions; protocols that
-    #: inspect raw loss outcomes (the active-node group drain) set this
-    #: true, override :meth:`step_chunk`, and get the dense arrays
-    #: materialised instead.
-    needs_dense_losses: bool = False
 
     def stacking_key(self) -> tuple:
         """Identity for run stacking: two protocol instances may drive
@@ -153,42 +143,6 @@ class LayeredProtocol(abc.ABC):
         return self._rng
 
     # ------------------------------------------------------------------
-    # per-unit randomness
-    # ------------------------------------------------------------------
-    def begin_unit(
-        self,
-        rng: np.random.Generator,
-        num_packets: int,
-        num_receivers: Optional[int] = None,
-    ) -> None:
-        """Pre-sample per-unit protocol randomness (reference engine only).
-
-        Called by the per-packet reference loop once per unit with the
-        run's dedicated protocol stream, immediately after the unit's loss
-        outcomes are sampled.  The chunk engine does **not** call this
-        hook (since RNG scheme 4 it samples no per-unit protocol
-        randomness): a subclass that pre-samples draws here must leave
-        ``supports_batched_units`` false so every engine setting routes it
-        to the reference loop; batched protocols take their randomness
-        from the counter streams delivered by :meth:`bind_run_streams`.
-        The default draws nothing, as do all built-in protocols.
-        """
-
-    def begin_chunk(
-        self,
-        num_runs: int = 1,
-        num_units: int = 1,
-        packets_per_unit: int = 0,
-    ) -> None:
-        """Prepare per-chunk scratch state (chunk engine only).
-
-        Called by the chunk engine before each chunk's loss sampling;
-        protocols with per-chunk scratch buffers size them here.
-        ``num_runs`` tells them how many stacked run blocks the chunk's
-        receiver rows are laid out in.
-        """
-
-    # ------------------------------------------------------------------
     # chunk path (the bitpacked engine)
     # ------------------------------------------------------------------
     def step_chunk(self, chunk: UnitChunk, levels: np.ndarray) -> ChunkResult:
@@ -201,41 +155,6 @@ class LayeredProtocol(abc.ABC):
         independent (the active-node group protocol) override it.
         """
         return scan_chunk_bitpacked(self, chunk, levels)
-
-    def scan_first_join_packed(
-        self,
-        chunk: UnitChunk,
-        view,
-        act: np.ndarray,
-        levels_act: np.ndarray,
-        pos: np.ndarray,
-        cong,
-    ):
-        """First join-triggering packet per receiver under frozen state.
-
-        ``view`` is a :class:`repro.protocols.bitpack.PackedWindow` over
-        the window's packed reception rows, which follow ``act`` (the
-        receivers in view; ``levels_act`` their current levels, ``pos``
-        their scan positions) and are already masked to each receiver's
-        unconsumed columns; the hook reads masked popcounts (row counts,
-        prefix counts, k-th set bit).  Return ``None`` when no join is
-        possible, else ``(has_join, column)`` arrays over ``act`` with the
-        first candidate's *absolute* chunk column.  Only the first event
-        per receiver is acted upon, so implementations may assume state is
-        frozen.
-
-        ``cong`` carries the scan's cached first-congestion candidates as
-        ``(has_cong, e_cong)`` arrays over ``act``.  A join at or past a
-        row's congestion candidate is never consumed — the scan always
-        takes the earlier event — so the hook may report ``has_join=False``
-        for such rows and skip locating their join columns (typically one
-        cheap prefix popcount against ``e_cong`` replaces an exact rank
-        selection).  ``e_cong`` is undefined where ``has_cong`` is False.
-        """
-        raise ProtocolError(
-            f"protocol {self.name!r} declares supports_batched_units but does "
-            "not implement scan_first_join_packed()"
-        )
 
     def scan_chain_join_packed(
         self,
@@ -250,18 +169,20 @@ class LayeredProtocol(abc.ABC):
     ):
         """Locate each chained row's first join inside its gap, exactly.
 
-        Called by the scan's multi-event chain drain for rows whose
-        join-progress state was freshly reset (the Deterministic and
-        Coordinated counters are zero) or re-armed (the Uncoordinated
-        countdown) by their most recently consumed event.  ``words`` holds
-        the rows' packed receptions (bits below each row's position already
-        cleared; bits at or past ``gap_hi`` may be set and must be
-        ignored), ``gap_counts[r]`` the receptions strictly inside
-        ``(gap_lo[r], gap_hi[r])`` at the row's current level
-        ``levels_rows[r]``.  Both bounds are absolute chunk columns;
-        ``gap_lo`` is the consumed event's column and ``gap_hi`` either the
-        row's next congestion column (not received) or the exclusive
-        window end when no congestion candidate remains.
+        The scan's one event loop per window (the chain drain) calls this
+        for every row still holding events, with the protocol's
+        join-progress state as it stands after every event and reception
+        credited so far: the Deterministic and Coordinated counters, the
+        Uncoordinated countdown.  ``words`` holds the rows' packed
+        receptions (bits below each row's position already cleared; bits
+        at or past ``gap_hi`` may be set and must be ignored),
+        ``gap_counts[r]`` the receptions strictly inside ``(gap_lo[r],
+        gap_hi[r])`` at the row's current level ``levels_rows[r]``.  Both
+        bounds are absolute chunk columns; ``gap_lo`` is the last consumed
+        column (the column before the window start when the row has
+        consumed none in this window) and ``gap_hi`` either the row's next
+        congestion column (not received) or the exclusive window end when
+        no congestion candidate remains.
 
         Return ``(has_join, join_col, join_bulk)``: a boolean mask over
         ``rows``, the absolute column of each joining row's first in-gap

@@ -3,7 +3,7 @@
 The chunk event scan (:mod:`repro.protocols.scan`) spends its time on
 receiver-major boolean matrices — ``receivable``, per-window ``recv`` and
 ``cong`` — whose reductions are first-congestion candidates, bulk
-reception counts and segment refreshes.  Per-receiver loss indicators are
+reception counts and row rebuilds.  Per-receiver loss indicators are
 single bits, so the scan packs 64 packet columns into one ``uint64`` word (receiver-major: row ``r``,
 word ``w`` holds columns ``64*w .. 64*w+63``, column ``c`` at bit
 ``c % 64``) and replaces the boolean reductions with masked popcounts.
@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 import sys
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,7 +32,6 @@ import numpy as np
 __all__ = [
     "HAVE_NATIVE_POPCOUNT",
     "WORD_BITS",
-    "PackedWindow",
     "bit_at",
     "clear_bits",
     "clear_cols",
@@ -48,7 +46,6 @@ __all__ = [
     "prefix_counts_multi",
     "row_counts",
     "start_masks",
-    "tail_mask",
     "unpack_bits",
     "word_base",
 ]
@@ -310,19 +307,6 @@ def start_masks(
     return _HIGH_MASKS[shift]
 
 
-def tail_mask(
-    stop: int,
-    base_col: int,
-    num_words: int,
-    bases: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One mask row keeping only bits at absolute columns ``< stop``."""
-    if bases is None:
-        bases = word_base(base_col, num_words)
-    keep = np.clip(stop - bases, 0, WORD_BITS)
-    return _LOW_MASKS[keep]
-
-
 def _cumulative_counts(words: np.ndarray) -> np.ndarray:
     """Per-row running popcount: ``cum[r, w]`` counts bits in words < ``w``."""
     num_rows, num_words = words.shape
@@ -464,52 +448,3 @@ def kth_set(words: np.ndarray, base_col: int, k: np.ndarray) -> np.ndarray:
     byte = word_bytes[rows, byte_index].astype(np.int64)
     bit = 8 * byte_index + _SELECT_IN_BYTE[byte, rank - 1]
     return base_col + WORD_BITS * word_index.astype(np.int64) + bit
-
-
-@dataclass
-class PackedWindow:
-    """One scan window's packed reception bits, handed to protocol hooks.
-
-    Attributes
-    ----------
-    words:
-        Receiver-major packed reception matrix (rows are the active
-        receivers of the call), already masked to each receiver's
-        unconsumed columns and to the window's column range.
-    base_col:
-        Absolute column of bit 0 of ``words[:, 0]`` (a multiple of 64).
-    col_lo / col_hi:
-        The (segment) column range the view represents: ``[col_lo,
-        col_hi)`` in absolute chunk columns.  Bits outside it are zero.
-    num_obs_cols:
-        Number of *observable* columns in the range (layer at most the
-        window's top subscription) — an upper bound on any row's
-        receptions, used by join hooks to prune candidates.
-    last_obs_col:
-        Largest observable column in the window (``-1`` when none); the
-        Coordinated protocol's sync-point anchor.
-    """
-
-    words: np.ndarray
-    base_col: int
-    col_lo: int
-    col_hi: int
-    num_obs_cols: int
-    last_obs_col: int
-
-    def bit_at(self, cols, rows=None) -> np.ndarray:
-        """Reception bit per (selected) row at absolute column(s)."""
-        words = self.words if rows is None else self.words[rows]
-        return bit_at(words, self.base_col, cols)
-
-    def prefix_counts_multi(self, cols: np.ndarray) -> np.ndarray:
-        """Receptions strictly before each shared absolute column."""
-        return prefix_counts_multi(self.words, self.base_col, cols)
-
-    def kth_set(self, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Absolute column of each selected row's ``k``-th reception."""
-        return kth_set(self.words[rows], self.base_col, k)
-
-    def prefix_counts(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Receptions strictly before each selected row's absolute column."""
-        return prefix_counts(self.words[rows], self.base_col, cols)

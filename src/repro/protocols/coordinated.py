@@ -87,56 +87,17 @@ class CoordinatedProtocol(LayeredProtocol):
     # ------------------------------------------------------------------
     # packed scan hooks
     # ------------------------------------------------------------------
-    def scan_first_join_packed(self, chunk, view, act, levels_act, pos, cong):
-        # Every sync point inside the view is inspected in one vectorised
-        # pass (prefix popcounts), so wide windows need no pruning to a
-        # single sync point.  Reception bits before each row's position are
-        # already masked out of the packed rows, so a sync point a row has
-        # consumed past cannot produce a candidate.
-        hi_col = view.col_hi
-        if bool(cong[0].all()):
-            # Every row has a congestion candidate; sync points past the
-            # latest one can never be consumed (the scan always takes the
-            # earlier event), so the inspected range shrinks to match.
-            hi_col = min(hi_col, int(cong[1].max()) + 1)
-        s_lo = int(chunk.sync_cols.searchsorted(view.col_lo))
-        s_hi = int(chunk.sync_cols.searchsorted(hi_col))
-        if s_lo == s_hi:
-            return None
-        num_layers = chunk.num_layers
-        gate = self.sync_threshold_fraction * self.join_threshold(levels_act)
-        counters = self._received_since_event[act]
-        # The counter cannot outgrow the observable columns, so rows the
-        # observed-packet bound rules out are skipped before any popcount.
-        maybe = (counters + view.num_obs_cols >= gate) & (levels_act < num_layers)
-        if not maybe.any():
-            return None
-        sync_sel = chunk.sync_cols[s_lo:s_hi]
-        at_sync = chunk.sync_ok[s_lo:s_hi][:, levels_act].T
-        running = view.prefix_counts_multi(sync_sel + 1)
-        candidates = (
-            view.bit_at(sync_sel)
-            & at_sync
-            & (counters[:, None] + running >= gate[:, None])
-            & maybe[:, None]
-        )
-        first = candidates.argmax(axis=1)
-        has_join = candidates[np.arange(act.size), first]
-        if not has_join.any():
-            return None
-        return has_join, sync_sel[first]
-
     def scan_chain_join_packed(
         self, chunk, words, base_col, rows, levels_rows, gap_counts, gap_lo, gap_hi
     ):
-        # With the counter zeroed by the consumed event, a row joins at the
-        # first sync point strictly inside its gap (the bounds themselves
-        # are the consumed event and a lost packet or the window end) that
-        # it received, that admits its level, and whose in-gap running
-        # reception count clears the gate.  Bits
-        # below each row's position are already cleared, so the prefix
-        # popcount at a sync point *is* the counter the per-packet rule
-        # would hold there.
+        # A row joins at the first sync point strictly inside its gap (the
+        # bounds themselves are the last consumed column and a lost packet
+        # or the window end) that it received, that admits its level, and
+        # at which its counter clears the gate.  Bits below each row's
+        # position are already cleared, so the counter the per-packet rule
+        # would hold at a sync point is the row's counter plus the prefix
+        # popcount there; the counter stays on the left of each sum so the
+        # float comparison is the per-packet rule's ``counter >= gate``.
         no_join = np.zeros(rows.size, dtype=bool)
         sync_cols = chunk.sync_cols
         s_lo = int(sync_cols.searchsorted(int(gap_lo.min()), side="right"))
@@ -148,10 +109,11 @@ class CoordinatedProtocol(LayeredProtocol):
         # level cannot fire; typically only a few survive the prune into
         # the sync-matrix inspection below.
         gate = self.sync_threshold_fraction * self.join_threshold(levels_rows)
+        counters = self._received_since_event[rows]
         maybe = (
             (sync_cols.searchsorted(gap_lo, side="right")
              < sync_cols.searchsorted(gap_hi, side="left"))
-            & (gap_counts >= gate)
+            & (counters + gap_counts >= gate)
             & (levels_rows < chunk.num_layers)
         )
         if not maybe.any():
@@ -168,7 +130,7 @@ class CoordinatedProtocol(LayeredProtocol):
             bitpack.bit_at(part, base_col, sync_sel)
             & chunk.sync_ok[s_lo:s_hi][:, levels_m].T
             & (sync_sel[None, :] < gap_hi_m[:, None])
-            & (running >= gate[midx][:, None])
+            & (counters[midx][:, None] + running >= gate[midx][:, None])
         )
         first = candidates.argmax(axis=1)
         iota = np.arange(midx.size)

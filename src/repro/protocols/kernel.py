@@ -1,24 +1,25 @@
 """The scan kernel: one protocol decision sequence, two engines.
 
-The Section-4 protocol semantics — candidate congestion selection,
-credit/bulk-reception accounting, join/leave transitions, segment refresh,
-window close — are driven from two places: the per-packet reference loop
-(the executable spec) and the bit-packed chunk scan
-(:func:`repro.protocols.scan.scan_chunk_bitpacked`).  This module holds
-what both share, split along a representation boundary:
+The Section-4 protocol semantics — credit/bulk-reception accounting and
+join/leave transitions — are driven from two places: the per-packet
+reference loop (the executable spec) and the bit-packed chunk scan
+(:func:`repro.protocols.scan.scan_chunk_bitpacked`), whose one event loop
+per scan window (the chain drain) consumes every join and congestion
+event of the window.  This module holds what both share, split along a
+representation boundary:
 
-* :class:`ScanKernel` owns the *semantics*: event ordering (the
-  first-event rule), the level-step invariants (a leave only below the
-  floor, a join only below the window top), credit accounting, the hook
-  dispatch order (``scan_bulk_received`` before ``scan_congested`` /
-  ``scan_joined`` / ``scan_left``) and the event record layout the
-  simulator engine reconstructs carriage from.  The scan and the
-  reference loop both drive their transitions through it, so the
-  conformance suite checks one semantics instead of two implementations.
+* :class:`ScanKernel` owns the *semantics*: the level-step invariants (a
+  leave never below level 1; in the per-packet loop, a join never past
+  the top layer), credit accounting, the hook dispatch order
+  (``scan_bulk_received`` before ``scan_congested`` / ``scan_joined`` /
+  ``scan_left``) and the event record layout the simulator engine
+  reconstructs carriage from.  The scan and the reference loop both drive
+  their transitions through it, so the conformance suite checks one
+  semantics instead of two implementations.
 * :class:`PackedOps` (the :data:`PACKED_OPS` singleton) owns the
   *representation*: ``uint64`` words with masked popcounts
-  (:mod:`repro.protocols.bitpack`), plus the two fused primitives the
-  chain drain leans on.
+  (:mod:`repro.protocols.bitpack`), plus the fused row rebuild the chain
+  drain runs after every consumed event.
 
 The engine registry (:data:`ENGINES`, :data:`ENGINE_ALIASES` and
 :func:`resolve_engine`) lives here too, as the single source of truth for
@@ -188,16 +189,6 @@ class ScanKernel:
         self._ev_old: List[np.ndarray] = []
         self._ev_new: List[np.ndarray] = []
 
-    # ---- the first-event rule ------------------------------------------
-    @staticmethod
-    def first_event(has_cong, e_cong, has_join, e_join) -> np.ndarray:
-        """Which rows' first event is the congestion candidate.
-
-        Congestion and join columns are disjoint per receiver, so the
-        earlier of the two (when both exist) is the true first event.
-        """
-        return has_cong & (~has_join | (e_cong < e_join))
-
     # ---- scan-side transitions -----------------------------------------
     def credit(self, rows, counts, hook_counts=None) -> None:
         """Credit bulk receptions and mirror them to the protocol.
@@ -241,16 +232,14 @@ class ScanKernel:
             self._ev_new.append(levels[lidx])
             self.protocol.scan_left(lidx, levels[lidx])
 
-    def join(self, rows: np.ndarray, cols: np.ndarray, top: int) -> int:
+    def join(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Apply a join at ``cols[i]`` to receiver ``rows[i]``.
 
         The join-triggering packet's own reception is part of the bulk
-        credit the scan passed to :meth:`credit`.  Returns the earliest
-        column whose join outgrew ``top`` (the window's layer slice) — the
-        caller must truncate its window there — or ``-1``.
+        credit the scan passed to :meth:`credit`.
         """
         if rows.size == 0:
-            return -1
+            return
         levels = self.levels
         self.protocol.scan_joined(rows, levels[rows] + 1)
         jcols = cols.astype(np.int64, copy=False)
@@ -263,10 +252,6 @@ class ScanKernel:
         self._ev_new.append(new)
         if self.trace is not None:
             self.trace.event(rows, jcols + self.col_offset, "join", old, new)
-        raised = new > top
-        if raised.any():
-            return int(jcols[raised].min())
-        return -1
 
     def result(self) -> ChunkResult:
         """The chunk's credit totals and level-change event records."""
@@ -329,67 +314,51 @@ class ScanKernel:
 class PackedOps:
     """uint64-packed words + popcount reductions: the scan's one lowering.
 
-    Thin delegation to :mod:`repro.protocols.bitpack`, plus two fused
-    primitives (:meth:`gather_andnot_counts`, :meth:`chain_rebuild`) that
-    name the packed drain's hottest compositions.  Every primitive must be
-    bit-exact (same columns, same counts): the cross-engine conformance
-    matrix pins the kernel's event sequence.
+    Thin delegation to :mod:`repro.protocols.bitpack`, plus the fused
+    :meth:`chain_rebuild` that names the chain drain's hottest
+    composition.  Every primitive must be bit-exact (same columns, same
+    counts): the cross-engine conformance matrix pins the kernel's event
+    sequence.
     """
 
     word_base = staticmethod(bitpack.word_base)
-    start_masks = staticmethod(bitpack.start_masks)
-    tail_mask = staticmethod(bitpack.tail_mask)
     first_set = staticmethod(bitpack.first_set)
     row_counts = staticmethod(bitpack.row_counts)
     prefix_counts = staticmethod(bitpack.prefix_counts)
 
     @staticmethod
-    def gather_andnot_counts(recv: np.ndarray, hit: np.ndarray,
-                             ahead: np.ndarray) -> np.ndarray:
-        """Per hit row, count reception bits *not* selected by ``ahead``.
-
-        The generation drain's consumed-bit credit: ``ahead`` masks the
-        columns past each row's event, so the complement popcount is the
-        receptions up to and including the event column.
-        """
-        consumed = recv[hit]
-        consumed &= ~ahead
-        return bitpack.row_counts(consumed)
-
-    @staticmethod
     def chain_rebuild(
         masks_here: np.ndarray,
-        w_off: int,
+        ok: np.ndarray,
+        recv: np.ndarray,
+        rows: np.ndarray,
+        ws: int,
         levels_rows: np.ndarray,
         pos_rows: np.ndarray,
         edge_word: np.uint64,
         base_ws: int,
         bases_ws: np.ndarray,
-        ok_rows: np.ndarray,
-        recv_hit: np.ndarray,
-        chain_l: np.ndarray,
-        ws: int,
     ):
         """Rebuild chained rows' packed suffix after a consumed event.
 
-        Recomputes each chained row's reception words at suffix word
-        index ``ws`` onward — layer mask under the row's new level
-        (``masks_here[level, w_off:]``), masked below the row's new
-        position and at the window edge — writes them back into
-        ``recv_hit`` in place, and returns the refreshed first-congestion
-        candidate ``(has, col)`` for the chained rows.  ``ok_rows`` holds
-        the chained rows' receivability suffix aligned with ``ws``.
+        Recomputes the reception words of ``rows`` from word index ``ws``
+        onward — layer mask under each row's new level
+        (``masks_here[level, ws:]``), masked below the row's new position
+        and at the window edge, and-ed with the receivability ``ok`` —
+        writes them back into ``recv`` in place, and returns the refreshed
+        first-congestion candidate ``(has, col)`` per row.  ``base_ws`` and
+        ``bases_ws`` are the absolute columns of bit 0 of word ``ws`` and
+        of every suffix word.
         """
-        num_words = recv_hit.shape[1] - ws
-        front = bitpack.start_masks(pos_rows, base_ws, num_words, bases_ws)
-        sub_c = masks_here[levels_rows, w_off:]
-        sub_c &= front
-        sub_c[:, -1] &= edge_word
-        recv_c = sub_c & ok_rows
-        cong_c = sub_c
-        cong_c ^= recv_c
-        recv_hit[chain_l, ws:] = recv_c
-        return bitpack.first_set(cong_c, base_ws)
+        front = bitpack.start_masks(pos_rows, base_ws, bases_ws.size, bases_ws)
+        sub = masks_here[levels_rows, ws:]
+        sub &= front
+        sub[:, -1] &= edge_word
+        recv_rows = sub & ok[rows, ws:]
+        cong = sub
+        cong ^= recv_rows
+        recv[rows, ws:] = recv_rows
+        return bitpack.first_set(cong, base_ws)
 
 
 #: The shared lowering singleton (the ops object is stateless).

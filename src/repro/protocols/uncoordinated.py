@@ -140,50 +140,21 @@ class UncoordinatedProtocol(LayeredProtocol):
     # ------------------------------------------------------------------
     # packed scan hooks
     # ------------------------------------------------------------------
-    def scan_first_join_packed(self, chunk, view, act, levels_act, pos, cong):
+    def scan_chain_join_packed(
+        self, chunk, words, base_col, rows, levels_rows, gap_counts, gap_lo, gap_hi
+    ):
         if self._streams is None:
             raise ProtocolError(
                 "uncoordinated batched scan needs bind_run_streams() to "
                 "attach its per-receiver draw streams"
             )
-        countdown = self._countdown[act]
-        # A row cannot join unless its countdown fits in the observable
-        # columns, which prunes the popcounts to the few candidate rows
-        # (top-level sentinels never pass).
-        maybe = countdown <= view.num_obs_cols
-        if not bool(maybe.any()):
-            return None
-        midx = maybe.nonzero()[0]
-        # Only a join strictly before the row's congestion candidate is
-        # ever consumed (the scan takes the earlier event), so one prefix
-        # popcount up to there replaces the rank selection for rows whose
-        # join would be discarded.
-        has_cong, e_cong = cong
-        limit = np.where(has_cong[midx], e_cong[midx], view.col_hi)
-        counts = view.prefix_counts(midx, limit)
-        fire = countdown[midx] <= counts
-        if not bool(fire.any()):
-            return None
-        candidates = midx[fire]
-        # The joining packet is each row's countdown-th reception — the
-        # countdown-th set bit of its packed row.
-        has_join = np.zeros(act.size, dtype=bool)
-        has_join[candidates] = True
-        index = np.zeros(act.size, dtype=np.int64)
-        index[candidates] = view.kth_set(candidates, countdown[candidates])
-        return has_join, index
-
-    def scan_chain_join_packed(
-        self, chunk, words, base_col, rows, levels_rows, gap_counts, gap_lo, gap_hi
-    ):
         # The joining packet is each row's countdown-th reception (the
-        # countdown was re-armed by the event that ended the last gap, or
-        # carried across a level-1 congestion), so the join falls inside
-        # the gap exactly when the countdown fits its reception count: it
-        # is the countdown-th set bit of the packed row (bits below the
-        # position are cleared, and the fit inside the gap bounds the rank
-        # below ``gap_hi``).  Top-level rows hold the sentinel and never
-        # fire.
+        # countdown is whatever the last level change armed, minus the
+        # receptions credited since), so the join falls inside the gap
+        # exactly when the countdown fits its reception count: it is the
+        # countdown-th set bit of the packed row (bits below the position
+        # are cleared, and the fit inside the gap bounds the rank below
+        # ``gap_hi``).  Top-level rows hold the sentinel and never fire.
         countdown = self._countdown[rows]
         has_join = countdown <= gap_counts
         col = gap_hi

@@ -369,9 +369,7 @@ class LayeredSessionSimulator:
         context: "_RunContext",
         num_units: int,
         packets_per_unit: int,
-        receivable_block: Optional[np.ndarray],
-        shared_dense: Optional[np.ndarray],
-        independent_dense: Optional[np.ndarray],
+        receivable_block: np.ndarray,
     ) -> None:
         """Apply one chunk's loss outcomes for this run (chunked engine).
 
@@ -379,11 +377,9 @@ class LayeredSessionSimulator:
         clears them out of the pre-set packed ``receivable`` words — the
         shared columns plus every receiver's independent (row, column)
         pairs in one fused scatter — instead of materialising dense
-        per-packet outcome matrices; protocols that declare
-        ``needs_dense_losses`` get the dense forms filled in instead.
-        Every process is split-invariant, so each stream is sampled for the
-        whole chunk in one call — the same values the reference loop reads
-        unit by unit.
+        per-packet outcome matrices.  Every process is split-invariant, so
+        each stream is sampled for the whole chunk in one call — the same
+        values the reference loop reads unit by unit.
         """
         n = num_units * packets_per_unit
         receivers = self.num_receivers
@@ -406,12 +402,8 @@ class LayeredSessionSimulator:
             ]
             row = np.repeat(np.arange(receivers), [cols.size for cols in per_row])
             column = np.concatenate(per_row)
-        if receivable_block is not None and (shared_cols.size or column.size):
+        if shared_cols.size or column.size:
             bitpack.clear_cols_and_bits(receivable_block, shared_cols, row, column)
-        if shared_dense is not None:
-            shared_dense[shared_cols] = True
-        if independent_dense is not None:
-            independent_dense[row, column] = True
 
     # ------------------------------------------------------------------
     # simulation
@@ -466,7 +458,6 @@ class LayeredSessionSimulator:
             shared_lost, independent_lost = self._sample_unit_losses(
                 context, len(unit_packets)
             )
-            self.protocol.begin_unit(context.streams.protocol_rng, len(unit_packets))
             for packet_index, packet in enumerate(unit_packets):
                 if track_advertised:
                     pending = (advertised > levels) & (advert_expiry <= packet.time)
@@ -700,37 +691,20 @@ class LayeredSessionSimulator:
 
         num_runs = len(runs)
         receivers = self.num_receivers
-        self.protocol.begin_chunk(num_runs, num_units, packets_per_unit)
         num_packets = num_units * packets_per_unit
-        dense = self.protocol.needs_dense_losses
-        receivable_packed = None
-        layer_masks_packed = None
-        shared_lost = independent_lost = None
-        if dense:
-            shared_lost = np.zeros((num_runs, num_packets), dtype=bool)
-            independent_lost = np.zeros((receivers * num_runs, num_packets), dtype=bool)
-        else:
-            receivable_packed = bitpack.ones_rows(receivers * num_runs, num_packets)
-            layer_masks_packed = self._packed_static.get(num_units)
-            if layer_masks_packed is None:
-                level_rows = np.arange(self.scheme.num_layers + 1, dtype=np.int16)
-                layer_masks_packed = bitpack.pack_bits(
-                    layers[None, :] <= level_rows[:, None]
-                )
-                self._packed_static[num_units] = layer_masks_packed
+        receivable_packed = bitpack.ones_rows(receivers * num_runs, num_packets)
+        layer_masks_packed = self._packed_static.get(num_units)
+        if layer_masks_packed is None:
+            level_rows = np.arange(self.scheme.num_layers + 1, dtype=np.int16)
+            layer_masks_packed = bitpack.pack_bits(
+                layers[None, :] <= level_rows[:, None]
+            )
+            self._packed_static[num_units] = layer_masks_packed
         for run, (simulator, context) in enumerate(runs):
             block = slice(run * receivers, (run + 1) * receivers)
             simulator._scatter_chunk_losses(
-                context,
-                num_units,
-                packets_per_unit,
-                None if dense else receivable_packed[block],
-                shared_lost[run] if dense else None,
-                independent_lost[block] if dense else None,
+                context, num_units, packets_per_unit, receivable_packed[block]
             )
-        shared_for_chunk = None
-        if dense:
-            shared_for_chunk = shared_lost[0] if num_runs == 1 else shared_lost
 
         # Mirror PacketSchedule.sync_levels_for_unit: level i may join at
         # units that are positive multiples of 2^(i-1).
@@ -773,8 +747,6 @@ class LayeredSessionSimulator:
             packets_per_unit=packets_per_unit,
             num_layers=self.scheme.num_layers,
             layers=layers,
-            shared_lost=shared_for_chunk,
-            independent_lost=independent_lost,
             receivable_packed=receivable_packed,
             layer_masks_packed=layer_masks_packed,
             cols_for_level=cols_for_level,

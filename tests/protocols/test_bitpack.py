@@ -76,11 +76,9 @@ def test_masked_popcount_matches_dense_masked_sum(params):
     rng = np.random.default_rng(seed + 2)
     num_words = packed.shape[1]
     starts = rng.integers(0, cols + 1, size=rows)
-    stop = int(rng.integers(0, cols + 1))
     window = packed & bp.start_masks(starts, 0, num_words)
-    window &= bp.tail_mask(stop, 0, num_words)
     columns = np.arange(cols)
-    want = (dense & (columns[None, :] >= starts[:, None]) & (columns < stop)).sum(axis=1)
+    want = (dense & (columns[None, :] >= starts[:, None])).sum(axis=1)
     assert np.array_equal(bp.row_counts(window), want)
 
 
@@ -190,16 +188,20 @@ def test_empty_scatter_calls_are_noops():
 
 
 @pytest.mark.parametrize("cols", (64, 65, 128))
-def test_packed_window_helpers(cols):
+def test_bit_at_and_prefix_counts_multi_match_dense(cols):
     dense = np.random.default_rng(11).random((5, cols)) < 0.4
     packed = bp.pack_bits(dense)
-    view = bp.PackedWindow(
-        words=packed, base_col=0, col_lo=0, col_hi=cols,
-        num_obs_cols=cols, last_obs_col=cols - 1,
-    )
     probe = np.array([0, cols // 2, cols - 1])
-    assert np.array_equal(view.bit_at(probe), dense[:, probe])
+    assert np.array_equal(bp.bit_at(packed, 0, probe), dense[:, probe])
+    for col in probe:
+        assert np.array_equal(bp.bit_at(packed, 0, int(col)), dense[:, col])
     assert np.array_equal(
-        view.prefix_counts_multi(probe),
+        bp.prefix_counts_multi(packed, 0, probe),
         np.stack([dense[:, :c].sum(axis=1) for c in probe], axis=1),
+    )
+    # A word-aligned base column shifts every absolute column alike.
+    assert np.array_equal(bp.bit_at(packed, 128, probe + 128), dense[:, probe])
+    assert np.array_equal(
+        bp.prefix_counts_multi(packed, 128, probe + 128),
+        bp.prefix_counts_multi(packed, 0, probe),
     )

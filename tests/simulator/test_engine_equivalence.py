@@ -136,13 +136,21 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_active_node_matches_reference(self, seed, engine, geometry):
+    @pytest.mark.parametrize("latency", (0.0, 1.0))
+    @pytest.mark.parametrize("regime", LOSS_REGIMES, ids=lambda r: r[0])
+    def test_active_node_matches_reference(self, regime, latency, engine, geometry):
         # The group protocol has no packed scan hooks; under ``bitpacked``
-        # it runs its own dense-loss group drain with identical results.
-        reference = _simulator("active-node", "reference").run(seed=seed)
-        candidate = _simulator("active-node", engine, geometry=geometry).run(seed=seed)
-        assert_identical(reference, candidate)
+        # it runs its own group drain over the packed receivable words
+        # (shared losses clear whole columns, so per-column loss counts
+        # decide every group condition) with identical results.
+        _name, shared, independent = regime
+        for seed in SEEDS[:6]:
+            reference = _simulator("active-node", "reference", shared, independent,
+                                   leave_latency=latency).run(seed=seed)
+            candidate = _simulator("active-node", engine, shared, independent,
+                                   leave_latency=latency,
+                                   geometry=geometry).run(seed=seed)
+            assert_identical(reference, candidate)
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)
