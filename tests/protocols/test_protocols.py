@@ -15,8 +15,6 @@ from repro.protocols import (
     join_threshold_packets,
     make_protocol,
 )
-from repro.protocols import bitpack
-from repro.protocols.scan import UnitChunk
 from repro.simulator.packets import Packet
 
 
@@ -27,25 +25,6 @@ def make_packet(layer: int = 1, sync_levels=(), time: float = 0.0, sequence: int
 def ready(protocol, num_receivers=4, num_layers=8, seed=0):
     protocol.reset(num_receivers, ExponentialLayerScheme(num_layers), np.random.default_rng(seed))
     return protocol
-
-
-def lossless_chunk(num_receivers, num_layers, num_packets=8):
-    """A one-unit chunk of layer-1 packets that every receiver receives."""
-    layers = np.ones(num_packets, dtype=np.int16)
-    level_rows = np.arange(num_layers + 1)
-    return UnitChunk(
-        start_unit=0,
-        num_units=1,
-        packets_per_unit=num_packets,
-        num_layers=num_layers,
-        layers=layers,
-        cols_for_level=[np.nonzero(layers <= level)[0] for level in level_rows],
-        observed_before=np.zeros((num_layers + 1, num_packets + 1), dtype=np.int64),
-        sync_cols=np.zeros(0, dtype=np.int64),
-        sync_ok=np.zeros((0, num_layers + 2), dtype=bool),
-        receivable_packed=bitpack.ones_rows(num_receivers, num_packets),
-        layer_masks_packed=bitpack.pack_bits(layers[None, :] <= level_rows[:, None]),
-    )
 
 
 class TestFactoryAndThresholds:
@@ -88,11 +67,14 @@ class TestFactoryAndThresholds:
 class TestUncoordinatedProtocol:
     def test_chunk_scan_without_run_streams_raises(self):
         # The chunk scan draws its join countdowns from the counter-based
-        # streams an engine run binds; reset() alone does not attach them.
+        # streams an engine run binds; reset() alone does not attach them,
+        # so the scan's join locator refuses to run even with no rows.
         protocol = ready(UncoordinatedProtocol(), num_receivers=3, num_layers=4)
-        chunk = lossless_chunk(3, 4)
+        empty = np.zeros(0, dtype=np.int64)
         with pytest.raises(ProtocolError, match="bind_run_streams"):
-            protocol.step_chunk(chunk, np.ones(3, dtype=np.int64))
+            protocol.scan_chain_join_packed(
+                None, np.zeros((0, 1), dtype=np.uint64), 0, empty, empty, empty, empty, empty
+            )
 
     def test_level_one_joins_immediately(self):
         protocol = ready(UncoordinatedProtocol())

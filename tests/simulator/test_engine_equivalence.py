@@ -144,7 +144,7 @@ class TestEngineEquivalence:
         # (shared losses clear whole columns, so per-column loss counts
         # decide every group condition) with identical results.
         _name, shared, independent = regime
-        for seed in SEEDS[:6]:
+        for seed in SEEDS:
             reference = _simulator("active-node", "reference", shared, independent,
                                    leave_latency=latency).run(seed=seed)
             candidate = _simulator("active-node", engine, shared, independent,
