@@ -61,6 +61,16 @@ class LeaveLatencySpec(ExperimentSpec):
         },
     }
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # ``not >= 0`` also rejects NaN, which no comparison accepts.
+        if self.latencies is not None and not all(
+            latency >= 0 for latency in self.latencies
+        ):
+            raise ExperimentError(
+                f"latencies must be non-negative, got {list(self.latencies)}"
+            )
+
 
 @dataclass
 class LeaveLatencyResult:
@@ -101,8 +111,6 @@ class LeaveLatencyResult:
 def body(spec: LeaveLatencySpec) -> LeaveLatencyResult:
     """Sweep the leave latency and measure shared-link redundancy."""
     latencies = tuple(spec.latencies)
-    if any(latency < 0 for latency in latencies):
-        raise ExperimentError("latencies must be non-negative")
     result = LeaveLatencyResult(
         protocol=spec.protocol,
         latencies=latencies,
@@ -128,7 +136,8 @@ def body(spec: LeaveLatencySpec) -> LeaveLatencyResult:
         )
         for latency in latencies
     ]
-    # Each latency's repetitions stack into one scan.
+    # Leave latency is a per-run value, so every latency's repetitions
+    # stack into one scan.
     for runs in simulate_session_group(simulators, [seeds] * len(simulators)):
         result.redundancy.append(mean([run.redundancy for run in runs]))
         result.mean_receiver_rate.append(mean([run.mean_receiver_rate for run in runs]))

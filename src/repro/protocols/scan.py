@@ -102,8 +102,8 @@ class UnitChunk:
         ``(len(sync_cols), num_levels+2)`` table with ``sync_ok[i, l]``
         true when level ``l`` may join at that sync point.
     times:
-        Absolute transmission time per column; only materialised when the
-        engine tracks leave-latency advertisements.
+        Absolute transmission time per column; the engine's carriage pass
+        finds leave-latency drop columns in it.
     scan_window:
         Maximum observed columns one scan iteration examines (0 =
         unbounded).  Purely a performance knob — results are identical for

@@ -243,9 +243,9 @@ class LayeredSessionSimulator:
     chunk_units:
         Time units the chunked engine processes per chunk (performance
         knob only; results do not depend on it).  ``None`` (the default)
-        picks 8 units — wider chunks amortise per-chunk assembly but
-        inflate the per-generation word range of the packed scan, and 8
-        balances the two.
+        picks 8 units — wider chunks amortise per-chunk assembly over
+        more units but enlarge the chunk's packed loss words and
+        per-column tables, and 8 balances the two.
     """
 
     def __init__(
@@ -265,7 +265,7 @@ class LayeredSessionSimulator:
             raise SimulationError(f"need at least one receiver, got {num_receivers}")
         if duration_units < 2:
             raise SimulationError(f"duration_units must be >= 2, got {duration_units}")
-        if leave_latency < 0:
+        if not leave_latency >= 0:
             raise SimulationError(f"leave_latency must be non-negative, got {leave_latency}")
         try:
             engine = resolve_engine(engine)
@@ -543,80 +543,58 @@ class LayeredSessionSimulator:
         each block driven by its own generator and loss processes, so the
         per-run results match the solo runs bit for bit — and all per-run
         accounting is split back out per chunk.  The runs' simulators may
-        differ in loss configuration but must share this simulator's
-        geometry (receivers, scheme, duration, warm-up, leave latency) and
-        its protocol instance drives all blocks.
+        differ in loss configuration and leave latency but must share this
+        simulator's geometry (receivers, scheme, duration, warm-up) and its
+        protocol instance drives all blocks.
         """
         num_runs = len(runs)
         receivers = self.num_receivers
         total_receivers = receivers * num_runs
         levels = np.ones(total_receivers, dtype=np.int64)
-        track_advertised = self.leave_latency > 0.0
-        advertised = np.ones(total_receivers, dtype=np.int64)
+        receiver_latency = np.repeat(
+            [simulator.leave_latency for simulator, _context in runs], receivers
+        )
+        # Advertisements outlive a warm-up chunk only when some run has a
+        # leave latency; otherwise warm-up chunks need no carriage pass.
+        advertising = bool((receiver_latency > 0).any())
+        advertised = np.zeros(total_receivers, dtype=np.int64)
         advert_expiry = np.zeros(total_receivers, dtype=float)
 
-        shared_link_packets = [0] * num_runs
+        shared_link_packets = np.zeros(num_runs, dtype=np.int64)
         receiver_packets = np.zeros((num_runs, receivers), dtype=np.int64)
-        level_sum = [0.0] * num_runs
-        max_level_sum = [0.0] * num_runs
+        # Per run: the sums of unit-start mean and max subscription levels.
+        level_sums = np.zeros((num_runs, 2))
         measured_units = self.duration_units - self.warmup_units
         total_sender_packets = self.schedule.total_packets(self.duration_units)
 
         for start_unit, num_units, measuring in self._chunk_plan():
-            chunk = self._assemble_chunk(runs, start_unit, num_units, track_advertised)
+            chunk = self._assemble_chunk(runs, start_unit, num_units)
             start_levels = levels.copy()
             result = self.protocol.step_chunk(chunk, levels)
+            events = (
+                result.event_cols,
+                result.event_receivers,
+                result.event_old_levels,
+                result.event_new_levels,
+            )
+            if measuring or advertising:
+                carried = _carried_packets_group(
+                    chunk, start_levels, *events,
+                    receivers, receiver_latency, advertised, advert_expiry,
+                )
             if measuring:
+                shared_link_packets += carried
                 receiver_packets += result.received.reshape(num_runs, receivers)
                 # Accumulate the unit-start statistics in unit order, with
-                # the same floats the reference loop adds (the per-run
+                # the same floats the reference loop adds: the per-run
                 # reductions run over each run's contiguous receiver block,
-                # so the values equal the solo runs' bit for bit).
-                boundary = _unit_start_levels(
-                    chunk,
-                    start_levels,
-                    result.event_cols,
-                    result.event_receivers,
-                    result.event_old_levels,
-                    result.event_new_levels,
-                ).reshape(chunk.num_units, num_runs, receivers)
-                means = boundary.mean(axis=2)
-                maxes = boundary.max(axis=2)
-                for index in range(chunk.num_units):
-                    for run in range(num_runs):
-                        level_sum[run] += float(means[index, run])
-                        max_level_sum[run] += float(maxes[index, run])
-                if not track_advertised:
-                    carried = _carried_packets_group(
-                        chunk,
-                        start_levels,
-                        result.event_cols,
-                        result.event_receivers,
-                        result.event_old_levels,
-                        result.event_new_levels,
-                        num_runs,
-                        receivers,
-                    )
-                    for run in range(num_runs):
-                        shared_link_packets[run] += int(carried[run])
-            if track_advertised:
-                run_of_event = result.event_receivers // receivers
-                for run in range(num_runs):
-                    mine = run_of_event == run
-                    block = slice(run * receivers, (run + 1) * receivers)
-                    carried = self._advertised_carriage(
-                        chunk,
-                        start_levels[block],
-                        levels[block],
-                        result.event_cols[mine],
-                        result.event_receivers[mine] - run * receivers,
-                        result.event_old_levels[mine],
-                        result.event_new_levels[mine],
-                        advertised[block],
-                        advert_expiry[block],
-                    )
-                    if measuring:
-                        shared_link_packets[run] += carried
+                # and ``cumsum`` adds strictly in order, so the sums equal
+                # the solo runs' bit for bit.
+                boundary = _unit_start_levels(chunk, start_levels, *events).reshape(
+                    chunk.num_units, num_runs, receivers
+                )
+                unit_stats = np.stack((boundary.mean(axis=2), boundary.max(axis=2)), axis=2)
+                level_sums = np.concatenate((level_sums[None], unit_stats)).cumsum(axis=0)[-1]
 
         return [
             SessionSimulationResult(
@@ -626,14 +604,14 @@ class LayeredSessionSimulator:
                 duration_units=self.duration_units,
                 warmup_units=self.warmup_units,
                 measured_units=measured_units,
-                shared_link_packets=shared_link_packets[run],
+                shared_link_packets=int(shared_link_packets[run]),
                 receiver_packets=receiver_packets[run],
                 total_sender_packets=total_sender_packets,
-                mean_subscription_level=level_sum[run] / measured_units,
-                mean_max_subscription_level=max_level_sum[run] / measured_units,
+                mean_subscription_level=float(level_sums[run, 0]) / measured_units,
+                mean_max_subscription_level=float(level_sums[run, 1]) / measured_units,
                 shared_loss_rate=simulator.shared_loss.average_loss_rate,
                 independent_loss_rates=simulator._independent_loss_rates(),
-                leave_latency=self.leave_latency,
+                leave_latency=simulator.leave_latency,
             )
             for run, (simulator, _context) in enumerate(runs)
         ]
@@ -659,7 +637,6 @@ class LayeredSessionSimulator:
         runs: List[Tuple["LayeredSessionSimulator", "_RunContext"]],
         start_unit: int,
         num_units: int,
-        with_times: bool,
     ) -> UnitChunk:
         """Pre-sample one chunk's randomness and package it for the scan.
 
@@ -716,15 +693,11 @@ class LayeredSessionSimulator:
         sync_ok = np.zeros((with_sync.size, self.scheme.num_layers + 2), dtype=bool)
         sync_ok[:, 1:self.schedule.num_sync_levels + 1] = marks[with_sync]
 
-        times = None
-        if with_times:
-            # unit + offset in exactly the reference loop's operand order,
-            # so leave-latency expiry comparisons see identical floats.
-            units = np.repeat(
-                np.arange(start_unit, start_unit + num_units, dtype=float),
-                packets_per_unit,
-            )
-            times = units + offsets
+        # unit + offset in exactly the reference loop's operand order, so
+        # leave-latency expiry comparisons see identical floats.
+        times = np.repeat(
+            np.arange(start_unit, start_unit + num_units, dtype=float), packets_per_unit
+        ) + offsets
 
         # Packed rows cost one byte per 8 columns, so a large column
         # budget keeps the window matrices cache-sized: small stacks scan
@@ -757,104 +730,6 @@ class LayeredSessionSimulator:
             scan_window=scan_window,
         )
 
-    def _advertised_carriage(
-        self,
-        chunk: UnitChunk,
-        start_levels: np.ndarray,
-        end_levels: np.ndarray,
-        event_cols: np.ndarray,
-        event_receivers: np.ndarray,
-        event_old: np.ndarray,
-        event_new: np.ndarray,
-        advertised: np.ndarray,
-        advert_expiry: np.ndarray,
-    ) -> int:
-        """Shared-link carriage for one chunk under leave latency.
-
-        Replays the reference loop's lazily-dropped advertisements from the
-        chunk's level-change events: each leave opens (or extends) a
-        per-receiver advertisement window at the pre-leave level, which
-        closes at the first packet at or after its expiry time; the shared
-        link carries a layer while any window or live subscription wants
-        it.  ``advertised``/``advert_expiry`` are updated in place to the
-        end-of-chunk state.
-        """
-        n = chunk.num_packets
-        times = chunk.times
-        if event_cols.size == 0:
-            base_max: np.ndarray = np.full(n, int(start_levels.max()), dtype=np.int64)
-        else:
-            base_max = _max_level_per_packet(
-                chunk, start_levels, event_cols, event_old, event_new
-            ).astype(np.int64)
-
-        intervals: List[Tuple[int, int, int]] = []
-        window_value: Dict[int, int] = {}
-        window_expiry: Dict[int, float] = {}
-        window_start: Dict[int, int] = {}
-        for pending in np.nonzero(advertised > start_levels)[0]:
-            receiver = int(pending)
-            window_value[receiver] = int(advertised[receiver])
-            window_expiry[receiver] = float(advert_expiry[receiver])
-            window_start[receiver] = 0
-
-        if event_cols.size:
-            order = np.lexsort((event_cols, event_receivers))
-            for row, receiver, old, new in zip(
-                event_cols[order].tolist(),
-                event_receivers[order].tolist(),
-                event_old[order].tolist(),
-                event_new[order].tolist(),
-            ):
-                if new > old:
-                    # A join never raises a pending advertisement: the
-                    # advertised level always bounds the live subscription.
-                    continue
-                if receiver in window_value:
-                    drop = int(np.searchsorted(times, window_expiry[receiver]))
-                    if drop <= row:
-                        if drop > window_start[receiver]:
-                            intervals.append(
-                                (window_start[receiver], drop, window_value[receiver])
-                            )
-                        window_value[receiver] = old
-                        window_start[receiver] = row + 1
-                    elif old > window_value[receiver]:
-                        # The advertised level is a *running* max: packets up
-                        # to and including this one saw the old value.
-                        if row + 1 > window_start[receiver]:
-                            intervals.append(
-                                (window_start[receiver], row + 1, window_value[receiver])
-                            )
-                        window_value[receiver] = old
-                        window_start[receiver] = row + 1
-                else:
-                    window_value[receiver] = old
-                    window_start[receiver] = row + 1
-                window_expiry[receiver] = float(times[row]) + self.leave_latency
-
-        advertised[:] = end_levels
-        for receiver, value in window_value.items():
-            expiry = window_expiry[receiver]
-            drop = int(np.searchsorted(times, expiry))
-            end = min(drop, n)
-            if end > window_start[receiver]:
-                intervals.append((window_start[receiver], end, value))
-            if drop >= n:
-                # Still pending at the chunk boundary; carry the window over.
-                advertised[receiver] = value
-                advert_expiry[receiver] = expiry
-
-        if intervals:
-            extra = np.zeros(n, dtype=np.int64)
-            for start, end, value in intervals:
-                segment = extra[start:end]
-                np.maximum(segment, value, out=segment)
-            carriage = np.maximum(base_max, extra)
-        else:
-            carriage = base_max
-        return int(np.count_nonzero(chunk.layers <= carriage))
-
 
 def _unit_start_levels(
     chunk: UnitChunk,
@@ -880,32 +755,64 @@ def _unit_start_levels(
     return start_levels[None, :] + accumulated.cumsum(axis=0).astype(np.int64)
 
 
-def _max_level_per_packet(
-    chunk: UnitChunk,
+def _leave_advertisements(
+    times: np.ndarray,
     start_levels: np.ndarray,
     event_cols: np.ndarray,
+    event_receivers: np.ndarray,
     event_old: np.ndarray,
     event_new: np.ndarray,
-) -> np.ndarray:
-    """Highest live subscription level at the start of every packet.
+    receiver_latency: np.ndarray,
+    advertised: np.ndarray,
+    advert_expiry: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk's leave advertisements as ``(receiver, open, close, level)``.
 
-    Tracks the per-level receiver occupancy instead of per-receiver
-    trajectories: each level change moves one receiver between two level
-    buckets, so the occupancy histogram over packets is a cumulative sum of
-    scattered ±1 deltas, and the carried level is the highest non-empty
-    bucket — work proportional to ``packets × levels`` however many
-    receivers moved.
+    Replays the reference loop's lazily dropped advertisements from the
+    chunk's level-change events, all receivers at once.  A leave at column
+    ``c`` keeps advertising its pre-leave level from column ``c+1`` until
+    its drop column: the first packet at or after ``times[c]`` plus the
+    receiver's leave latency.  A later leave before that drop extends the
+    advertisement into a chain whose level is the running max of the
+    levels left, held until the chain's last drop — so every leave
+    advertises its own level up to its chain's drop.  An advertisement
+    still pending at the previous chunk's end (``advertised`` above the
+    start level) opens its chain at column 0.  ``advertised`` and
+    ``advert_expiry`` are updated in place to the chains still pending at
+    this chunk's end (``advertised`` is 0 where none is).  Only non-empty
+    advertisements are returned.
     """
-    n = chunk.num_packets
-    width = chunk.num_layers + 1
-    keep = event_cols + 1 < n
-    rows = event_cols[keep] + 1
-    flat = np.concatenate((rows * width + event_old[keep],
-                           rows * width + event_new[keep]))
-    weights = np.concatenate((np.full(rows.size, -1.0), np.full(rows.size, 1.0)))
-    deltas = np.bincount(flat, weights=weights, minlength=n * width).reshape(n, width)
-    occupancy = np.bincount(start_levels, minlength=width)[None, :] + deltas.cumsum(axis=0)
-    return width - 1 - (occupancy[:, ::-1] > 0).argmax(axis=1)
+    n = times.size
+    leave = (event_new < event_old) & (receiver_latency[event_receivers] > 0)
+    pending = np.nonzero(advertised > start_levels)[0]
+    leavers = event_receivers[leave]
+    receiver = np.concatenate((pending, leavers))
+    col = np.concatenate((np.full(pending.size, -1), event_cols[leave]))
+    level = np.concatenate((advertised[pending], event_old[leave]))
+    expiry = np.concatenate(
+        (advert_expiry[pending], times[event_cols[leave]] + receiver_latency[leavers])
+    )
+    advertised[:] = 0
+    if receiver.size == 0:
+        return receiver, col, col, level
+    order = np.lexsort((col, receiver))
+    receiver, col, level, expiry = receiver[order], col[order], level[order], expiry[order]
+    drop = np.maximum(np.searchsorted(times, expiry), col + 1)
+    # One receiver's drops never decrease (its latency is fixed), so a
+    # chain's drop is its last leave's, and a leave extends the chain of
+    # the leave before it iff it lands before that leave's drop.
+    fresh = np.ones(receiver.size, dtype=bool)
+    fresh[1:] = (receiver[1:] != receiver[:-1]) | (col[1:] >= drop[:-1])
+    starts = np.nonzero(fresh)[0]
+    ends = np.append(starts[1:], receiver.size) - 1
+    close = drop[ends][np.cumsum(fresh) - 1]
+    pending_at_end = drop[ends] >= n
+    tails = ends[pending_at_end]
+    advertised[receiver[tails]] = np.maximum.reduceat(level, starts)[pending_at_end]
+    advert_expiry[receiver[tails]] = expiry[tails]
+    opens = col + 1
+    span = opens < close
+    return receiver[span], opens[span], close[span], level[span]
 
 
 def _carried_packets_group(
@@ -915,67 +822,71 @@ def _carried_packets_group(
     event_receivers: np.ndarray,
     event_old: np.ndarray,
     event_new: np.ndarray,
-    num_runs: int,
     receivers: int,
+    receiver_latency: np.ndarray,
+    advertised: np.ndarray,
+    advert_expiry: np.ndarray,
 ) -> np.ndarray:
-    """Per-run packets of the chunk carried by the shared link (no latency).
+    """Per-run packets of the chunk carried by the shared link.
 
-    The carried level is piecewise constant between level-change events, so
-    each run's count is a handful of lookups into the chunk's static
-    ``observed_before`` prefix table — one segment per distinct event
-    column — instead of per-packet work.  All runs' segment structures are
-    built in one keyed sort/bincount pass (run-major keys), leaving only a
-    tiny per-run loop over its own segments.
+    The link carries a packet iff its layer is at most the run's carried
+    level: the highest live subscription or pending leave advertisement
+    (:func:`_leave_advertisements`, which also updates the carry-over
+    state in place).  That level is the top non-empty bucket of the run's
+    level-occupancy histogram, which changes only at boundary columns —
+    one receiver moving between two levels after each event, one
+    advertisement opening or closing — so each run's count is two lookups
+    per boundary into the chunk's static ``observed_before`` prefix table
+    instead of per-packet work.  All runs share one keyed unique/bincount
+    pass over run-major (run, boundary) keys.
     """
     n = chunk.num_packets
     table = chunk.observed_before
     width = chunk.num_layers + 1
-    start_tops = start_levels.reshape(num_runs, receivers).max(axis=1)
-    counts = table[start_tops, n].astype(np.int64)
-    if event_cols.size == 0:
-        return counts
-    event_runs = event_receivers // receivers
-    key = event_runs * np.int64(n + 1) + event_cols
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    fresh = np.empty(sorted_key.size, dtype=bool)
-    fresh[0] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=fresh[1:])
-    segment_of = np.empty(sorted_key.size, dtype=np.int64)
-    segment_of[order] = np.cumsum(fresh) - 1
-    segment_keys = sorted_key[fresh]
-    segment_runs = segment_keys // (n + 1)
-    segment_cols = segment_keys % (n + 1)
+    num_runs = start_levels.size // receivers
+    advert_receivers, opens, closes, advert_levels = _leave_advertisements(
+        chunk.times, start_levels, event_cols, event_receivers, event_old, event_new,
+        receiver_latency, advertised, advert_expiry,
+    )
+    # The occupancy of ``levels[i]`` in the run of receiver ``rows[i]``
+    # changes by ``signs[i]`` from packet ``bounds[i]`` on.
+    rows = np.concatenate((event_receivers, event_receivers, advert_receivers, advert_receivers))
+    bounds = np.concatenate((event_cols + 1, event_cols + 1, opens, closes))
+    levels = np.concatenate((event_old, event_new, advert_levels, advert_levels))
+    signs = np.repeat([-1.0, 1.0, 1.0, -1.0], [event_cols.size] * 2 + [opens.size] * 2)
+    inside = bounds < n
+    # Every run gets a segment at packet 0, so the start levels need no
+    # separate head piece.
+    segment_keys, segment_of = np.unique(
+        np.concatenate(
+            (np.arange(num_runs) * n, (rows[inside] // receivers) * n + bounds[inside])
+        ),
+        return_inverse=True,
+    )
     num_segments = segment_keys.size
-    flat = np.concatenate(
-        (segment_of * width + event_old, segment_of * width + event_new)
-    )
-    weights = np.concatenate(
-        (np.full(event_cols.size, -1.0), np.full(event_cols.size, 1.0))
-    )
+    segment_runs, segment_bounds = np.divmod(segment_keys, n)
     deltas = np.bincount(
-        flat, weights=weights, minlength=num_segments * width
+        segment_of[num_runs:] * width + levels[inside],
+        weights=signs[inside],
+        minlength=num_segments * width,
     ).reshape(num_segments, width)
+    cumulative = np.zeros((num_segments + 1, width))
+    np.cumsum(deltas, axis=0, out=cumulative[1:])
+    run_start = np.nonzero(segment_bounds == 0)[0]
     start_occupancy = np.bincount(
         np.arange(num_runs).repeat(receivers) * width + start_levels,
         minlength=num_runs * width,
     ).reshape(num_runs, width)
-    run_bounds = np.searchsorted(segment_runs, np.arange(num_runs + 1))
-    for run in range(num_runs):
-        low, high = int(run_bounds[run]), int(run_bounds[run + 1])
-        if low == high:
-            continue  # no events: the start-top count already stands
-        occupancy = start_occupancy[run][None, :] + deltas[low:high].cumsum(axis=0)
-        tops = np.concatenate(
-            (
-                [int(start_tops[run])],
-                width - 1 - (occupancy[:, ::-1] > 0).argmax(axis=1),
-            )
-        )
-        edges = np.concatenate(([0], segment_cols[low:high] + 1, [n]))
-        spans = table[tops, np.minimum(edges[1:], n)] - table[tops, edges[:-1]]
-        counts[run] = int(spans.sum())
-    return counts
+    occupancy = (
+        start_occupancy[segment_runs] + cumulative[1:] - cumulative[run_start[segment_runs]]
+    )
+    tops = width - 1 - (occupancy[:, ::-1] > 0).argmax(axis=1)
+    # A segment ends where the next begins, or at the chunk end when the
+    # next one is the following run's packet-0 segment.
+    segment_ends = np.append(segment_bounds[1:], 0)
+    segment_ends[segment_ends == 0] = n
+    carried = table[tops, segment_ends] - table[tops, segment_bounds]
+    return np.bincount(segment_runs, weights=carried, minlength=num_runs).astype(np.int64)
 
 
 def simulate_session_group(
@@ -1040,8 +951,8 @@ def _stack_key(simulator: LayeredSessionSimulator) -> Optional[tuple]:
 
     Only the ``bitpacked`` engine stacks, and only protocols with strictly
     per-receiver state; stacked runs may differ in their loss processes
-    (and chunk size: the lead's is used) but share the session geometry,
-    the leave latency and a behaviourally identical protocol.
+    and leave latencies (and chunk size: the lead's is used) but share the
+    session geometry and a behaviourally identical protocol.
     """
     protocol = simulator.protocol
     if not (
@@ -1055,7 +966,6 @@ def _stack_key(simulator: LayeredSessionSimulator) -> Optional[tuple]:
         simulator.num_receivers,
         simulator.duration_units,
         simulator.warmup_units,
-        simulator.leave_latency,
         protocol.stacking_key(),
         simulator.scheme.num_layers,
         schedule.pattern_layers.tobytes(),

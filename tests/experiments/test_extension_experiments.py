@@ -76,11 +76,14 @@ class TestLeaveLatencyExperiment:
     def test_table_renders(self, result):
         assert "leave latency" in result.table()
 
-    def test_validation(self):
-        with pytest.raises(ExperimentError):
-            get_experiment("leave_latency").run(
-                latencies=(-1.0,), repetitions=1, duration_units=100
-            )
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_validation(self, bad):
+        # The spec itself refuses the latency, so nothing is simulated; NaN
+        # fails every comparison, so a ``< 0`` check would let it through.
+        experiment = get_experiment("leave_latency")
+        with pytest.raises(ExperimentError, match="latencies"):
+            experiment.make_spec(latencies=(0.0, bad))
+        assert experiment.make_spec(latencies=(0.0, float("inf"))).latencies[-1] == float("inf")
 
 
 class TestBurstinessExperiment:

@@ -314,11 +314,11 @@ class TestStackedRuns:
 
         monkeypatch.setattr(LayeredSessionSimulator, "_run_batched", counting_run_batched)
         grouped = simulate_session_group([make() for make in makers], seed_lists)
-        # Coordinated without latency (0.02, the per-receiver list, 0.08),
-        # coordinated with latency, deterministic with and without latency,
-        # then the active node's two solo runs; the reference run never
-        # enters the chunk scan.
-        assert sorted(stacks) == [1, 1, 2, 2, 3, 8]
+        # Leave latency is a per-run value, so it never splits a stack:
+        # coordinated (0.02, latency 1.5, the per-receiver list, 0.08),
+        # deterministic with and without latency, then the active node's
+        # two solo runs; the reference run never enters the chunk scan.
+        assert sorted(stacks) == [1, 1, 5, 10]
         monkeypatch.undo()
         assert [len(results) for results in grouped] == [len(s) for s in seed_lists]
         for make, seeds, results in zip(makers, seed_lists, grouped):
@@ -330,6 +330,39 @@ class TestStackedRuns:
                         assert np.array_equal(expected, actual), field.name
                     else:
                         assert expected == actual, field.name
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_mixed_latencies_share_one_scan_and_match_reference(
+        self, protocol, engine, geometry, monkeypatch
+    ):
+        # The leave-latency sweep's shape: every latency (zero, sub-unit,
+        # fractional and longer than a chunk) rides one stacked scan, and
+        # each run's advertisements follow its own latency exactly.
+        latencies = (0.0, 0.5, 2.7, 9.5)
+        stacks = []
+        run_batched = LayeredSessionSimulator._run_batched
+
+        def counting_run_batched(simulator, runs):
+            stacks.append(len(runs))
+            return run_batched(simulator, runs)
+
+        monkeypatch.setattr(LayeredSessionSimulator, "_run_batched", counting_run_batched)
+        grouped = simulate_session_group(
+            [
+                _simulator(protocol, engine, leave_latency=latency, geometry=geometry)
+                for latency in latencies
+            ],
+            [SEEDS[:3]] * len(latencies),
+        )
+        monkeypatch.undo()
+        assert stacks == [3 * len(latencies)]
+        for latency, results in zip(latencies, grouped):
+            for seed, result in zip(SEEDS[:3], results):
+                solo = _simulator(protocol, "reference", leave_latency=latency).run(seed=seed)
+                assert_identical(solo, result)
+                assert result.leave_latency == latency
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", CHUNK_ENGINES)

@@ -60,6 +60,8 @@ CHUNK_ENGINES = tuple(engine for engine in ENGINES if engine != "reference")
 DURATIONS = (3, 7, 8, 9, 16, 25, 33, 48, 63, 64, 65, 96, 130)
 #: Bernoulli rates; 0.3/0.5 exercise the dense multi-event drain regime.
 RATES = (0.001, 0.01, 0.05, 0.1, 0.3, 0.5)
+#: Leave latencies (zero twice: the instant-leave case stays common).
+LATENCIES = (0.0, 0.0, 0.5, 1.3, 2.7)
 
 
 def loss_specs(include_none: bool = True) -> st.SearchStrategy:
@@ -114,7 +116,7 @@ def scenarios(draw):
         "num_receivers": num_receivers,
         "num_layers": draw(st.integers(2, 6)),
         "duration": draw(st.sampled_from(DURATIONS)),
-        "leave_latency": draw(st.sampled_from((0.0, 0.0, 0.5, 1.3, 2.7))),
+        "leave_latency": draw(st.sampled_from(LATENCIES)),
         "shared": draw(loss_specs()),
         "independent": independent,
         "seed": draw(st.integers(0, 2**16)),
@@ -197,14 +199,21 @@ class TestDifferentialFuzzer:
     @given(
         scenario=scenarios(),
         rates=st.lists(st.sampled_from(RATES), min_size=2, max_size=2, unique=True),
+        latencies=st.lists(st.sampled_from(LATENCIES), min_size=2, max_size=2),
         seeds=st.lists(st.integers(0, 4000), min_size=2, max_size=2, unique=True),
     )
     @settings(max_examples=30)
-    def test_fuzzed_session_groups_serialise_identically(self, scenario, rates, seeds):
+    def test_fuzzed_session_groups_serialise_identically(
+        self, scenario, rates, latencies, seeds
+    ):
+        # Variants differ in loss rate and leave latency; both are per-run
+        # values, so the scan engines stack every variant into one scan.
         def grouped(engine):
             variants = []
-            for rate in rates:
-                variant = dict(scenario, independent=("bernoulli", rate))
+            for rate, latency in zip(rates, latencies):
+                variant = dict(
+                    scenario, independent=("bernoulli", rate), leave_latency=latency
+                )
                 variants.append(build_simulator(variant, engine))
             return [
                 [result_payload(result) for result in results]

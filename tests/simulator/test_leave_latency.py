@@ -11,11 +11,27 @@ from repro.simulator import BernoulliLoss, LayeredSessionSimulator, NoLoss, simu
 
 
 class TestConfiguration:
-    def test_negative_latency_rejected(self):
-        with pytest.raises(SimulationError):
+    @pytest.mark.parametrize("latency", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_invalid_latency_rejected(self, latency):
+        # NaN fails every comparison, so a ``< 0`` check would let it through.
+        with pytest.raises(SimulationError, match="leave_latency"):
             LayeredSessionSimulator(
-                DeterministicProtocol(), 2, NoLoss(), NoLoss(), leave_latency=-1.0
+                DeterministicProtocol(), 2, NoLoss(), NoLoss(), leave_latency=latency
             )
+
+    def test_infinite_latency_never_drops_and_engines_agree(self):
+        # An infinite latency is valid: leaves never propagate, so the link
+        # keeps every layer any receiver ever held.
+        runs = {
+            engine: simulate_layered_session(
+                make_protocol("coordinated"), 6, 0.01, 0.08, num_layers=5,
+                duration_units=120, leave_latency=float("inf"), seed=2, engine=engine,
+            )
+            for engine in ("reference", "bitpacked")
+        }
+        assert runs["bitpacked"].shared_link_packets == runs["reference"].shared_link_packets
+        assert (runs["bitpacked"].receiver_packets == runs["reference"].receiver_packets).all()
+        assert runs["bitpacked"].leave_latency == float("inf")
 
     def test_latency_recorded_in_result(self):
         result = simulate_layered_session(

@@ -176,6 +176,11 @@ class TestRun:
         assert main(["run", key, "--set", f"protocols={protocols}"]) == 2
         assert "protocols" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("latencies", ["[0.0,NaN]", "[0.0,-1.0]"], ids=["nan", "negative"])
+    def test_run_rejects_invalid_latency_before_simulating(self, capsys, latencies):
+        assert main(["run", "leave_latency", "--set", f"latencies={latencies}"]) == 2
+        assert "latencies" in capsys.readouterr().err
+
     def test_main_callable_in_process(self, capsys):
         assert main(["run", "figure1", "--format", "json"]) == 0
         [data] = json.loads(capsys.readouterr().out)
