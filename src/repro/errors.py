@@ -17,7 +17,15 @@ class NetworkModelError(ReproError):
 
 
 class RoutingError(NetworkModelError):
-    """Raised when a data-path cannot be constructed or is inconsistent."""
+    """Raised when a data-path cannot be constructed or is inconsistent.
+
+    A failed shortest-path search names the nodes it could not reach in
+    :attr:`unreachable` (empty for every other routing failure).
+    """
+
+    def __init__(self, message: str, unreachable: tuple = ()) -> None:
+        super().__init__(message)
+        self.unreachable = tuple(unreachable)
 
 
 class TopologyFormatError(NetworkModelError):

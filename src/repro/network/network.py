@@ -14,6 +14,7 @@ Section 2 is used by the fairness algorithms.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import NetworkModelError
@@ -59,8 +60,13 @@ class Network:
         self._validate_sessions()
         self._routing_strategy = routing if routing is not None else ShortestPathRouting()
         self._routing = self._routing_strategy.build(graph, self._sessions)
+        self._set_link_rate_functions(link_rate_functions)
+
+    def _set_link_rate_functions(
+        self, functions: Optional[Mapping[int, LinkRateFunction]]
+    ) -> None:
         self._incidence: Optional[NetworkIncidence] = None
-        self._link_rate_functions: Dict[int, LinkRateFunction] = dict(link_rate_functions or {})
+        self._link_rate_functions: Dict[int, LinkRateFunction] = dict(functions or {})
         for session_id in self._link_rate_functions:
             if not 0 <= session_id < len(self._sessions):
                 raise NetworkModelError(
@@ -277,17 +283,14 @@ class Network:
         session of the other type (same members, same topology) used in
         Lemma 3 and Corollary 1.
         """
-        new_sessions = []
-        for session in self._sessions:
-            if session.session_id in types:
-                new_sessions.append(session.with_type(types[session.session_id]))
-            else:
-                new_sessions.append(session)
-        return Network(
-            self._graph,
-            new_sessions,
-            routing=self._routing_strategy,
-            link_rate_functions=self._link_rate_functions,
+        return self._copy_keeping_routes(
+            [
+                session.with_type(types[session.session_id])
+                if session.session_id in types
+                else session
+                for session in self._sessions
+            ],
+            self._link_rate_functions,
         )
 
     def with_all_multi_rate(self) -> "Network":
@@ -310,12 +313,24 @@ class Network:
         Functions supplied here replace the whole mapping (sessions absent
         from ``functions`` revert to the efficient link rate).
         """
-        return Network(
-            self._graph,
-            self._sessions,
-            routing=self._routing_strategy,
-            link_rate_functions=functions,
-        )
+        return self._copy_keeping_routes(self._sessions, functions)
+
+    def _copy_keeping_routes(
+        self,
+        sessions: Sequence[Session],
+        functions: Optional[Mapping[int, LinkRateFunction]],
+    ) -> "Network":
+        """A copy with the same graph and member nodes, reusing the routes.
+
+        Routes depend only on the graph and each session's member nodes, so
+        a copy that changes session types or link-rate functions shares this
+        network's :class:`RoutingTable` instead of routing every session
+        again.  The incidence is rebuilt on demand.
+        """
+        network = copy.copy(self)
+        network._sessions = tuple(sessions)
+        network._set_link_rate_functions(functions)
+        return network
 
     def without_receiver(self, receiver_id: ReceiverId) -> "Network":
         """Return a copy with one receiver removed from its session.

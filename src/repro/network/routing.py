@@ -56,7 +56,6 @@ class RoutingTable:
         paths: Mapping[ReceiverId, Sequence[int]],
     ) -> None:
         self._graph = graph
-        self._sessions = tuple(sessions)
         self._paths: Dict[ReceiverId, Tuple[int, ...]] = {}
         for session in sessions:
             for receiver in session.receivers:
@@ -189,32 +188,19 @@ class ShortestPathRouting(RoutingStrategy):
             try:
                 tree = graph.shortest_path_tree(session.sender.node, targets)
             except RoutingError as exc:
-                reachable = _reachable_from(graph, session.sender.node)
                 stranded = sorted(
                     receiver.name for receiver in session.receivers
-                    if receiver.node not in reachable
+                    if receiver.node in exc.unreachable
                 )
                 raise RoutingError(
                     f"session {session.name}: receiver(s) {', '.join(stranded)} "
                     f"are disconnected from sender node {session.sender.node!r} "
-                    f"({exc})"
+                    f"({exc})",
+                    unreachable=exc.unreachable,
                 ) from exc
             for receiver in session.receivers:
                 paths[receiver.receiver_id] = tree[receiver.node]
         return RoutingTable(graph, sessions, paths)
-
-
-def _reachable_from(graph: NetworkGraph, source: str) -> Set[str]:
-    """Node names reachable from ``source`` (used for error reporting only)."""
-    visited = {source}
-    frontier = [source]
-    while frontier:
-        node = frontier.pop()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in visited:
-                visited.add(neighbor)
-                frontier.append(neighbor)
-    return visited
 
 
 class ExplicitRouting(RoutingStrategy):

@@ -125,3 +125,23 @@ class TestNetworkDerivation:
         network = build_simple_network()
         derived = network.with_all_multi_rate()
         assert derived.data_path((0, 0)) == network.data_path((0, 0))
+
+    def test_type_and_rate_function_copies_reuse_the_routes(self):
+        network = build_simple_network()
+        network.incidence()
+        converted = network.with_all_multi_rate()
+        assert converted.routing is network.routing
+        assert converted.incidence() is not network.incidence()
+        assert converted.incidence().session_single_rate.tolist() == [False, False]
+        assert network.incidence().session_single_rate.tolist() == [True, False]
+        with_functions = converted.with_link_rate_functions({0: max})
+        assert with_functions.routing is network.routing
+        assert converted.link_rate_functions == {}
+        with pytest.raises(NetworkModelError, match="unknown session id 5"):
+            network.with_link_rate_functions({5: max})
+
+    def test_without_receiver_routes_again(self):
+        network = build_simple_network()
+        pruned = network.without_receiver((0, 1))
+        assert pruned.routing is not network.routing
+        assert pruned.data_path((0, 0)) == network.data_path((0, 0))

@@ -1,17 +1,89 @@
-"""Unit tests for routing tables and data-path bookkeeping."""
+"""Unit tests for routing tables and data-path bookkeeping.
+
+:func:`reference_shortest_paths` is the executable spec of shortest-path
+routing: the pure-Python, level-synchronous breadth-first search that
+:meth:`NetworkGraph.shortest_path_tree` replaced with SciPy's C search on a
+cached CSR adjacency.  Every route the graph returns must be link-for-link
+the route this search finds.  Tier-1 runs the pinned ``ci`` hypothesis
+profile; ``--hypothesis-profile=thorough`` runs the larger randomised budget.
+"""
 
 from __future__ import annotations
 
+from typing import Dict, List, Tuple
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import RoutingError
 from repro.network import (
     ExplicitRouting,
+    Network,
     NetworkGraph,
     Session,
     SessionType,
     ShortestPathRouting,
 )
+from repro.network.topology.generators import barabasi_albert
+
+
+def reference_shortest_paths(graph: NetworkGraph, source: str) -> Dict[str, List[int]]:
+    """Minimum-hop link paths from ``source`` to every node it reaches.
+
+    Frontier by frontier, each node scans its incident links in id order
+    and claims every neighbour not yet visited; a node's path is its
+    claimer's path plus the claiming link.
+    """
+    prev: Dict[str, Tuple[str, int]] = {}
+    frontier = [source]
+    visited = {source}
+    while frontier:
+        next_frontier: List[str] = []
+        for node in frontier:
+            for link_id in graph.incident_links(node):
+                other = graph.link(link_id).other_end(node)
+                if other in visited:
+                    continue
+                visited.add(other)
+                prev[other] = (node, link_id)
+                next_frontier.append(other)
+        frontier = next_frontier
+    paths: Dict[str, List[int]] = {}
+    for target in visited:
+        path: List[int] = []
+        node = target
+        while node != source:
+            node, link_id = prev[node]
+            path.append(link_id)
+        paths[target] = path[::-1]
+    return paths
+
+
+@st.composite
+def multigraphs(draw):
+    """Small multigraphs: parallel links, equal-length ties, isolated nodes.
+
+    Nodes are registered in a drawn order so row order differs from name
+    order, and each link's endpoints come in a drawn orientation.
+    """
+    num_nodes = draw(st.integers(min_value=1, max_value=10))
+    names = draw(st.permutations([f"n{i}" for i in range(num_nodes)]))
+    graph = NetworkGraph(nodes=names)
+    if num_nodes > 1:
+        pairs = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1)
+                ).filter(lambda pair: pair[0] != pair[1]),
+                min_size=num_nodes - 1,
+                max_size=3 * num_nodes,
+            )
+        )
+        for u, v in pairs:
+            graph.add_link(names[u], names[v], capacity=1.0)
+    source = draw(st.sampled_from(names))
+    return graph, source
 
 
 @pytest.fixture
@@ -111,3 +183,78 @@ class TestExplicitRouting:
         sessions = [Session(0, "root", ["mid"])]
         with pytest.raises(RoutingError):
             ExplicitRouting({(0, 0): [0, 1, 1, 0, 0]}).build(tree_graph, sessions)
+
+
+class TestAgainstReferenceSearch:
+    @given(multigraphs())
+    def test_every_path_matches_reference(self, case):
+        graph, source = case
+        expected = reference_shortest_paths(graph, source)
+        assert graph.shortest_path_tree(source, list(expected)) == expected
+        for target, path in expected.items():
+            assert graph.shortest_path_links(source, target) == path
+        unreachable = sorted(set(graph.nodes) - set(expected))
+        if unreachable:
+            with pytest.raises(RoutingError) as excinfo:
+                graph.shortest_path_tree(source, graph.nodes)
+            assert list(excinfo.value.unreachable) == unreachable
+        assert graph.is_connected() == (not unreachable)
+
+    def test_parallel_links_take_the_lowest_id(self):
+        graph = NetworkGraph()
+        graph.add_link("b", "c", capacity=1.0)  # 0
+        graph.add_link("a", "b", capacity=1.0)  # 1
+        graph.add_link("b", "a", capacity=1.0)  # 2: parallel, reversed
+        graph.add_link("a", "c", capacity=1.0)  # 3
+        assert graph.shortest_path_tree("a", ["b", "c"]) == {"b": [1], "c": [3]}
+        assert graph.shortest_path_links("b", "a") == [1]
+
+    def test_ties_follow_link_order_not_node_order(self):
+        graph = NetworkGraph(nodes=["a", "b", "c", "d"])
+        graph.add_link("a", "c", capacity=1.0)  # 0: c is found before b
+        graph.add_link("a", "b", capacity=1.0)  # 1
+        graph.add_link("b", "d", capacity=1.0)  # 2
+        graph.add_link("c", "d", capacity=1.0)  # 3
+        assert graph.shortest_path_links("a", "d") == [0, 3]
+
+    @pytest.mark.parametrize("registration", ["generated", "reversed"])
+    def test_scale_free_sessions_match_reference(self, registration):
+        graph = barabasi_albert(500, 2, seed=7)
+        if registration == "reversed":
+            # Generated rows list neighbours in node order; registering the
+            # nodes backwards makes link order and node order disagree.
+            reordered = NetworkGraph(nodes=reversed(graph.nodes))
+            for link in graph.links:
+                reordered.add_link(link.u, link.v, capacity=link.capacity)
+            graph = reordered
+        network = Network.from_graph(graph, num_sessions=100, receivers_per_session=3, seed=11)
+        checked = 0
+        for session in network.sessions:
+            expected = reference_shortest_paths(graph, session.sender.node)
+            for receiver in session.receivers:
+                assert list(network.data_path(receiver.receiver_id)) == expected[receiver.node]
+                checked += 1
+        assert checked == 300
+
+
+class TestAdjacencyCache:
+    def test_new_links_and_nodes_are_routed(self):
+        graph = NetworkGraph()
+        for u, v in [("a", "b"), ("b", "c"), ("c", "d")]:
+            graph.add_link(u, v, capacity=1.0)
+        sessions = [Session(0, "a", ["d"])]
+        assert ShortestPathRouting().build(graph, sessions).data_path((0, 0)) == (0, 1, 2)
+        assert graph.is_connected()
+
+        shortcut = graph.add_link("a", "d", capacity=1.0)
+        assert ShortestPathRouting().build(graph, sessions).data_path((0, 0)) == (
+            shortcut.link_id,
+        )
+
+        graph.add_node("e")
+        assert not graph.is_connected()
+        with pytest.raises(RoutingError, match="'e'"):
+            graph.shortest_path_links("a", "e")
+        graph.add_link("d", "e", capacity=1.0)
+        assert graph.is_connected()
+        assert graph.shortest_path_links("a", "e") == [shortcut.link_id, 4]

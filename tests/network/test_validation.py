@@ -73,6 +73,22 @@ class TestDisconnectedPlacement:
         network = Network(graph, [Session(0, "a", ["b"])])
         assert network.data_path((0, 0)) == (0,)
 
+    def test_derived_networks_over_disconnected_graph(self):
+        graph = _two_island_graph()
+        graph.add_link("b", "e", capacity=1.0)  # 2
+        network = Network(graph, [Session(0, "a", ["b", "e"]), Session(1, "d", ["c"])])
+        single = network.with_all_single_rate()
+        assert single.routing is network.routing
+        assert single.data_path((1, 0)) == (1,)
+        assert network.with_link_rate_functions({1: max}).data_path((0, 1)) == (0, 2)
+        pruned = single.without_receiver((0, 0))  # routed again, island by island
+        assert pruned.data_path((0, 0)) == (0, 2)
+        assert pruned.data_path((1, 0)) == (1,)
+        sessions = list(single.sessions) + [Session(2, "c", ["d", "a", "b"])]
+        with pytest.raises(RoutingError, match=r"S3: receiver\(s\) r3,2, r3,3 .*'c'") as excinfo:
+            Network(graph, sessions)
+        assert excinfo.value.unreachable == ("a", "b")
+
     def test_shortest_path_tree_reports_unreachable_targets(self):
         graph = _two_island_graph()
         with pytest.raises(RoutingError, match="'c', 'd'"):
