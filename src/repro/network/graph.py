@@ -114,7 +114,7 @@ class NetworkGraph:
         self._incident: Dict[str, List[int]] = {}
         self._link_name_index: Dict[str, int] = {}
         self._capacities_cache: Optional[List[float]] = None
-        self._adjacency_cache: Optional[Tuple[csr_array, Dict[Tuple[int, int], int]]] = None
+        self._adjacency_cache: Optional[Tuple[csr_array, np.ndarray, np.ndarray]] = None
         if nodes is not None:
             for node in nodes:
                 self.add_node(node)
@@ -242,34 +242,44 @@ class NetworkGraph:
     # ------------------------------------------------------------------
     # path finding
     # ------------------------------------------------------------------
-    def _adjacency(self) -> Tuple[csr_array, Dict[Tuple[int, int], int]]:
-        """CSR node adjacency plus ``(parent, child) -> first link id`` (cached).
+    def _adjacency(self) -> Tuple[csr_array, np.ndarray, np.ndarray]:
+        """CSR node adjacency plus a ``(parent, child) -> first link id`` map (cached).
 
         Row ``i`` lists node ``i``'s neighbours in its incident-link order,
         which is link-id order; parallel links stay as repeated entries.  The
         matrix is built straight from ``(data, indices, indptr)`` and never
         sorted or deduplicated, so a FIFO search that scans each row in
         stored order discovers nodes in link-id order.
+
+        The map is two arrays: every entry's key ``parent * num_nodes +
+        child``, stably sorted, and the entry's link id.  Stability keeps
+        parallel links in id order, so ``searchsorted`` on the keys finds
+        the first link of a hop.
         """
         if self._adjacency_cache is None:
-            indices: List[int] = []
-            indptr = [0]
-            first_link: Dict[Tuple[int, int], int] = {}
-            for parent, node in enumerate(self._nodes):
-                for link_id in self._incident[node]:
-                    child = self._node_index[self._links[link_id].other_end(node)]
-                    indices.append(child)
-                    first_link.setdefault((parent, child), link_id)
-                indptr.append(len(indices))
+            degrees = [len(self._incident[node]) for node in self._nodes]
+            links = np.array(
+                [link_id for node in self._nodes for link_id in self._incident[node]],
+                dtype=np.int32,
+            )
+            endpoints = np.array(
+                [(self._node_index[link.u], self._node_index[link.v]) for link in self._links],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+            parents = np.repeat(np.arange(self.num_nodes), degrees)
+            children = endpoints[links].sum(axis=1) - parents  # the end that is not the parent
+            keys = parents * self.num_nodes + children
+            order = np.argsort(keys, kind="stable")
             adjacency = csr_array(
                 (
-                    np.ones(len(indices)),
-                    np.asarray(indices, dtype=np.int32),
-                    np.asarray(indptr, dtype=np.int32),
+                    # The search reads only the structure: one shared 1.0 serves every entry.
+                    np.broadcast_to(1.0, len(links)),
+                    children.astype(np.int32),
+                    np.concatenate(([0], np.cumsum(degrees))).astype(np.int32),
                 ),
                 shape=(self.num_nodes, self.num_nodes),
             )
-            self._adjacency_cache = (adjacency, first_link)
+            self._adjacency_cache = (adjacency, keys[order], links[order])
         return self._adjacency_cache
 
     def shortest_path_links(self, source: str, target: str) -> List[int]:
@@ -299,7 +309,7 @@ class NetworkGraph:
         for target in targets:
             if target not in self._node_index:
                 raise NetworkModelError(f"unknown target node {target!r}")
-        adjacency, first_link = self._adjacency()
+        adjacency, hop_keys, hop_links = self._adjacency()
         root = self._node_index[source]
         _, predecessors = breadth_first_order(
             adjacency, root, directed=True, return_predecessors=True
@@ -314,16 +324,22 @@ class NetworkGraph:
                 "is disconnected between them",
                 unreachable=unreachable,
             )
-        paths: Dict[str, List[int]] = {}
+        # Walk each target up the search tree, then look every hop's link up at once.
+        hops: List[int] = []
+        ends: List[int] = []
         for target in targets:
-            path: List[int] = []
             node = self._node_index[target]
             while node != root:
                 parent = predecessors.item(node)
-                path.append(first_link[parent, node])
+                hops.append(parent * self.num_nodes + node)
                 node = parent
-            path.reverse()
-            paths[target] = path
+            ends.append(len(hops))
+        links = hop_links[np.searchsorted(hop_keys, hops)].tolist()
+        paths: Dict[str, List[int]] = {}
+        start = 0
+        for target, end in zip(targets, ends):
+            paths[target] = links[start:end][::-1]
+            start = end
         return paths
 
     def is_connected(self) -> bool:
