@@ -88,13 +88,13 @@ class RoutingTable:
             raise RoutingError(f"data-path for {receiver.name} repeats a link: {path}")
 
     def _index_by_link(self) -> Dict[int, Dict[int, Set[ReceiverId]]]:
-        """Build link -> session -> set-of-receivers index."""
-        index: Dict[int, Dict[int, Set[ReceiverId]]] = {
-            link.link_id: {} for link in self._graph.links
-        }
+        """Build link -> session -> set-of-receivers index (links on some path only)."""
+        index: Dict[int, Dict[int, Set[ReceiverId]]] = {}
         for (session_id, receiver_index), path in self._paths.items():
             for link_id in path:
-                index[link_id].setdefault(session_id, set()).add((session_id, receiver_index))
+                index.setdefault(link_id, {}).setdefault(session_id, set()).add(
+                    (session_id, receiver_index)
+                )
         return index
 
     # ------------------------------------------------------------------
