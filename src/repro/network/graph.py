@@ -266,7 +266,7 @@ class NetworkGraph:
                 [(self._node_index[link.u], self._node_index[link.v]) for link in self._links],
                 dtype=np.int64,
             ).reshape(-1, 2)
-            parents = np.repeat(np.arange(self.num_nodes), degrees)
+            parents = np.repeat(np.arange(self.num_nodes, dtype=np.int64), degrees)
             children = endpoints[links].sum(axis=1) - parents  # the end that is not the parent
             keys = parents * self.num_nodes + children
             order = np.argsort(keys, kind="stable")
