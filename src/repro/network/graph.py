@@ -111,7 +111,7 @@ class NetworkGraph:
         self._nodes: List[str] = []
         self._node_index: Dict[str, int] = {}
         self._links: List[Link] = []
-        self._incident: Dict[str, List[int]] = {}
+        self._incident: List[List[int]] = []  # by node index
         self._link_name_index: Dict[str, int] = {}
         self._capacities_cache: Optional[List[float]] = None
         self._adjacency_cache: Optional[Tuple[csr_array, np.ndarray, np.ndarray]] = None
@@ -129,7 +129,7 @@ class NetworkGraph:
         if name not in self._node_index:
             self._node_index[name] = len(self._nodes)
             self._nodes.append(name)
-            self._incident[name] = []
+            self._incident.append([])
             self._adjacency_cache = None
         return name
 
@@ -154,8 +154,8 @@ class NetworkGraph:
             )
         self._links.append(link)
         self._link_name_index[link.name] = link.link_id
-        self._incident[u].append(link.link_id)
-        self._incident[v].append(link.link_id)
+        self._incident[self._node_index[u]].append(link.link_id)
+        self._incident[self._node_index[v]].append(link.link_id)
         self._capacities_cache = None
         self._adjacency_cache = None
         return link
@@ -212,7 +212,7 @@ class NetworkGraph:
         """Ids of links incident to ``node``."""
         if node not in self._node_index:
             raise NetworkModelError(f"unknown node {node!r}")
-        return list(self._incident[node])
+        return list(self._incident[self._node_index[node]])
 
     def neighbors(self, node: str) -> List[str]:
         """Nodes adjacent to ``node`` (each neighbour listed once)."""
@@ -257,9 +257,9 @@ class NetworkGraph:
         the first link of a hop.
         """
         if self._adjacency_cache is None:
-            degrees = [len(self._incident[node]) for node in self._nodes]
+            degrees = [len(row) for row in self._incident]
             links = np.array(
-                [link_id for node in self._nodes for link_id in self._incident[node]],
+                [link_id for row in self._incident for link_id in row],
                 dtype=np.int32,
             )
             endpoints = np.array(
