@@ -243,41 +243,32 @@ class NetworkGraph:
     # path finding
     # ------------------------------------------------------------------
     def _adjacency(self) -> Tuple[csr_array, np.ndarray, np.ndarray]:
-        """CSR node adjacency plus a ``(parent, child) -> first link id`` map (cached).
+        """CSR node adjacency and a ``(parent, child) -> first link id`` map, cached.
 
-        Row ``i`` lists node ``i``'s neighbours in its incident-link order,
-        which is link-id order; parallel links stay as repeated entries.  The
-        matrix is built straight from ``(data, indices, indptr)`` and never
-        sorted or deduplicated, so a FIFO search that scans each row in
-        stored order discovers nodes in link-id order.
-
-        The map is two arrays: every entry's key ``parent * num_nodes +
-        child``, stably sorted, and the entry's link id.  Stability keeps
-        parallel links in id order, so ``searchsorted`` on the keys finds
-        the first link of a hop.
+        Row ``i`` holds node ``i``'s neighbours in link-id order, parallel
+        links repeated.  It is never sorted or deduplicated, so a FIFO search
+        that scans rows in stored order finds nodes in link-id order.  The
+        map is every entry's key ``parent * num_nodes + child``, stably
+        sorted so parallel links stay in id order, beside the entry's link
+        id: ``searchsorted`` on the keys finds a hop's first link.
         """
         if self._adjacency_cache is None:
+            n = self.num_nodes
             degrees = [len(row) for row in self._incident]
-            links = np.array(
-                [link_id for row in self._incident for link_id in row],
-                dtype=np.int32,
-            )
-            endpoints = np.array(
+            links = np.array([link_id for row in self._incident for link_id in row], dtype=np.int32)
+            ends = np.array(
                 [(self._node_index[link.u], self._node_index[link.v]) for link in self._links],
                 dtype=np.int64,
             ).reshape(-1, 2)
-            parents = np.repeat(np.arange(self.num_nodes, dtype=np.int64), degrees)
-            children = endpoints[links].sum(axis=1) - parents  # the end that is not the parent
-            keys = parents * self.num_nodes + children
+            parents = np.repeat(np.arange(n, dtype=np.int64), degrees)
+            children = ends[links].sum(axis=1) - parents  # the end that is not the parent
+            keys = parents * n + children
             order = np.argsort(keys, kind="stable")
+            indptr = np.concatenate(([0], np.cumsum(degrees)))
+            # The search reads only the structure: one shared 1.0 serves every entry.
+            data = np.broadcast_to(1.0, len(links))
             adjacency = csr_array(
-                (
-                    # The search reads only the structure: one shared 1.0 serves every entry.
-                    np.broadcast_to(1.0, len(links)),
-                    children.astype(np.int32),
-                    np.concatenate(([0], np.cumsum(degrees))).astype(np.int32),
-                ),
-                shape=(self.num_nodes, self.num_nodes),
+                (data, children.astype(np.int32), indptr.astype(np.int32)), shape=(n, n)
             )
             self._adjacency_cache = (adjacency, keys[order], links[order])
         return self._adjacency_cache
@@ -291,9 +282,7 @@ class NetworkGraph:
         """
         return self.shortest_path_tree(source, [target])[target]
 
-    def shortest_path_tree(
-        self, source: str, targets: Iterable[str]
-    ) -> Dict[str, List[int]]:
+    def shortest_path_tree(self, source: str, targets: Iterable[str]) -> Dict[str, List[int]]:
         """Minimum-hop paths from ``source`` to every node in ``targets``.
 
         One breadth-first search (SciPy's, in C, over :meth:`_adjacency`)
@@ -311,17 +300,15 @@ class NetworkGraph:
                 raise NetworkModelError(f"unknown target node {target!r}")
         adjacency, hop_keys, hop_links = self._adjacency()
         root = self._node_index[source]
-        _, predecessors = breadth_first_order(
-            adjacency, root, directed=True, return_predecessors=True
-        )
+        _, predecessors = breadth_first_order(adjacency, root, return_predecessors=True)
         unreachable = sorted(
             {t for t in targets if t != source and predecessors.item(self._node_index[t]) < 0}
         )
         if unreachable:
+            names = ", ".join(repr(node) for node in unreachable)
             raise RoutingError(
-                f"no path from {source!r} to node(s) "
-                f"{', '.join(repr(node) for node in unreachable)}: the graph "
-                "is disconnected between them",
+                f"no path from {source!r} to node(s) {names}: the graph is disconnected "
+                "between them",
                 unreachable=unreachable,
             )
         # Walk each target up the search tree, then look every hop's link up at once.
@@ -335,12 +322,8 @@ class NetworkGraph:
                 node = parent
             ends.append(len(hops))
         links = hop_links[np.searchsorted(hop_keys, hops)].tolist()
-        paths: Dict[str, List[int]] = {}
-        start = 0
-        for target, end in zip(targets, ends):
-            paths[target] = links[start:end][::-1]
-            start = end
-        return paths
+        starts = [0] + ends[:-1]
+        return {t: links[start:end][::-1] for t, start, end in zip(targets, starts, ends)}
 
     def is_connected(self) -> bool:
         """True if every node is reachable from every other node."""

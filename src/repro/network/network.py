@@ -62,9 +62,7 @@ class Network:
         self._routing = self._routing_strategy.build(graph, self._sessions)
         self._set_link_rate_functions(link_rate_functions)
 
-    def _set_link_rate_functions(
-        self, functions: Optional[Mapping[int, LinkRateFunction]]
-    ) -> None:
+    def _set_link_rate_functions(self, functions: Optional[Mapping[int, LinkRateFunction]]) -> None:
         self._incidence: Optional[NetworkIncidence] = None
         self._link_rate_functions: Dict[int, LinkRateFunction] = dict(functions or {})
         for session_id in self._link_rate_functions:
@@ -283,15 +281,11 @@ class Network:
         session of the other type (same members, same topology) used in
         Lemma 3 and Corollary 1.
         """
-        return self._copy_keeping_routes(
-            [
-                session.with_type(types[session.session_id])
-                if session.session_id in types
-                else session
-                for session in self._sessions
-            ],
-            self._link_rate_functions,
-        )
+        sessions = [
+            s.with_type(types[s.session_id]) if s.session_id in types else s
+            for s in self._sessions
+        ]
+        return self._copy_keeping_routes(sessions, self._link_rate_functions)
 
     def with_all_multi_rate(self) -> "Network":
         """Return a copy where every session is multi-rate."""
@@ -316,16 +310,13 @@ class Network:
         return self._copy_keeping_routes(self._sessions, functions)
 
     def _copy_keeping_routes(
-        self,
-        sessions: Sequence[Session],
-        functions: Optional[Mapping[int, LinkRateFunction]],
+        self, sessions: Sequence[Session], functions: Optional[Mapping[int, LinkRateFunction]]
     ) -> "Network":
-        """A copy with the same graph and member nodes, reusing the routes.
+        """A copy with new session types or link-rate functions and this network's routes.
 
-        Routes depend only on the graph and each session's member nodes, so
-        a copy that changes session types or link-rate functions shares this
-        network's :class:`RoutingTable` instead of routing every session
-        again.  The incidence is rebuilt on demand.
+        Routes depend only on the graph and the sessions' member nodes, which
+        the copy keeps, so it shares this :class:`RoutingTable` instead of
+        routing every session again.  Its incidence is built on demand.
         """
         network = copy.copy(self)
         network._sessions = tuple(sessions)
