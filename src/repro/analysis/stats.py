@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from scipy import stats as scipy_stats
+from scipy.special import stdtrit
 
 from ..errors import ExperimentError
 
@@ -95,7 +95,9 @@ def _t_half_width(data: Sequence[float], confidence: float) -> float:
     se = standard_error(data)
     if se == 0.0:
         return 0.0
-    quantile = scipy_stats.t.ppf(0.5 + confidence / 2.0, df=len(data) - 1)
+    # stdtrit is the Student-t quantile scipy.stats.t.ppf computes; calling
+    # it directly keeps scipy.stats, a slow import, out of ``import repro``.
+    quantile = stdtrit(len(data) - 1, 0.5 + confidence / 2.0)
     return float(quantile) * se
 
 

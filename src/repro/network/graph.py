@@ -185,11 +185,10 @@ class NetworkGraph:
         return name in self._node_index
 
     def link(self, link_id: int) -> Link:
-        """Return the link with the given id."""
-        try:
-            return self._links[link_id]
-        except IndexError:
-            raise NetworkModelError(f"no link with id {link_id}") from None
+        """Return the link with the given id (``0 <= link_id < num_links``)."""
+        if not 0 <= link_id < len(self._links):
+            raise NetworkModelError(f"no link with id {link_id}")
+        return self._links[link_id]
 
     def link_by_name(self, name: str) -> Link:
         """Return the link with the given display name (O(1) dict lookup)."""

@@ -175,11 +175,13 @@ class Network:
         return self._graph.capacity(link_id)
 
     def incidence(self) -> NetworkIncidence:
-        """Dense NumPy index structures for this network, built once and cached.
+        """CSR index structures for this network, built once and cached.
 
-        Networks are immutable after construction (the derivation methods
-        below return copies), so the incidence can be shared by every
-        fairness computation on the same network.
+        The incidence takes its routing arrays by reference from the
+        routing table, which derived networks share.  Networks are immutable
+        after construction (the derivation methods below return copies), so
+        the incidence can be shared by every fairness computation on the
+        same network.
         """
         if self._incidence is None:
             self._incidence = NetworkIncidence(self)

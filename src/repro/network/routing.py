@@ -13,17 +13,21 @@ Two routing strategies are provided:
 * :class:`ExplicitRouting` — caller-supplied paths, useful for reproducing a
   figure where the route matters or for testing pathological routings.
 
-The resulting :class:`RoutingTable` exposes the quantities the fairness
-algorithms need: per-receiver data-paths, the sets ``R_{i,j}`` (receivers of
-session ``i`` crossing link ``j``) and ``R_j`` (all receivers crossing link
-``j``).
+The resulting :class:`RoutingTable` is the network's one route store: the
+data-paths plus the compressed sparse row (CSR) arrays, built once in
+NumPy, that every per-link question reads (``R_{i,j}``, ``R_j``, the
+sessions on a link).  :class:`~repro.network.incidence.NetworkIncidence`
+takes those arrays by reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
-from ..errors import RoutingError
+import numpy as np
+
+from ..errors import NetworkModelError, RoutingError
 from .graph import NetworkGraph
 from .session import Receiver, ReceiverId, Session
 
@@ -36,7 +40,7 @@ __all__ = [
 
 
 class RoutingTable:
-    """Immutable mapping from receivers to their data-paths.
+    """Receivers' data-paths and the CSR route store built from them.
 
     Parameters
     ----------
@@ -47,6 +51,47 @@ class RoutingTable:
     paths:
         Mapping from ``(session_id, receiver_index)`` to an ordered sequence
         of link ids forming the receiver's data-path (sender to receiver).
+        The table trusts them: searched paths are valid by construction, and
+        :class:`ExplicitRouting` checks caller-supplied paths before it
+        builds a table.
+
+    Attributes
+    ----------
+    receiver_ids:
+        Routed receivers in ``(session_id, receiver_index)`` order; a
+        receiver's position in this list is its *receiver index* in every
+        array below.
+    receiver_session:
+        ``int64[R]`` — session id of each receiver.
+    relevant_links:
+        Sorted link ids on at least one data-path (a list); a link's
+        position in it is its *compact link index*.
+    link_index:
+        Inverse mapping link id -> compact link index.
+    receiver_link_ptr / receiver_link_indices:
+        CSR layout of each receiver's data-path as sorted compact link
+        indices.
+    link_receiver_ptr / link_receiver_indices:
+        Transposed CSR: the receivers crossing each compact link, ascending.
+    pair_link / pair_session:
+        ``int64[P]`` — compact link index and session id of each
+        ``(link, session)`` pair with a receiver downstream, in
+        ``(link, session)`` order.
+    pair_ptr / pair_receivers:
+        CSR layout of the sets ``R_{i,j}``: pair ``p`` owns
+        ``pair_receivers[pair_ptr[p]:pair_ptr[p + 1]]``, ascending.
+    receiver_pair_ptr / receiver_pairs:
+        CSR layout of the pairs each receiver belongs to, ascending (the
+        transpose of ``pair_receivers``).
+    link_pair_ptr:
+        CSR layout of each compact link's pairs (a contiguous range).
+    num_pairs / base_pair_counts:
+        Number of pairs, and ``int64[P]`` members per pair.
+    session_receiver_count:
+        ``int64[S]`` receivers per session.
+
+    Every array is read-only: networks derived with other session types or
+    link-rate functions share their parent's table.
     """
 
     def __init__(
@@ -62,40 +107,70 @@ class RoutingTable:
                 rid = receiver.receiver_id
                 if rid not in paths:
                     raise RoutingError(f"no data-path supplied for receiver {receiver.name}")
-                path = tuple(int(j) for j in paths[rid])
-                self._validate_path(session, receiver, path)
-                self._paths[rid] = path
-        self._receivers_on_link = self._index_by_link()
+                self._paths[rid] = tuple(paths[rid])
+        self._build_store(len(sessions))
 
-    # ------------------------------------------------------------------
-    # validation and indexing
-    # ------------------------------------------------------------------
-    def _validate_path(self, session: Session, receiver: Receiver, path: Tuple[int, ...]) -> None:
-        node = session.sender.node
-        for link_id in path:
-            link = self._graph.link(link_id)
-            if node not in link.endpoints:
-                raise RoutingError(
-                    f"data-path for {receiver.name} is not contiguous: link {link.name} "
-                    f"does not touch node {node!r}"
-                )
-            node = link.other_end(node)
-        if node != receiver.node:
-            raise RoutingError(
-                f"data-path for {receiver.name} ends at {node!r}, expected {receiver.node!r}"
-            )
-        if len(set(path)) != len(path):
-            raise RoutingError(f"data-path for {receiver.name} repeats a link: {path}")
+    def _build_store(self, num_sessions: int) -> None:
+        """Fill the CSR arrays (class docstring) from the receiver-ordered paths."""
+        self.receiver_ids: List[ReceiverId] = sorted(self._paths)
+        num_receivers = len(self.receiver_ids)
+        self.receiver_session = np.array([rid[0] for rid in self.receiver_ids], dtype=np.int64)
+        paths = [self._paths[rid] for rid in self.receiver_ids]
+        lengths = np.fromiter(map(len, paths), dtype=np.int64, count=num_receivers)
+        flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=int(lengths.sum()))
+        self._link_ids, compact = np.unique(flat, return_inverse=True)
+        self.relevant_links: List[int] = self._link_ids.tolist()
+        self.link_index: Dict[int, int] = {
+            link_id: index for index, link_id in enumerate(self.relevant_links)
+        }
+        num_links = len(self.relevant_links)
 
-    def _index_by_link(self) -> Dict[int, Dict[int, Set[ReceiverId]]]:
-        """Build link -> session -> set-of-receivers index (links on some path only)."""
-        index: Dict[int, Dict[int, Set[ReceiverId]]] = {}
-        for (session_id, receiver_index), path in self._paths.items():
-            for link_id in path:
-                index.setdefault(link_id, {}).setdefault(session_id, set()).add(
-                    (session_id, receiver_index)
-                )
-        return index
+        # Entries by (link, receiver): ``flat`` is in receiver order, so a
+        # stable sort by link keeps each link's receivers ascending.
+        by_link = np.argsort(compact, kind="stable")
+        entry_link = compact[by_link]
+        self.link_receiver_indices = np.repeat(
+            np.arange(num_receivers, dtype=np.int64), lengths
+        )[by_link]
+        self.link_receiver_ptr = np.append(0, np.cumsum(np.bincount(compact, minlength=num_links)))
+
+        # Receiver indices ascend with session ids, so these entries are also
+        # in (link, session, receiver) order: each run of equal (link,
+        # session) is one pair, and its receivers are R_{i,j}, ascending.
+        entry_session = self.receiver_session[self.link_receiver_indices]
+        starts = np.ones(len(flat), dtype=bool)
+        starts[1:] = (np.diff(entry_link) != 0) | (np.diff(entry_session) != 0)
+        first = np.flatnonzero(starts)
+        self.pair_link = entry_link[first]
+        self.pair_session = entry_session[first]
+        self.pair_ptr = np.append(first, len(flat))
+        self.pair_receivers = self.link_receiver_indices
+        self.num_pairs = len(first)
+        self.base_pair_counts = np.diff(self.pair_ptr)
+        self.link_pair_ptr = np.append(0, np.cumsum(np.bincount(self.pair_link, minlength=num_links)))
+
+        # Back to receiver order: a stable sort by receiver keeps each row's
+        # entries in ascending link order, hence ascending pair order.  A
+        # receiver meets one pair per link of its path.
+        by_receiver = np.argsort(self.link_receiver_indices, kind="stable")
+        self.receiver_link_indices = entry_link[by_receiver]
+        self.receiver_link_ptr = np.append(0, np.cumsum(lengths))
+        self.receiver_pairs = (np.cumsum(starts) - 1)[by_receiver]
+        self.receiver_pair_ptr = self.receiver_link_ptr
+        self.session_receiver_count = np.bincount(self.receiver_session, minlength=num_sessions)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def _link_span(self, ptr: np.ndarray, link_id: int) -> slice:
+        """Link ``link_id``'s row of a per-link CSR pointer (empty off every path)."""
+        compact = self.link_index.get(link_id)
+        if compact is None:
+            return slice(0, 0)
+        return slice(ptr.item(compact), ptr.item(compact + 1))
+
+    def _receivers(self, indices: np.ndarray) -> FrozenSet[ReceiverId]:
+        return frozenset([self.receiver_ids[r] for r in indices.tolist()])
 
     # ------------------------------------------------------------------
     # accessors
@@ -117,34 +192,33 @@ class RoutingTable:
 
     def session_data_path(self, session_id: int) -> FrozenSet[int]:
         """Union of data-paths of the session's receivers (the multicast tree)."""
-        links: Set[int] = set()
-        for (sid, _idx), path in self._paths.items():
-            if sid == session_id:
-                links.update(path)
-        return frozenset(links)
+        first, end = np.searchsorted(self.receiver_session, (session_id, session_id + 1)).tolist()
+        ptr = self.receiver_link_ptr
+        links = self.receiver_link_indices[ptr.item(first):ptr.item(end)]
+        return frozenset(self._link_ids[links].tolist())
 
     def receivers_of_session_on_link(self, session_id: int, link_id: int) -> FrozenSet[ReceiverId]:
         """The set ``R_{i,j}``: receivers of session ``i`` whose path crosses ``l_j``."""
-        return frozenset(self._receivers_on_link.get(link_id, {}).get(session_id, set()))
+        pairs = self._link_span(self.link_pair_ptr, link_id)
+        sessions = self.pair_session[pairs].tolist()
+        if session_id not in sessions:
+            return frozenset()
+        pair = pairs.start + sessions.index(session_id)
+        ptr = self.pair_ptr
+        return self._receivers(self.pair_receivers[ptr.item(pair):ptr.item(pair + 1)])
 
     def receivers_on_link(self, link_id: int) -> FrozenSet[ReceiverId]:
         """The set ``R_j``: all receivers whose path crosses ``l_j``."""
-        by_session = self._receivers_on_link.get(link_id, {})
-        result: Set[ReceiverId] = set()
-        for receivers in by_session.values():
-            result.update(receivers)
-        return frozenset(result)
+        span = self._link_span(self.link_receiver_ptr, link_id)
+        return self._receivers(self.link_receiver_indices[span])
 
     def sessions_on_link(self, link_id: int) -> FrozenSet[int]:
         """Session ids with at least one receiver crossing ``l_j``."""
-        return frozenset(self._receivers_on_link.get(link_id, {}).keys())
+        return frozenset(self.pair_session[self._link_span(self.link_pair_ptr, link_id)].tolist())
 
     def links_used(self) -> FrozenSet[int]:
         """All link ids that appear on at least one data-path."""
-        result: Set[int] = set()
-        for path in self._paths.values():
-            result.update(path)
-        return frozenset(result)
+        return frozenset(self.relevant_links)
 
     def same_data_path(self, a: ReceiverId, b: ReceiverId) -> bool:
         """True when receivers ``a`` and ``b`` traverse the same set of links.
@@ -156,7 +230,7 @@ class RoutingTable:
 
     def all_receiver_ids(self) -> List[ReceiverId]:
         """All routed receivers, ordered by (session, index)."""
-        return sorted(self._paths.keys())
+        return list(self.receiver_ids)
 
     def __contains__(self, receiver_id: ReceiverId) -> bool:
         return receiver_id in self._paths
@@ -203,6 +277,34 @@ class ShortestPathRouting(RoutingStrategy):
         return RoutingTable(graph, sessions, paths)
 
 
+def _checked_path(
+    graph: NetworkGraph, session: Session, receiver: Receiver, path: Tuple[int, ...]
+) -> Tuple[int, ...]:
+    """``path`` once it is known to lead from the sender to ``receiver`` without repeats."""
+    node = session.sender.node
+    for link_id in path:
+        try:
+            link = graph.link(link_id)
+        except NetworkModelError:
+            raise RoutingError(
+                f"data-path for {receiver.name} names link id {link_id}, but the graph "
+                f"has links 0..{graph.num_links - 1}"
+            ) from None
+        if node not in link.endpoints:
+            raise RoutingError(
+                f"data-path for {receiver.name} is not contiguous: link {link.name} "
+                f"does not touch node {node!r}"
+            )
+        node = link.other_end(node)
+    if node != receiver.node:
+        raise RoutingError(
+            f"data-path for {receiver.name} ends at {node!r}, expected {receiver.node!r}"
+        )
+    if len(set(path)) != len(path):
+        raise RoutingError(f"data-path for {receiver.name} repeats a link: {path}")
+    return path
+
+
 class ExplicitRouting(RoutingStrategy):
     """Caller-supplied routing.
 
@@ -222,7 +324,7 @@ class ExplicitRouting(RoutingStrategy):
         paths: Mapping[ReceiverId, Sequence[int]],
         allow_fallback: bool = True,
     ) -> None:
-        self._explicit = {k: tuple(v) for k, v in paths.items()}
+        self._explicit = {k: tuple(int(j) for j in v) for k, v in paths.items()}
         self._allow_fallback = allow_fallback
 
     def build(self, graph: NetworkGraph, sessions: Sequence[Session]) -> RoutingTable:
@@ -231,7 +333,7 @@ class ExplicitRouting(RoutingStrategy):
             for receiver in session.receivers:
                 rid = receiver.receiver_id
                 if rid in self._explicit:
-                    paths[rid] = self._explicit[rid]
+                    paths[rid] = _checked_path(graph, session, receiver, self._explicit[rid])
                 elif self._allow_fallback:
                     paths[rid] = graph.shortest_path_links(session.sender.node, receiver.node)
                 else:

@@ -7,7 +7,8 @@ small enough for the scalar twin) on every built-in topology plus generated
 graphs and checks it against ``method="reference"``: same rates, same
 saturation order, same multi-vs-single-rate throughput.  The CSR gather and
 ``receivers_on_links`` are checked against masks built straight from
-``network.data_path``.
+``network.data_path``.  Since the solvers all read one route store, the
+store itself is checked against the data-paths too (``route_store_oracle``).
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ def test_numpy_twin_redundancy_matches_reference(name):
             variant, method="reference"
         ).total_receiver_throughput()
         assert twin == pytest.approx(reference, abs=1e-9, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_TOPOLOGIES))
+def test_route_store_matches_data_paths(name, route_store_oracle):
+    network = BUILTIN_TOPOLOGIES[name]()
+    route_store_oracle(network)
+    derived = network.with_all_single_rate()
+    assert derived.incidence().pair_receivers is network.incidence().pair_receivers
 
 
 def _subsets(count: int):

@@ -96,6 +96,17 @@ class TestNetworkGraph:
         with pytest.raises(NetworkModelError):
             graph.link(0)
 
+    @pytest.mark.parametrize("link_id", [-1, -2, 2])
+    def test_link_id_outside_range_rejected(self, link_id):
+        # A negative id must not index from the end of the link list.
+        graph = NetworkGraph()
+        graph.add_link("a", "b", capacity=1.0)
+        graph.add_link("b", "c", capacity=2.0)
+        with pytest.raises(NetworkModelError, match=f"no link with id {link_id}"):
+            graph.link(link_id)
+        with pytest.raises(NetworkModelError):
+            graph.capacity(link_id)
+
     def test_capacities_in_id_order(self):
         graph = NetworkGraph()
         graph.add_link("a", "b", capacity=3.0)

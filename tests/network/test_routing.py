@@ -4,8 +4,12 @@
 routing: the pure-Python, level-synchronous breadth-first search that
 :meth:`NetworkGraph.shortest_path_tree` replaced with SciPy's C search on a
 cached CSR adjacency.  Every route the graph returns must be link-for-link
-the route this search finds.  Tier-1 runs the pinned ``ci`` hypothesis
-profile; ``--hypothesis-profile=thorough`` runs the larger randomised budget.
+the route this search finds.  :class:`TestRouteStore` checks the routing
+table's CSR arrays and frozenset accessors against the data-paths
+(``route_store_oracle``) on networks drawn over the same multigraphs, with
+shortest-path and explicit routes.  Tier-1 runs the pinned ``ci``
+hypothesis profile; ``--hypothesis-profile=thorough`` runs the larger
+randomised budget.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.errors import RoutingError
@@ -84,6 +88,52 @@ def multigraphs(draw):
             graph.add_link(names[u], names[v], capacity=1.0)
     source = draw(st.sampled_from(names))
     return graph, source
+
+
+def _walk(draw, graph: NetworkGraph, node: str) -> Tuple[List[int], str]:
+    """A drawn walk from ``node`` that never reuses a link, and where it ends."""
+    path: List[int] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        choices = [link for link in graph.incident_links(node) if link not in path]
+        if not choices:
+            break
+        path.append(draw(st.sampled_from(choices)))
+        node = graph.link(path[-1]).other_end(node)
+    return path, node
+
+
+@st.composite
+def routed_networks(draw):
+    """Up to three sessions on a :func:`multigraphs` graph, inside the source's component.
+
+    Half the networks use :class:`ExplicitRouting`: there, receivers sit at
+    the ends of drawn walks, and some of them take their walk as an explicit
+    data-path (repeated nodes included) while the rest fall back to
+    shortest paths.
+    """
+    graph, source = draw(multigraphs())
+    component = sorted(reference_shortest_paths(graph, source))
+    assume(len(component) > 1)
+    explicit = draw(st.booleans())
+    sessions, paths = [], {}
+    for session_id in range(draw(st.integers(min_value=1, max_value=3))):
+        sender = draw(st.sampled_from(component))
+        others = [node for node in component if node != sender]
+        if not explicit:
+            nodes = draw(st.lists(st.sampled_from(others), min_size=1, max_size=4, unique=True))
+        else:
+            nodes = []
+            for _ in range(4):
+                walk, end = _walk(draw, graph, sender)
+                if end == sender or end in nodes:
+                    continue
+                if draw(st.booleans()):
+                    paths[(session_id, len(nodes))] = walk
+                nodes.append(end)
+            nodes = nodes or others[:1]
+        sessions.append(Session(session_id, sender, nodes))
+    routing = ExplicitRouting(paths) if explicit else ShortestPathRouting()
+    return Network(graph, sessions, routing=routing)
 
 
 @pytest.fixture
@@ -184,6 +234,22 @@ class TestExplicitRouting:
         with pytest.raises(RoutingError):
             ExplicitRouting({(0, 0): [0, 1, 1, 0, 0]}).build(tree_graph, sessions)
 
+    @pytest.mark.parametrize("link_id", [-1, 3])
+    def test_rejects_link_id_outside_graph(self, tree_graph, link_id):
+        # -1 would alias link 2 (mid--leaf_b), a valid path for this receiver.
+        sessions = [Session(0, "mid", ["leaf_b"])]
+        with pytest.raises(RoutingError, match=rf"r1,1 names link id {link_id}\b"):
+            ExplicitRouting({(0, 0): [link_id]}).build(tree_graph, sessions)
+
+    def test_negative_link_id_is_not_a_second_link(self):
+        # Two sessions over one unit link: routing one of them over "-1"
+        # must not give both receivers the whole link.
+        graph = NetworkGraph()
+        graph.add_link("a", "b", capacity=1.0)
+        sessions = [Session(0, "a", ["b"]), Session(1, "a", ["b"])]
+        with pytest.raises(RoutingError, match="r1,1"):
+            Network(graph, sessions, routing=ExplicitRouting({(0, 0): (-1,)}))
+
 
 class TestAgainstReferenceSearch:
     @given(multigraphs())
@@ -235,6 +301,12 @@ class TestAgainstReferenceSearch:
                 assert list(network.data_path(receiver.receiver_id)) == expected[receiver.node]
                 checked += 1
         assert checked == 300
+
+
+class TestRouteStore:
+    @given(routed_networks())
+    def test_route_store_matches_data_paths(self, route_store_oracle, network):
+        route_store_oracle(network)
 
 
 class TestAdjacencyCache:

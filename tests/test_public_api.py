@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +69,16 @@ def test_version_is_semver_like():
     parts = repro.__version__.split(".")
     assert len(parts) == 3
     assert all(part.isdigit() for part in parts)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """``import repro`` stays light: scipy.stats alone was most of its import time."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print(sorted(m for m in sys.modules "
+         "if m == 'scipy.stats' or m.startswith('scipy.stats.')))"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "[]"
