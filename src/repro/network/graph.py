@@ -9,8 +9,7 @@ per-direction capacity can be modelled as two parallel links.
 This module provides :class:`Link` and :class:`NetworkGraph`.  The graph is
 deliberately small and explicit rather than a thin wrapper over ``networkx``:
 fairness algorithms index links by integer id constantly and benefit from the
-direct list/dict representation.  A :meth:`NetworkGraph.to_networkx` bridge is
-provided for interoperability (e.g. drawing, alternative routing).
+direct list/dict representation.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order
@@ -330,33 +328,6 @@ class NetworkGraph:
             return True
         reached = breadth_first_order(self._adjacency()[0], 0, return_predecessors=False)
         return len(reached) == self.num_nodes
-
-    # ------------------------------------------------------------------
-    # interoperability
-    # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.MultiGraph:
-        """Convert to a :class:`networkx.MultiGraph` with capacity attributes."""
-        graph = nx.MultiGraph()
-        graph.add_nodes_from(self._nodes)
-        for link in self._links:
-            graph.add_edge(link.u, link.v, key=link.link_id, capacity=link.capacity, name=link.name)
-        return graph
-
-    @classmethod
-    def from_networkx(cls, graph: nx.Graph, capacity_attr: str = "capacity") -> "NetworkGraph":
-        """Build a :class:`NetworkGraph` from a networkx graph.
-
-        Every edge must carry a positive ``capacity`` attribute (name
-        configurable through ``capacity_attr``).
-        """
-        result = cls(nodes=(str(n) for n in graph.nodes))
-        for u, v, data in graph.edges(data=True):
-            if capacity_attr not in data:
-                raise NetworkModelError(
-                    f"edge ({u!r}, {v!r}) is missing the {capacity_attr!r} attribute"
-                )
-            result.add_link(str(u), str(v), capacity=float(data[capacity_attr]))
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NetworkGraph(nodes={self.num_nodes}, links={self.num_links})"

@@ -108,9 +108,10 @@ class NetworkIncidence:
     is_sparse:
         Whether the incidence counts as sparse under the ``SPARSE_*``
         thresholds above (descriptive only).
-    session_max_rate / session_single_rate:
-        ``float64[S]`` maximum desired rates ``rho_i`` and ``bool[S]``
-        single-rate flags, indexed by session id.
+    session_single_rate:
+        ``bool[S]`` single-rate flags, indexed by session id.  (The solvers
+        take each session's maximum desired rate ``rho_i`` from the network
+        and its link-rate functions, not from the incidence.)
     """
 
     def __init__(self, network: "Network") -> None:
@@ -142,9 +143,6 @@ class NetworkIncidence:
         self.density = (self.receiver_link_indices.size / cells) if cells else 0.0
         self.is_sparse = cells > SPARSE_CELL_LIMIT or (
             cells >= SPARSE_MIN_CELLS and self.density < SPARSE_DENSITY_THRESHOLD
-        )
-        self.session_max_rate = np.array(
-            [session.max_rate for session in network.sessions], dtype=np.float64
         )
         self.session_single_rate = np.array(
             [session.is_single_rate for session in network.sessions], dtype=bool
@@ -185,7 +183,7 @@ class NetworkIncidence:
                 for l in range(self.num_links)
             ]
             session_receivers: List[List[int]] = [
-                [] for _ in range(len(self.session_max_rate))
+                [] for _ in range(len(self.session_single_rate))
             ]
             for index, session_id in enumerate(self.receiver_session):
                 session_receivers[int(session_id)].append(index)

@@ -278,7 +278,8 @@ class LayeredSessionSimulator:
         self.engine = engine
         self.chunk_units = int(chunk_units)
         #: Scan-window width in time units (internal performance knob of the
-        #: chunked engine; 0 scans each chunk in one unbounded window).
+        #: chunked engine).  Windows never shrink below 32 packet columns
+        #: (see ``_assemble_chunk``), so 0 gives the narrowest windows.
         self.scan_window_units = 2
         self._chunk_static: Dict[int, Tuple[np.ndarray, List[np.ndarray], np.ndarray]] = {}
         self._packed_static: Dict[int, np.ndarray] = {}
@@ -334,52 +335,21 @@ class LayeredSessionSimulator:
             [process.copy() for process in self._per_receiver_loss],
         )
 
-    def _sample_unit_losses(
-        self, context: "_RunContext", num_packets: int
-    ) -> tuple:
-        """Pre-sample one time unit's loss outcomes in bulk.
+    def _loss_positions(
+        self, context: "_RunContext", num_units: int, packets_per_unit: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample one run's losses over ``num_units`` time units.
 
-        Returns ``(shared, independent)`` with ``shared`` of shape
-        ``(num_packets,)`` and ``independent`` receiver-major of shape
-        ``(num_receivers, num_packets)``.  Each quantity is drawn from its
-        own stream (RNG scheme 4): the shared link from the context's
-        shared stream, a single independent-loss process receiver-major
-        within the unit from the independent stream, and per-receiver
-        process lists from one spawned stream per receiver.
-        """
-        streams = context.streams
-        shared = context.shared_loss.sample_array(streams.shared_rng, num_packets)
-        if len(context.per_receiver_loss) == 1:
-            independent = context.per_receiver_loss[0].sample_array(
-                streams.independent_rng, num_packets * self.num_receivers
-            ).reshape(self.num_receivers, num_packets)
-        else:
-            independent = np.stack(
-                [
-                    process.sample_array(rng, num_packets)
-                    for process, rng in zip(
-                        context.per_receiver_loss, streams.independent_rngs
-                    )
-                ]
-            )
-        return shared, independent
-
-    def _scatter_chunk_losses(
-        self,
-        context: "_RunContext",
-        num_units: int,
-        packets_per_unit: int,
-        receivable_block: np.ndarray,
-    ) -> None:
-        """Apply one chunk's loss outcomes for this run (chunked engine).
-
-        Losses are sparse, so the engine samples their *positions* and
-        clears them out of the pre-set packed ``receivable`` words — the
-        shared columns plus every receiver's independent (row, column)
-        pairs in one fused scatter — instead of materialising dense
-        per-packet outcome matrices.  Every process is split-invariant, so
-        each stream is sampled for the whole chunk in one call — the same
-        values the reference loop reads unit by unit.
+        Returns ``(shared_cols, rows, cols)``: the lost shared-link packet
+        columns, and each receiver's independent losses as (receiver row,
+        packet column) pairs, columns counted from the first unit.  Each
+        quantity is drawn from its own stream (RNG scheme 4): the shared
+        link from the shared stream, a single independent-loss process from
+        the independent stream laid out in (unit, receiver, packet) order,
+        and per-receiver processes from one spawned stream per receiver.
+        Every process is split-invariant, so the chunked engine's one call
+        per chunk reads the same losses as the reference loop's one call
+        per unit.
         """
         n = num_units * packets_per_unit
         receivers = self.num_receivers
@@ -391,8 +361,8 @@ class LayeredSessionSimulator:
             )
             # Flattened (unit, receiver, packet) order -> (row, column).
             unit_index, remainder = np.divmod(flat, receivers * packets_per_unit)
-            row, packet = np.divmod(remainder, packets_per_unit)
-            column = unit_index * packets_per_unit + packet
+            rows, packet = np.divmod(remainder, packets_per_unit)
+            cols = unit_index * packets_per_unit + packet
         else:
             per_row = [
                 process.sample_positions(rng, n)
@@ -400,10 +370,9 @@ class LayeredSessionSimulator:
                     context.per_receiver_loss, streams.independent_rngs
                 )
             ]
-            row = np.repeat(np.arange(receivers), [cols.size for cols in per_row])
-            column = np.concatenate(per_row)
-        if shared_cols.size or column.size:
-            bitpack.clear_cols_and_bits(receivable_block, shared_cols, row, column)
+            rows = np.repeat(np.arange(receivers), [part.size for part in per_row])
+            cols = np.concatenate(per_row)
+        return shared_cols, rows, cols
 
     # ------------------------------------------------------------------
     # simulation
@@ -455,9 +424,11 @@ class LayeredSessionSimulator:
                 level_sum += float(levels.mean())
                 max_level_sum += float(max_level)
             unit_packets = self.schedule.unit_packets(unit)
-            shared_lost, independent_lost = self._sample_unit_losses(
-                context, len(unit_packets)
-            )
+            shared_cols, rows, cols = self._loss_positions(context, 1, packets_per_unit)
+            shared_lost = np.zeros(packets_per_unit, dtype=bool)
+            shared_lost[shared_cols] = True
+            independent_lost = np.zeros((self.num_receivers, packets_per_unit), dtype=bool)
+            independent_lost[rows, cols] = True
             for packet_index, packet in enumerate(unit_packets):
                 if track_advertised:
                     pending = (advertised > levels) & (advert_expiry <= packet.time)
@@ -677,11 +648,16 @@ class LayeredSessionSimulator:
                 layers[None, :] <= level_rows[:, None]
             )
             self._packed_static[num_units] = layer_masks_packed
+        # Losses are sparse: clear each run's sampled positions (shared
+        # columns plus independent (row, column) pairs, one fused scatter)
+        # out of its pre-set block of packed ``receivable`` words.
         for run, (simulator, context) in enumerate(runs):
-            block = slice(run * receivers, (run + 1) * receivers)
-            simulator._scatter_chunk_losses(
-                context, num_units, packets_per_unit, receivable_packed[block]
+            shared_cols, rows, cols = simulator._loss_positions(
+                context, num_units, packets_per_unit
             )
+            if shared_cols.size or cols.size:
+                block = receivable_packed[run * receivers:(run + 1) * receivers]
+                bitpack.clear_cols_and_bits(block, shared_cols, rows, cols)
 
         # Mirror PacketSchedule.sync_levels_for_unit: level i may join at
         # units that are positive multiples of 2^(i-1).

@@ -28,43 +28,27 @@ __all__ = ["LossProcess", "BernoulliLoss", "GilbertElliottLoss", "NoLoss"]
 
 
 class LossProcess:
-    """Interface: decide, per packet, whether it is lost.
+    """Interface: which of the next packets on a link are lost.
 
     Implementations may be stateful (e.g. Gilbert–Elliott), so a separate
-    instance must be used per link.  ``sample`` draws a single outcome;
-    ``sample_array`` draws ``n`` consecutive outcomes at once (used for the
-    per-receiver fan-out links which are mutually independent but share a
-    random generator).
+    instance must be used per link.  :meth:`sample_positions` is the one
+    sampling method: it returns the indices of the lost packets among the
+    next ``n``, so the engines scatter a handful of loss positions instead
+    of materialising dense per-packet outcome matrices.
 
-    **Contract: the array forms are split-invariant.**  Drawing ``n1 + n2``
-    outcomes in one ``sample_array``/``sample_positions`` call must produce
-    the same values as two calls of ``n1`` and ``n2`` on the same generator,
-    for any partition of the packets into calls.  The engines rely on it:
-    the batched engine samples a whole chunk of time units per call, the
+    **Contract: sampling is split-invariant.**  Drawing ``n1 + n2``
+    outcomes in one ``sample_positions`` call must produce the same losses
+    as two calls of ``n1`` and ``n2`` on the same generator, for any
+    partition of the packets into calls.  The engines rely on it: the
+    batched engine samples a whole chunk of time units per call, the
     reference loop one unit per call, and seeded results must not depend on
-    the engine or its chunk size.  The per-packet default below satisfies
-    the contract trivially; processes that sample in blocks carry their
-    in-progress block across calls as state, and ``copy()`` resets it.
+    the engine or its chunk size.  Processes that sample in blocks carry
+    their in-progress block across calls as state, and ``copy()`` resets it.
     """
 
-    def sample(self, rng: np.random.Generator) -> bool:
-        raise NotImplementedError
-
-    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Default: ``n`` independent draws of :meth:`sample`."""
-        return np.array([self.sample(rng) for _ in range(n)], dtype=bool)
-
     def sample_positions(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Indices of the lost packets among the next ``n`` outcomes.
-
-        Consumes the generator exactly like :meth:`sample_array` (the
-        default literally wraps it), so the two forms are interchangeable
-        mid-stream.  Sparse-friendly processes (Bernoulli, Gilbert–Elliott)
-        override this natively and implement :meth:`sample_array` on top,
-        letting the batched engine scatter a handful of loss positions
-        instead of materialising dense outcome matrices.
-        """
-        return np.nonzero(self.sample_array(rng, n))[0]
+        """Sorted indices (``int64``) of the lost packets among the next ``n``."""
+        raise NotImplementedError
 
     @property
     def average_loss_rate(self) -> float:
@@ -78,12 +62,6 @@ class LossProcess:
 
 class NoLoss(LossProcess):
     """A lossless link."""
-
-    def sample(self, rng: np.random.Generator) -> bool:
-        return False
-
-    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.zeros(n, dtype=bool)
 
     def sample_positions(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
@@ -102,7 +80,7 @@ class NoLoss(LossProcess):
 class BernoulliLoss(LossProcess):
     """Independent per-packet loss with fixed probability ``p``.
 
-    Since RNG scheme 4 ``sample_array`` samples the *gaps* between losses
+    Since RNG scheme 4 ``sample_positions`` samples the *gaps* between losses
     (geometrically distributed with parameter ``p``, drawn in fixed-size
     batches) instead of one uniform per packet, so the generator work is
     proportional to the number of losses rather than the number of
@@ -113,8 +91,6 @@ class BernoulliLoss(LossProcess):
     call sequence split-invariant bit for bit (the i-th gap batch holds
     the same values however the packets are partitioned into calls).
     ``copy()`` (used by the engines once per run) resets the carried gap.
-    Single draws through ``sample`` use a plain uniform and a different
-    stream position; the engines only ever consume the array form.
     """
 
     #: Gaps drawn per refill.  Part of the scheme-4 stream layout: the
@@ -134,11 +110,6 @@ class BernoulliLoss(LossProcess):
         self._pending = np.zeros(0, dtype=np.int64)
         self._frontier = -1
 
-    def sample(self, rng: np.random.Generator) -> bool:
-        if self.probability == 0.0:
-            return False
-        return bool(rng.random() < self.probability)
-
     def sample_positions(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.probability == 0.0:
             return np.zeros(0, dtype=np.int64)
@@ -154,11 +125,6 @@ class BernoulliLoss(LossProcess):
         self._pending = positions[cut:] - n
         self._frontier = frontier - n
         return positions[:cut]
-
-    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        out = np.zeros(n, dtype=bool)
-        out[self.sample_positions(rng, n)] = True
-        return out
 
     @property
     def average_loss_rate(self) -> float:
@@ -206,18 +172,21 @@ class GilbertElliottLoss(LossProcess):
 
     The chain starts in the good state; every packet first takes a
     transition, then draws its loss from the (new) state.  :meth:`sample`
-    steps exactly that definition, one packet per call.
+    steps exactly that definition, one packet per call; it is the reference
+    the sojourn construction is tested against, and the engines never call
+    it.
 
-    The array forms (RNG scheme 5) build the same process from *sojourns*.
-    The dwell in a Markov state is geometric, so the state sequence is a
-    series of runs with geometric lengths, drawn ``_SOJOURN_BATCH`` at a
-    time.  Inside a run the losses are a Bernoulli process at the state's
-    loss rate: a rate of 0 clears nothing, a rate of 1 clears the whole run,
-    and any other rate is gap-sampled (one geometric draw per loss) over
-    the batch's runs of that state laid end to end.  Sojourns and loss
-    positions generated past the caller's ``n`` carry over to the next
-    call as process state, and a batch's content depends only on the state
-    it starts from, so the outcomes are split-invariant bit for bit.  Work
+    :meth:`sample_positions` (RNG scheme 5) builds the same process from
+    *sojourns*.  The dwell in a Markov state is geometric, so the state
+    sequence is a series of runs with geometric lengths, drawn
+    ``_SOJOURN_BATCH`` at a time.  Inside a run the losses are a Bernoulli
+    process at the state's loss rate: a rate of 0 clears nothing, a rate of
+    1 clears the whole run, and any other rate is gap-sampled (one
+    geometric draw per loss) over the batch's runs of that state laid end
+    to end.  Sojourns and loss positions generated past the caller's ``n``
+    carry over to the next call as process state, and a batch's content
+    depends only on the state it starts from, so the outcomes are
+    split-invariant bit for bit.  Work
     scales with state changes plus losses, not packets.  ``copy()`` resets
     the carried state; ``_in_bad_state`` is the chain state after the last
     consumed packet.
@@ -313,11 +282,6 @@ class GilbertElliottLoss(LossProcess):
         self._run_bad = self._run_bad[run:]
         self._next = stop
         return losses[:cut] - start
-
-    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        out = np.zeros(max(n, 0), dtype=bool)
-        out[self.sample_positions(rng, n)] = True
-        return out
 
     def _extend(self, rng: np.random.Generator, stop: int) -> None:
         """Refill whole sojourn batches until they cover packet ``stop - 1``."""

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 import pytest
 
 from repro.errors import NetworkModelError, RoutingError
@@ -182,22 +181,6 @@ class TestNetworkGraph:
     def test_is_connected_trivial_graph(self):
         assert NetworkGraph().is_connected()
         assert NetworkGraph(nodes=["only"]).is_connected()
-
-    def test_networkx_round_trip(self):
-        graph = NetworkGraph()
-        graph.add_link("a", "b", capacity=4.0)
-        graph.add_link("b", "c", capacity=6.0)
-        nx_graph = graph.to_networkx()
-        assert isinstance(nx_graph, nx.MultiGraph)
-        rebuilt = NetworkGraph.from_networkx(nx_graph)
-        assert rebuilt.num_links == 2
-        assert sorted(rebuilt.capacities()) == [4.0, 6.0]
-
-    def test_from_networkx_requires_capacity(self):
-        nx_graph = nx.Graph()
-        nx_graph.add_edge("a", "b")
-        with pytest.raises(NetworkModelError):
-            NetworkGraph.from_networkx(nx_graph)
 
     def test_iteration_and_len(self):
         graph = NetworkGraph()

@@ -8,15 +8,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.protocols import DeterministicProtocol
 from repro.simulator import BernoulliLoss, GilbertElliottLoss, NoLoss
+from repro.simulator.engine import LayeredSessionSimulator
+from repro.simulator.rng import RunStreams
+
+
+def dense(process, rng, n):
+    """The next ``n`` outcomes of ``process`` as a boolean loss mask."""
+    out = np.zeros(n, dtype=bool)
+    out[process.sample_positions(rng, n)] = True
+    return out
 
 
 class TestNoLoss:
     def test_never_loses(self):
         rng = np.random.default_rng(0)
         process = NoLoss()
-        assert not process.sample(rng)
-        assert not process.sample_array(rng, 100).any()
+        assert process.sample_positions(rng, 100).size == 0
         assert process.average_loss_rate == 0.0
         assert isinstance(process.copy(), NoLoss)
 
@@ -31,18 +40,17 @@ class TestBernoulliLoss:
     def test_zero_probability_never_loses(self):
         rng = np.random.default_rng(0)
         process = BernoulliLoss(0.0)
-        assert not process.sample_array(rng, 1000).any()
+        assert process.sample_positions(rng, 1000).size == 0
 
     def test_one_probability_always_loses(self):
         rng = np.random.default_rng(0)
         process = BernoulliLoss(1.0)
-        assert process.sample_array(rng, 100).all()
-        assert process.sample(rng)
+        assert dense(process, rng, 100).all()
 
     def test_empirical_rate_matches_probability(self):
         rng = np.random.default_rng(42)
         process = BernoulliLoss(0.2)
-        samples = process.sample_array(rng, 50_000)
+        samples = dense(process, rng, 50_000)
         assert samples.mean() == pytest.approx(0.2, abs=0.01)
         assert process.average_loss_rate == 0.2
 
@@ -94,20 +102,6 @@ class TestGilbertElliottLoss:
 
 
 class TestSamplePositions:
-    def test_positions_match_sample_array_bit_for_bit(self):
-        # Both forms must consume the generator identically so the engines
-        # can mix them mid-stream.
-        for process_a, process_b in [
-            (BernoulliLoss(0.07), BernoulliLoss(0.07)),
-            (GilbertElliottLoss(0.05, 0.3), GilbertElliottLoss(0.05, 0.3)),
-        ]:
-            rng_a = np.random.default_rng(5)
-            rng_b = np.random.default_rng(5)
-            for n in (64, 128, 1, 1000):
-                dense = process_a.sample_array(rng_a, n)
-                positions = process_b.sample_positions(rng_b, n)
-                assert np.array_equal(np.nonzero(dense)[0], positions)
-
     def test_noloss_positions_empty(self):
         rng = np.random.default_rng(0)
         assert NoLoss().sample_positions(rng, 50).size == 0
@@ -156,30 +150,22 @@ class TestSplitInvariance:
         self, params, sizes, seed
     ):
         whole_process = GilbertElliottLoss(*params)
-        whole = whole_process.sample_array(np.random.default_rng(seed), sum(sizes))
+        whole = dense(whole_process, np.random.default_rng(seed), sum(sizes))
         process = GilbertElliottLoss(*params)
         rng = np.random.default_rng(seed)
-        parts = []
-        for index, size in enumerate(sizes):
-            # Alternate the two array forms: they are interchangeable mid-stream.
-            if index % 2:
-                parts.append(process.sample_array(rng, size))
-            else:
-                dense = np.zeros(size, dtype=bool)
-                dense[process.sample_positions(rng, size)] = True
-                parts.append(dense)
+        parts = [dense(process, rng, size) for size in sizes]
         assert np.array_equal(np.concatenate(parts), whole)
         assert process._in_bad_state == whole_process._in_bad_state
 
     def test_gilbert_elliott_copy_resets_carried_sojourn(self):
         params = dict(p_good_to_bad=0.01, p_bad_to_good=0.05, loss_good=0.02, loss_bad=0.9)
         process = GilbertElliottLoss(**params)
-        process.sample_array(np.random.default_rng(0), 333)
+        process.sample_positions(np.random.default_rng(0), 333)
         clone = process.copy()
         fresh = GilbertElliottLoss(**params)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         assert np.array_equal(
-            clone.sample_array(rng_a, 5000), fresh.sample_array(rng_b, 5000)
+            clone.sample_positions(rng_a, 5000), fresh.sample_positions(rng_b, 5000)
         )
         assert clone._in_bad_state == fresh._in_bad_state
 
@@ -187,7 +173,7 @@ class TestSplitInvariance:
     def test_bernoulli_outcomes_independent_of_call_granularity(self, probability):
         total = 4096
         whole_process = BernoulliLoss(probability)
-        whole = whole_process.sample_array(np.random.default_rng(3), total)
+        whole = dense(whole_process, np.random.default_rng(3), total)
         for split in (1, 7, 128, 1000):
             process = BernoulliLoss(probability)
             rng = np.random.default_rng(3)
@@ -195,24 +181,24 @@ class TestSplitInvariance:
             remaining = total
             while remaining:
                 step = min(split, remaining)
-                parts.append(process.sample_array(rng, step))
+                parts.append(dense(process, rng, step))
                 remaining -= step
             assert np.array_equal(np.concatenate(parts), whole)
 
     def test_copy_resets_carried_gap(self):
         process = BernoulliLoss(0.3)
-        process.sample_array(np.random.default_rng(0), 100)
+        process.sample_positions(np.random.default_rng(0), 100)
         clone = process.copy()
         fresh = BernoulliLoss(0.3)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         assert np.array_equal(
-            clone.sample_array(rng_a, 200), fresh.sample_array(rng_b, 200)
+            clone.sample_positions(rng_a, 200), fresh.sample_positions(rng_b, 200)
         )
 
 
 class TestGilbertElliottSojournConstruction:
     """Statistical proof obligations for the block (sojourn) construction:
-    ``sample_array`` must match ``sample``'s marginal loss rate and advance
+    ``sample_positions`` must match ``sample``'s marginal loss rate and advance
     the chain exactly ``n`` steps — including with ``loss_good > 0``."""
 
     PARAMS = dict(p_good_to_bad=0.05, p_bad_to_good=0.25, loss_good=0.1, loss_bad=0.9)
@@ -221,7 +207,7 @@ class TestGilbertElliottSojournConstruction:
         rng = np.random.default_rng(17)
         blocked = GilbertElliottLoss(**self.PARAMS)
         block_rate = np.mean(
-            [blocked.sample_array(rng, 257).mean() for _ in range(300)]
+            [dense(blocked, rng, 257).mean() for _ in range(300)]
         )
         scalar = GilbertElliottLoss(**self.PARAMS)
         scalar_rate = np.mean([scalar.sample(rng) for _ in range(77_100)])
@@ -239,14 +225,58 @@ class TestGilbertElliottSojournConstruction:
         )
         ends_bad = []
         for _ in range(4000):
-            process.sample_array(rng, 29)
+            process.sample_positions(rng, 29)
             ends_bad.append(process._in_bad_state)
         assert np.mean(ends_bad) == pytest.approx(stationary_bad, abs=0.02)
 
     def test_burstiness_survives_block_sampling(self):
         rng = np.random.default_rng(31)
         process = GilbertElliottLoss(0.02, 0.2, loss_good=0.05, loss_bad=0.95)
-        samples = np.concatenate([process.sample_array(rng, 997) for _ in range(40)])
+        samples = np.concatenate([dense(process, rng, 997) for _ in range(40)])
         rate = samples.mean()
         consecutive = (samples[1:] & samples[:-1]).mean()
         assert consecutive > (rate * rate) * 2
+
+
+class TestEngineLossLayout:
+    """How the engines read the loss streams (RNG scheme 5)."""
+
+    def test_single_independent_process_is_unit_receiver_packet_ordered(self):
+        # One independent-loss process shared by every receiver is read as
+        # one stream in (unit, receiver, packet) order, however many units
+        # one call covers: the chunked engine's k-unit call, the reference
+        # loop's k one-unit calls and one direct draw of k*R*P outcomes all
+        # agree.
+        receivers, units, seed = 3, 5, 11
+        simulator = LayeredSessionSimulator(
+            DeterministicProtocol(), receivers, BernoulliLoss(0.03), BernoulliLoss(0.1)
+        )
+        per_unit = simulator.schedule.packets_per_unit
+        width = units * per_unit
+
+        def receiver_mask(rows, cols):
+            mask = np.zeros((receivers, width), dtype=bool)
+            mask[rows, cols] = True
+            return mask
+
+        shared_cols, rows, cols = simulator._loss_positions(
+            simulator._make_run_context(seed), units, per_unit
+        )
+        streams = RunStreams(seed, receivers)
+        flat = dense(BernoulliLoss(0.1), streams.independent_rng, units * receivers * per_unit)
+        expected = flat.reshape(units, receivers, per_unit).transpose(1, 0, 2)
+        assert np.array_equal(receiver_mask(rows, cols), expected.reshape(receivers, width))
+        assert np.array_equal(
+            shared_cols, BernoulliLoss(0.03).sample_positions(streams.shared_rng, width)
+        )
+
+        context = simulator._make_run_context(seed)
+        unit_rows, unit_cols = [], []
+        for unit in range(units):
+            _shared, one_rows, one_cols = simulator._loss_positions(context, 1, per_unit)
+            unit_rows.append(one_rows)
+            unit_cols.append(one_cols + unit * per_unit)
+        assert np.array_equal(
+            receiver_mask(np.concatenate(unit_rows), np.concatenate(unit_cols)),
+            receiver_mask(rows, cols),
+        )

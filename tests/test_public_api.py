@@ -82,3 +82,16 @@ def test_import_leaves_scipy_stats_unloaded():
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_import_leaves_networkx_unloaded():
+    """``import repro`` needs only the declared dependencies: networkx is not one."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print(sorted(m for m in sys.modules "
+         "if m == 'networkx' or m.startswith('networkx.')))"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "[]"
