@@ -106,6 +106,26 @@ class TestSamplePositions:
         rng = np.random.default_rng(0)
         assert NoLoss().sample_positions(rng, 50).size == 0
 
+    @pytest.mark.parametrize(
+        "process",
+        [
+            BernoulliLoss(0.0),
+            BernoulliLoss(0.07),
+            BernoulliLoss(1.0),
+            GilbertElliottLoss(0.05, 0.3),
+            GilbertElliottLoss(0.02, 0.2, loss_good=0.05, loss_bad=0.95),
+        ],
+        ids=repr,
+    )
+    def test_positions_are_sorted_distinct_int64_in_range(self, process):
+        # The documented return form every engine scatters from.
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 64, 128, 1000):
+            positions = process.sample_positions(rng, n)
+            assert positions.dtype == np.int64
+            assert np.all(np.diff(positions) > 0)
+            assert positions.size == 0 or (positions[0] >= 0 and positions[-1] < n)
+
 
 #: Gilbert–Elliott parameters (p_good_to_bad, p_bad_to_good, loss_good,
 #: loss_bad) covering every in-run loss branch and the absorbing state.
@@ -279,4 +299,45 @@ class TestEngineLossLayout:
         assert np.array_equal(
             receiver_mask(np.concatenate(unit_rows), np.concatenate(unit_cols)),
             receiver_mask(rows, cols),
+        )
+
+    def test_per_receiver_processes_read_one_spawned_stream_each(self):
+        # A per-receiver process list reads receiver r's losses from its own
+        # spawned stream r, in packet order, and a k-unit call equals k
+        # one-unit calls.
+        receivers, units, seed = 3, 4, 23
+        processes = [
+            BernoulliLoss(0.05),
+            GilbertElliottLoss(0.05, 0.3),
+            BernoulliLoss(0.2),
+        ]
+        simulator = LayeredSessionSimulator(
+            DeterministicProtocol(), receivers, BernoulliLoss(0.03), processes
+        )
+        per_unit = simulator.schedule.packets_per_unit
+        width = units * per_unit
+
+        def receiver_mask(rows, cols):
+            mask = np.zeros((receivers, width), dtype=bool)
+            mask[rows, cols] = True
+            return mask
+
+        _shared, rows, cols = simulator._loss_positions(
+            simulator._make_run_context(seed), units, per_unit
+        )
+        streams = RunStreams(seed, receivers, per_receiver_independent=True)
+        expected = np.stack([
+            dense(process.copy(), rng, width)
+            for process, rng in zip(processes, streams.independent_rngs)
+        ])
+        assert np.array_equal(receiver_mask(rows, cols), expected)
+
+        context = simulator._make_run_context(seed)
+        unit_rows, unit_cols = [], []
+        for unit in range(units):
+            _shared, one_rows, one_cols = simulator._loss_positions(context, 1, per_unit)
+            unit_rows.append(one_rows)
+            unit_cols.append(one_cols + unit * per_unit)
+        assert np.array_equal(
+            receiver_mask(np.concatenate(unit_rows), np.concatenate(unit_cols)), expected
         )
