@@ -16,12 +16,13 @@ def _run():
         num_receivers=40,
         duration_units=1000,
         repetitions=2,
-    ).payload
+    )
 
 
 def test_bench_ablation_loss_correlation(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
-    print("\n" + result.table())
+    run = benchmark.pedantic(_run, rounds=1, iterations=1)
+    print("\n" + run.table())
+    result = run.payload
     assert result.all_protocols_benefit_from_correlation
     # "Coordinated joins reduce redundancy most significantly when the
     # correlation in loss among receivers is high" (Section 4): the gap to the

@@ -10,7 +10,8 @@ from repro.experiments import get_experiment
 
 
 def test_bench_ablation_layer_count(benchmark):
-    result = benchmark(get_experiment("layer_ablation").run).payload
-    print("\n" + result.table())
+    run = benchmark(get_experiment("layer_ablation").run)
+    print("\n" + run.table())
+    result = run.payload
     assert result.never_worse_than_single_layer
     assert result.monotone_in_layers

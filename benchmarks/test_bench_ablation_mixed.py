@@ -10,7 +10,8 @@ from repro.experiments import get_experiment
 
 
 def test_bench_ablation_mixed_sessions(benchmark):
-    result = benchmark(get_experiment("mixed_sessions").run).payload
-    print("\n" + result.table())
+    run = benchmark(get_experiment("mixed_sessions").run)
+    print("\n" + run.table())
+    result = run.payload
     assert result.ordering_is_monotone
     assert result.theorem2_holds_throughout

@@ -12,20 +12,23 @@ from repro.experiments import get_experiment
 
 
 def test_bench_extension_active_nodes(benchmark):
-    result = benchmark.pedantic(get_experiment("active_nodes").run, rounds=1, iterations=1).payload
-    print("\n" + result.table())
+    run = benchmark.pedantic(get_experiment("active_nodes").run, rounds=1, iterations=1)
+    print("\n" + run.table())
+    result = run.payload
     assert result.active_node_redundancy_near_one
     assert result.active_node_is_lowest
 
 
 def test_bench_extension_leave_latency(benchmark):
-    result = benchmark.pedantic(get_experiment("leave_latency").run, rounds=1, iterations=1).payload
-    print("\n" + result.table())
+    run = benchmark.pedantic(get_experiment("leave_latency").run, rounds=1, iterations=1)
+    print("\n" + run.table())
+    result = run.payload
     assert result.redundancy_increases_with_latency
     assert result.monotone_within_tolerance
 
 
 def test_bench_extension_burstiness(benchmark):
-    result = benchmark.pedantic(get_experiment("burstiness").run, rounds=1, iterations=1).payload
-    print("\n" + result.table())
+    run = benchmark.pedantic(get_experiment("burstiness").run, rounds=1, iterations=1)
+    print("\n" + run.table())
+    result = run.payload
     assert result.ordering_preserved

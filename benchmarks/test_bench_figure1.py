@@ -10,7 +10,8 @@ from repro.experiments import get_experiment
 
 
 def test_bench_figure1(benchmark):
-    result = benchmark(get_experiment("figure1").run).payload
-    print("\n" + result.table())
+    run = benchmark(get_experiment("figure1").run)
+    print("\n" + run.table())
+    result = run.payload
     assert result.matches_paper
     assert all(result.properties.values())

@@ -10,8 +10,9 @@ from repro.experiments import get_experiment
 
 
 def test_bench_figure2(benchmark):
-    result = benchmark(get_experiment("figure2").run).payload
-    print("\n" + result.table())
+    run = benchmark(get_experiment("figure2").run)
+    print("\n" + run.table())
+    result = run.payload
     assert result.single_rate_matches_paper
     assert result.multi_rate_is_more_max_min_fair
     assert result.single_rate_properties["per-session-link-fairness"]

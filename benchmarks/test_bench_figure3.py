@@ -6,8 +6,9 @@ from repro.experiments import get_experiment
 
 
 def test_bench_figure3(benchmark):
-    result = benchmark(get_experiment("figure3").run).payload
-    print("\n" + result.table())
+    run = benchmark(get_experiment("figure3").run)
+    print("\n" + run.table())
+    result = run.payload
     assert result.example_a.matches_paper
     assert result.example_b.matches_paper
     assert result.demonstrates_both_directions

@@ -6,7 +6,8 @@ from repro.experiments import get_experiment
 
 
 def test_bench_figure4(benchmark):
-    result = benchmark(get_experiment("figure4").run).payload
-    print("\n" + result.table())
+    run = benchmark(get_experiment("figure4").run)
+    print("\n" + run.table())
+    result = run.payload
     assert result.matches_paper
     assert result.shared_link_redundancy == 2.0

@@ -10,8 +10,9 @@ from repro.experiments import get_experiment
 
 
 def test_bench_figure5(benchmark):
-    result = benchmark(get_experiment("figure5").run).payload
-    print("\n" + result.table())
+    run = benchmark(get_experiment("figure5").run)
+    print("\n" + run.table())
+    result = run.payload
     assert result.respects_upper_bounds
     # Asymptotes from the paper: All 0.1 -> 10, All 0.5 -> 2, All 0.9 -> ~1.11.
     assert abs(result.curves["All 0.1"][-1] - 10.0) < 0.05

@@ -11,8 +11,9 @@ from repro.experiments import get_experiment
 
 
 def test_bench_figure6(benchmark):
-    result = benchmark(get_experiment("figure6").run).payload
-    print("\n" + result.table())
+    run = benchmark(get_experiment("figure6").run)
+    print("\n" + run.table())
+    result = run.payload
     assert result.cross_check_max_error < 1e-9
     # The m/n = 1 curve is exactly 1/v; small fractions barely move.
     assert abs(result.curves[1.0][-1] - 0.1) < 1e-9

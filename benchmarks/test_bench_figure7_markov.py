@@ -11,8 +11,9 @@ from repro.experiments import get_experiment
 
 
 def test_bench_figure7_markov(benchmark):
-    result = benchmark(get_experiment("figure7").run).payload
-    print("\n" + result.table())
+    run = benchmark(get_experiment("figure7").run)
+    print("\n" + run.table())
+    result = run.payload
     assert result.equal_loss_is_worst
     for split_index in range(len(result.splits)):
         assert (

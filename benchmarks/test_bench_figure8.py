@@ -41,7 +41,7 @@ def _run_panel(shared_loss_rate: float, engine: str = "bitpacked", duration: int
         duration_units=duration,
         repetitions=REPETITIONS,
         engine=engine,
-    ).payload
+    )
 
 
 def _check_panel(panel, coordinated_cap: float) -> None:
@@ -55,15 +55,15 @@ def _check_panel(panel, coordinated_cap: float) -> None:
 
 
 def test_bench_figure8a_low_shared_loss(benchmark):
-    panel = benchmark.pedantic(_run_panel, args=(0.0001,), rounds=1, iterations=1)
-    print(f"\nFigure 8(a) - shared loss 0.0001, {NUM_RECEIVERS} receivers\n" + panel.table())
-    _check_panel(panel, coordinated_cap=2.5)
+    run = benchmark.pedantic(_run_panel, args=(0.0001,), rounds=1, iterations=1)
+    print(f"\nFigure 8(a) - shared loss 0.0001, {NUM_RECEIVERS} receivers\n" + run.table())
+    _check_panel(run.payload, coordinated_cap=2.5)
 
 
 def test_bench_figure8b_high_shared_loss(benchmark):
-    panel = benchmark.pedantic(_run_panel, args=(0.05,), rounds=1, iterations=1)
-    print(f"\nFigure 8(b) - shared loss 0.05, {NUM_RECEIVERS} receivers\n" + panel.table())
-    _check_panel(panel, coordinated_cap=2.5)
+    run = benchmark.pedantic(_run_panel, args=(0.05,), rounds=1, iterations=1)
+    print(f"\nFigure 8(b) - shared loss 0.05, {NUM_RECEIVERS} receivers\n" + run.table())
+    _check_panel(run.payload, coordinated_cap=2.5)
 
 
 @pytest.mark.slow
@@ -74,19 +74,19 @@ def test_bench_figure8_engine_comparison(benchmark, engine):
     The scan gets three rounds; the reference loop is several times slower
     and one round suffices.
     """
-    panel = benchmark.pedantic(
+    run = benchmark.pedantic(
         _run_panel, args=(0.05,), kwargs={"engine": engine, "duration": 400},
         rounds=1 if engine == "reference" else 3, iterations=1,
     )
-    _check_panel(panel, coordinated_cap=2.6)
+    _check_panel(run.payload, coordinated_cap=2.6)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("engine", ENGINES)
 def test_bench_figure8a_engine_comparison(benchmark, engine):
     """Both engines on the low-shared-loss panel (a)."""
-    panel = benchmark.pedantic(
+    run = benchmark.pedantic(
         _run_panel, args=(0.0001,), kwargs={"engine": engine, "duration": 400},
         rounds=1 if engine == "reference" else 3, iterations=1,
     )
-    _check_panel(panel, coordinated_cap=2.6)
+    _check_panel(run.payload, coordinated_cap=2.6)

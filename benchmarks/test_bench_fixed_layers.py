@@ -6,7 +6,8 @@ from repro.experiments import get_experiment
 
 
 def test_bench_fixed_layers(benchmark):
-    result = benchmark(get_experiment("fixed_layers").run).payload
-    print("\n" + result.table())
+    run = benchmark(get_experiment("fixed_layers").run)
+    print("\n" + run.table())
+    result = run.payload
     assert result.matches_paper_set
     assert result.no_max_min_fair_exists

@@ -71,11 +71,9 @@ def compare_on_random_networks(num_networks: int) -> None:
 
 def show_gradual_conversion() -> None:
     print("\nConverting sessions one at a time (Lemma 3), seed 7:")
-    result = get_experiment("mixed_sessions").run(
-        seed=7, num_links=14, num_sessions=5
-    ).payload
-    print(result.table())
-    print(f"ordering monotone: {result.ordering_is_monotone}")
+    run = get_experiment("mixed_sessions").run(seed=7, num_links=14, num_sessions=5)
+    print(run.table())
+    print(f"ordering monotone: {run.payload.ordering_is_monotone}")
 
 
 def main() -> None:

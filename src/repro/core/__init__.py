@@ -52,7 +52,6 @@ from .redundancy import (
     link_redundancy,
     normalized_fair_rate,
     random_join_link_rate,
-    session_redundancy_bound,
 )
 from .singlerate import single_rate_max_min_fair, single_rate_session_rates
 from .unicast import unicast_max_min_fair
@@ -97,7 +96,6 @@ __all__ = [
     "link_redundancy",
     "normalized_fair_rate",
     "random_join_link_rate",
-    "session_redundancy_bound",
     "single_rate_max_min_fair",
     "single_rate_session_rates",
     "unicast_max_min_fair",

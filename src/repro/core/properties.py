@@ -357,16 +357,6 @@ def check_all_properties(
     statements on mixed networks.
     """
     return {
-        "fully-utilized-receiver-fairness": fully_utilized_receiver_fairness(
-            allocation, tolerance=tolerance
-        ),
-        "same-path-receiver-fairness": same_path_receiver_fairness(
-            allocation, tolerance=tolerance
-        ),
-        "per-receiver-link-fairness": per_receiver_link_fairness(
-            allocation, tolerance=tolerance
-        ),
-        "per-session-link-fairness": per_session_link_fairness(
-            allocation, tolerance=tolerance
-        ),
+        name: checker(allocation, tolerance=tolerance)
+        for name, checker in PROPERTY_CHECKERS.items()
     }

@@ -45,7 +45,6 @@ __all__ = [
     "random_join_link_rate",
     "flat_rate",
     "link_redundancy",
-    "session_redundancy_bound",
     "bottleneck_fair_rate",
     "normalized_fair_rate",
 ]
@@ -177,20 +176,6 @@ def link_redundancy(link_rate: float, receiver_rates: Sequence[float]) -> float:
     if efficient <= 0.0:
         return 1.0
     return link_rate / efficient
-
-
-def session_redundancy_bound(receiver_rates: Sequence[float], transmission_rate: float) -> float:
-    """Upper bound on single-layer redundancy: ``lambda / max(a_{i,k})``.
-
-    Section 3 observes that redundancy "can only be as large as the
-    multiplicative inverse" of the ratio of the efficient link rate to the
-    layer transmission rate; this helper exposes that bound for tests and
-    experiments.
-    """
-    efficient = efficient_link_rate(receiver_rates)
-    if efficient <= 0.0:
-        return 1.0
-    return transmission_rate / efficient
 
 
 def bottleneck_fair_rate(

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.tables import format_series
 from ..protocols import make_protocol
 from ..simulator.star import star_redundancy_group, uniform_star
 from .api import ExperimentSpec, Verdict, check_protocols
@@ -76,18 +75,6 @@ class ActiveNodeResult:
     num_receivers: int
     redundancy: Dict[str, List[float]] = field(default_factory=dict)
     mean_receiver_rate: Dict[str, List[float]] = field(default_factory=dict)
-
-    def table(self) -> str:
-        redundancy_table = format_series(
-            "independent link loss", list(self.independent_loss_rates), self.redundancy
-        )
-        rate_table = format_series(
-            "independent link loss", list(self.independent_loss_rates), self.mean_receiver_rate
-        )
-        return (
-            "redundancy on the shared link\n" + redundancy_table
-            + "\n\nmean receiver rate (packets per unit)\n" + rate_table
-        )
 
     @property
     def active_node_redundancy_near_one(self) -> bool:

@@ -270,11 +270,14 @@ class ExperimentResult:
 
     ``records`` is the machine-readable form of the figure: a flat sequence
     of JSON-safe mappings (one per data point / table row, with an optional
-    ``"section"`` key grouping rows into sub-tables).  ``payload`` holds the
-    experiment's rich in-memory result object (``Figure8Result``, ...) when
-    the result was produced by running the experiment in this process; it is
-    not serialised and is excluded from equality, so a deserialised result
-    compares equal to the original.
+    ``"section"`` key grouping rows into sub-tables).  They are also its one
+    text form: :meth:`table` renders them, so a fresh result, a store hit
+    and a :meth:`from_json` round trip print identically.  ``payload`` holds
+    the experiment's rich in-memory result object (``Figure8Result``, ...)
+    when the result was produced by running the experiment in this process;
+    it is data only (no rendering of its own), is not serialised, and is
+    excluded from equality, so a deserialised result compares equal to the
+    original.
     """
 
     key: str
@@ -361,8 +364,14 @@ class ExperimentResult:
         )
 
     def to_json(self, *, indent: Optional[int] = 2) -> str:
-        """The envelope as a JSON document (sorted keys, trailing newline)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent) + "\n"
+        """The envelope as a JSON document (trailing newline).
+
+        Keys keep their own order rather than being sorted: :meth:`table`
+        takes a record's columns in first-seen order, so a result read back
+        with :meth:`from_json` renders exactly like the original.
+        :meth:`canonical_json` is the sorted form for byte comparison.
+        """
+        return json.dumps(self.to_dict(), indent=indent) + "\n"
 
     def canonical_json(self) -> str:
         """Deterministic JSON form excluding wall time and execution knobs.

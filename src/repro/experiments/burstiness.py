@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis.stats import mean
-from ..analysis.tables import format_series
 from ..errors import ExperimentError
 from ..layering.layers import ExponentialLayerScheme
 from ..protocols import make_protocol
@@ -113,11 +112,6 @@ class BurstinessResult:
     burst_lengths: Sequence[float]
     num_receivers: int
     redundancy: Dict[str, List[float]] = field(default_factory=dict)
-
-    def table(self) -> str:
-        return format_series(
-            "mean burst length (packets)", list(self.burst_lengths), self.redundancy
-        )
 
     @property
     def judges_ordering(self) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..analysis.tables import format_table
 from ..core import Allocation, check_all_properties, max_min_fair_allocation
 from ..network import Network, figure1_network
 from ..network.topologies import FIGURE1_EXPECTED_RATES
@@ -45,22 +44,6 @@ class Figure1Result:
             abs(self.receiver_rates[rid] - expected) <= 1e-9
             for rid, expected in self.expected_rates.items()
         )
-
-    def table(self) -> str:
-        rows = []
-        for rid, expected in sorted(self.expected_rates.items()):
-            receiver = self.network.receiver(rid)
-            rows.append([receiver.name, expected, self.receiver_rates[rid]])
-        receiver_table = format_table(["receiver", "paper rate", "measured rate"], rows)
-        link_rows = [
-            [name] + list(rates) for name, rates in sorted(self.session_link_rates.items())
-        ]
-        link_table = format_table(
-            ["link", "u_1j", "u_2j", "u_3j"], link_rows
-        )
-        property_rows = [[name, "holds" if holds else "FAILS"] for name, holds in self.properties.items()]
-        property_table = format_table(["fairness property", "status"], property_rows)
-        return "\n\n".join([receiver_table, link_table, property_table])
 
 
 def body(spec: Figure1Spec) -> Figure1Result:

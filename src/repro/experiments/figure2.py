@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..analysis.tables import format_table
 from ..core import (
     Allocation,
     check_all_properties,
@@ -64,33 +63,6 @@ class Figure2Result:
             self.single_rate_allocation.ordered_vector(),
             self.multi_rate_allocation.ordered_vector(),
         )
-
-    def table(self) -> str:
-        rows = []
-        for rid in sorted(self.expected_single_rate):
-            receiver = self.single_rate_network.receiver(rid)
-            rows.append(
-                [
-                    receiver.name,
-                    self.expected_single_rate[rid],
-                    self.single_rate_allocation.rate(rid),
-                    self.expected_multi_rate[rid],
-                    self.multi_rate_allocation.rate(rid),
-                ]
-            )
-        rate_table = format_table(
-            ["receiver", "paper (single)", "measured (single)", "expected (multi)", "measured (multi)"],
-            rows,
-        )
-        property_rows = [
-            [name, "holds" if self.single_rate_properties[name] else "FAILS",
-             "holds" if self.multi_rate_properties[name] else "FAILS"]
-            for name in self.single_rate_properties
-        ]
-        property_table = format_table(
-            ["fairness property", "single-rate S1", "multi-rate S1"], property_rows
-        )
-        return "\n\n".join([rate_table, property_table])
 
 
 def body(spec: Figure2Spec) -> Figure2Result:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..analysis.tables import format_table
 from ..core import Allocation, max_min_fair_allocation
 from ..network import Network, figure3a_network, figure3b_network
 from ..network.topologies import FIGURE3A_EXPECTED, FIGURE3B_EXPECTED
@@ -57,17 +56,6 @@ class RemovalOutcome:
         )
         return before_ok and after_ok
 
-    def table(self) -> str:
-        rows = []
-        for rid in sorted(self.expected_before):
-            receiver_name = self.network.receiver(rid).name
-            before = self.before.rate(rid)
-            after = self.after.rate(rid) if rid in self.expected_after else float("nan")
-            rows.append(
-                [receiver_name, before, "removed" if rid not in self.expected_after else after]
-            )
-        return format_table([f"{self.name}: receiver", "before", "after"], rows)
-
 
 @dataclass
 class Figure3Result:
@@ -82,9 +70,6 @@ class Figure3Result:
         a_down = self.example_a.rate_change((2, 0)) < 0 and self.example_a.rate_change((0, 0)) > 0
         b_up = self.example_b.rate_change((2, 0)) > 0 and self.example_b.rate_change((0, 0)) < 0
         return a_down and b_up
-
-    def table(self) -> str:
-        return "\n\n".join([self.example_a.table(), self.example_b.table()])
 
 
 def _run_example(

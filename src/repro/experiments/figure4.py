@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..analysis.tables import format_table
 from ..core import (
     Allocation,
     check_all_properties,
@@ -69,22 +68,6 @@ class Figure4Result:
             and self.properties["same-path-receiver-fairness"]
         )
         return rates_ok and link_ok and session_perspective_fails and receiver_perspective_holds
-
-    def table(self) -> str:
-        rate_rows = [
-            [self.network.receiver(rid).name, expected, self.allocation.rate(rid)]
-            for rid, expected in sorted(self.expected_rates.items())
-        ]
-        rate_table = format_table(["receiver", "paper rate", "measured rate"], rate_rows)
-        link_rows = [
-            [self.network.session(i).name, rate] for i, rate in sorted(self.shared_link_rates.items())
-        ]
-        link_table = format_table(["session", "rate on shared link l4"], link_rows)
-        property_rows = [
-            [name, "holds" if holds else "FAILS"] for name, holds in self.properties.items()
-        ]
-        property_table = format_table(["fairness property", "status"], property_rows)
-        return "\n\n".join([rate_table, link_table, property_table])
 
 
 def body(spec: Figure4Spec) -> Figure4Result:

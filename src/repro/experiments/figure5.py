@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.tables import format_series
 from ..layering.quantum import QuantumModel
 from ..layering.random_joins import (
     FIGURE5_CONFIGURATIONS,
@@ -64,9 +63,6 @@ class Figure5Result:
     curves: Dict[str, List[float]]
     upper_bounds: Dict[str, float]
     simulated: Optional[Dict[str, List[float]]]
-
-    def table(self) -> str:
-        return format_series("receivers", list(self.receiver_counts), self.curves)
 
     @property
     def respects_upper_bounds(self) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.tables import format_series
 from ..core import bottleneck_fair_rate, max_min_fair_allocation, normalized_fair_rate
 from ..network.topologies import shared_bottleneck_with_redundancy
 from .api import ExperimentSpec, Verdict
@@ -79,10 +78,6 @@ class Figure6Result:
     fractions: Sequence[float]
     curves: Dict[float, List[float]]
     cross_checks: List[Tuple[int, int, float, float, float]]
-
-    def table(self) -> str:
-        series = {f"m/n={fraction:g}": values for fraction, values in self.curves.items()}
-        return format_series("redundancy", list(self.redundancies), series)
 
     @property
     def cross_check_max_error(self) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.tables import format_series
 from ..protocols.markov import TwoReceiverMarkovModel
 from .api import ExperimentSpec, Verdict
 from .registry import Experiment, register
@@ -50,9 +49,6 @@ class Figure7Result:
     shared_loss_rate: float
     redundancy: Dict[str, List[float]]
     mean_levels: Dict[str, List[Tuple[float, float]]]
-
-    def table(self) -> str:
-        return format_series("loss split to r1", list(self.splits), self.redundancy)
 
     def peak_split(self, protocol: str) -> float:
         """The split at which the protocol's redundancy peaks."""

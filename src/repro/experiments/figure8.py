@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.tables import format_series
 from ..protocols import make_protocol
 from ..simulator.metrics import RedundancyMeasurement
 from ..simulator.star import star_redundancy_group, uniform_star
@@ -156,13 +155,6 @@ class Figure8Panel:
     def max_redundancy(self, protocol: str) -> float:
         return max(self.curve(protocol))
 
-    def table(self) -> str:
-        return format_series(
-            "independent link loss",
-            list(self.independent_loss_rates),
-            self.curves(),
-        )
-
     @property
     def coordinated_is_lowest(self) -> bool:
         """Coordinated redundancy never exceeds the other simulated
@@ -182,14 +174,6 @@ class Figure8Result:
 
     low_shared_loss: Figure8Panel
     high_shared_loss: Figure8Panel
-
-    def table(self) -> str:
-        return (
-            f"Figure 8(a) - shared loss {self.low_shared_loss.shared_loss_rate}\n"
-            + self.low_shared_loss.table()
-            + f"\n\nFigure 8(b) - shared loss {self.high_shared_loss.shared_loss_rate}\n"
-            + self.high_shared_loss.table()
-        )
 
 
 def _protocol_sweep(protocol_name: str, spec: Figure8PanelSpec) -> List[Figure8Point]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.tables import format_table
 from ..core import max_min_fair_allocation
 from ..layering.fixed import section3_nonexistence_example
 from ..network.topologies import single_bottleneck_network
@@ -65,20 +64,6 @@ class FixedLayerResult:
     @property
     def no_max_min_fair_exists(self) -> bool:
         return self.max_min_fair is None
-
-    def table(self) -> str:
-        rows = [[f"({a:.4g}, {b:.4g})"] for a, b in self.feasible_allocations]
-        allocation_table = format_table(["feasible fixed-layer allocation (a1, a2)"], rows)
-        verdict = (
-            "no max-min fair allocation exists among the fixed-layer allocations"
-            if self.max_min_fair is None
-            else f"max-min fair allocation: {self.max_min_fair}"
-        )
-        fair = ", ".join(f"{v:.4g}" for v in self.unconstrained_fair_rates)
-        return (
-            allocation_table
-            + f"\n\n{verdict}\nunconstrained (join/leave) max-min fair rates: ({fair})"
-        )
 
 
 def body(spec: FixedLayersSpec) -> FixedLayerResult:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.tables import format_series
 from ..errors import ExperimentError
 from ..layering.random_joins import layer_count_ablation, one_fast_rest_slow, uniform_rates
 from .api import ExperimentSpec, Verdict
@@ -53,13 +52,6 @@ class LayerAblationResult:
     layer_counts: Sequence[int]
     max_rate: float
     redundancy: Dict[str, Dict[int, float]]
-
-    def table(self) -> str:
-        series = {
-            name: [values[count] for count in self.layer_counts]
-            for name, values in self.redundancy.items()
-        }
-        return format_series("layers", list(self.layer_counts), series)
 
     @property
     def never_worse_than_single_layer(self) -> bool:

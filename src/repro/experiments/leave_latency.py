@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis.stats import mean
-from ..analysis.tables import format_series
 from ..errors import ExperimentError
 from ..layering.layers import ExponentialLayerScheme
 from ..protocols import make_protocol
@@ -83,16 +82,6 @@ class LeaveLatencyResult:
     num_receivers: int
     redundancy: List[float] = field(default_factory=list)
     mean_receiver_rate: List[float] = field(default_factory=list)
-
-    def table(self) -> str:
-        return format_series(
-            "leave latency (time units)",
-            list(self.latencies),
-            {
-                "redundancy": self.redundancy,
-                "mean receiver rate": self.mean_receiver_rate,
-            },
-        )
 
     @property
     def redundancy_increases_with_latency(self) -> bool:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.tables import format_series
 from ..errors import ExperimentError
 from ..protocols import make_protocol
 from ..simulator.star import star_redundancy_group, uniform_star
@@ -82,13 +81,6 @@ class LossCorrelationResult:
     correlated_fractions: Sequence[float]
     num_receivers: int
     redundancy: Dict[str, List[float]] = field(default_factory=dict)
-
-    def table(self) -> str:
-        return format_series(
-            "fraction of loss that is shared",
-            list(self.correlated_fractions),
-            self.redundancy,
-        )
 
     def correlated_helps(self, protocol: str) -> bool:
         """Redundancy with fully shared loss is at most that with fully independent loss."""

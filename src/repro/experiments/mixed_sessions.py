@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.tables import format_table
 from ..core import (
     Allocation,
     fully_utilized_receiver_fairness,
@@ -98,23 +97,6 @@ class MixedSessionsResult:
         return all(
             step.multi_rate_properties_hold and step.per_session_link_fair
             for step in self.steps
-        )
-
-    def table(self) -> str:
-        rows = [
-            [
-                step.num_multi_rate,
-                step.min_rate,
-                step.total_throughput,
-                "yes" if step.multi_rate_properties_hold else "NO",
-                "yes" if step.per_session_link_fair else "NO",
-            ]
-            for step in self.steps
-        ]
-        return format_table(
-            ["# multi-rate sessions", "min rate", "total throughput",
-             "Thm2 multi-rate props", "per-session-link fair"],
-            rows,
         )
 
 

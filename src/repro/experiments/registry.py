@@ -2,8 +2,10 @@
 
 Each experiment module registers a single :class:`Experiment` describing how
 to run it from a spec (:meth:`Experiment.run`), how its result is judged
-against the paper (:meth:`Experiment.verdict`), and how its data points
-serialise (the record rows inside :class:`~repro.experiments.api.ExperimentResult`).
+against the paper (``judge``, whose verdict the envelope stores), and how its
+data points serialise (the record rows inside
+:class:`~repro.experiments.api.ExperimentResult`, which are also its one
+text rendering).
 :meth:`Experiment.run` is the one entry point: it resolves the spec's scale
 presets and hands the resolved spec to the module's ``body``.  The runner,
 the serving daemon and the ``python -m repro`` CLI all iterate this
@@ -112,21 +114,6 @@ class Experiment:
             wall_time_seconds=wall_time,
             payload=payload,
         )
-
-    def verdict(self, result: ExperimentResult) -> Verdict:
-        """The verdict for a result of this experiment.
-
-        Recomputed from the rich payload when the result was produced
-        in-process; for deserialised results the stored verdict is
-        authoritative (the payload does not survive serialisation).
-        """
-        if result.key != self.key:
-            raise ExperimentError(
-                f"result key {result.key!r} does not belong to experiment {self.key!r}"
-            )
-        if result.payload is not None:
-            return self.judge(result.payload)
-        return result.verdict
 
 
 def register(experiment: Experiment) -> Experiment:

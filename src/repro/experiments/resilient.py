@@ -179,9 +179,7 @@ def _sleep_backoff(attempt: int, backoff: float, max_backoff: float) -> None:
     timestamp instead (see :meth:`ResilientPool._charge`) so the
     dispatcher stays responsive to other completions and deadlines.
     """
-    if backoff <= 0.0:
-        return
-    time.sleep(min(max_backoff, backoff * (2.0 ** (attempt - 1))))
+    time.sleep(_backoff_delay(attempt, backoff, max_backoff))
 
 
 def _backoff_delay(attempt: int, backoff: float, max_backoff: float) -> float:

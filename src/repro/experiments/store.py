@@ -307,9 +307,9 @@ class ResultStore:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             temporary = path.parent / f".{address}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-            temporary.write_bytes(
-                json.dumps(entry, sort_keys=True, indent=2).encode("utf-8") + b"\n"
-            )
+            # Unsorted on purpose: a hit must render its records' columns in
+            # their own order; the checksum uses the sorted canonical form.
+            temporary.write_bytes(json.dumps(entry, indent=2).encode("utf-8") + b"\n")
             os.replace(temporary, path)
         except OSError as error:
             raise ResultStoreError(

@@ -13,9 +13,9 @@ from repro.core import (
     link_redundancy,
     normalized_fair_rate,
     random_join_link_rate,
-    session_redundancy_bound,
 )
 from repro.errors import AllocationError
+from repro.layering import redundancy_upper_bound
 
 positive_rates = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=20
@@ -88,9 +88,9 @@ class TestRedundancyMetric:
         assert link_redundancy(4.0, [2.0, 1.0]) == pytest.approx(2.0)
         assert link_redundancy(0.0, [0.0]) == 1.0
 
-    def test_session_redundancy_bound(self):
-        assert session_redundancy_bound([0.1, 0.1], 1.0) == pytest.approx(10.0)
-        assert session_redundancy_bound([0.0], 1.0) == 1.0
+    def test_redundancy_upper_bound(self):
+        assert redundancy_upper_bound([0.1, 0.1], 1.0) == pytest.approx(10.0)
+        assert redundancy_upper_bound([0.0], 1.0) == 1.0
 
     @given(positive_rates)
     @settings(max_examples=80, deadline=None)
@@ -99,7 +99,7 @@ class TestRedundancyMetric:
             return
         function = random_join_link_rate(1.0)
         redundancy = link_redundancy(function(rates), rates)
-        assert 1.0 - 1e-9 <= redundancy <= session_redundancy_bound(rates, 1.0) + 1e-9
+        assert 1.0 - 1e-9 <= redundancy <= redundancy_upper_bound(rates, 1.0) + 1e-9
 
 
 class TestFigure6ClosedForms:

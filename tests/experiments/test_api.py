@@ -17,7 +17,7 @@ import typing
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import get_experiment, experiment_keys
+from repro.experiments import all_experiments, get_experiment, experiment_keys
 from repro.experiments.api import (
     RESULT_SCHEMA_VERSION,
     ExperimentResult,
@@ -25,6 +25,7 @@ from repro.experiments.api import (
     Verdict,
 )
 from repro.experiments.figure8 import Figure8Spec
+from repro.experiments.store import ResultStore
 from repro.simulator import RNG_SCHEME_VERSION
 
 #: Reduced-scale spec overrides keeping the simulation-backed experiments
@@ -62,7 +63,14 @@ FAST_OVERRIDES = {
     ),
 }
 
-ALL_KEYS = experiment_keys(default_only=False)
+#: The built-in experiments only.  Other test modules register the
+#: fault-injection harness (``register_module("faults")``) at import, which
+#: may run before this module is collected.
+ALL_KEYS = [
+    experiment.key
+    for experiment in all_experiments(default_only=False)
+    if experiment.body.__module__.startswith("repro.experiments.")
+]
 
 
 @pytest.fixture(scope="module")
@@ -171,17 +179,33 @@ class TestEnvelope:
         text = json.dumps(list(results[key].records), allow_nan=False)
         assert json.loads(text) == list(results[key].records)
 
-    def test_table_renders_from_records(self, results, key):
-        rebuilt = ExperimentResult.from_dict(results[key].to_dict())
-        assert rebuilt.payload is None
-        assert rebuilt.table().strip()
-
-    def test_experiment_verdict_method(self, results, key):
-        experiment = get_experiment(key)
+    def test_table_renders_from_records(self, results, key, tmp_path):
+        # The records are the one text form, so a fresh result, its JSON
+        # round trip and a store hit must all print the same columns in
+        # the same order.
         result = results[key]
-        assert experiment.verdict(result) == result.verdict
-        rebuilt = ExperimentResult.from_dict(result.to_dict())
-        assert experiment.verdict(rebuilt) == result.verdict
+        rebuilt = ExperimentResult.from_json(result.to_json())
+        assert rebuilt.payload is None
+        store = ResultStore(tmp_path)
+        store.put(key, result.spec, result)
+        cached = store.get(key, result.spec)
+        assert cached is not None and cached.payload is None
+        table = result.table()
+        assert table.strip()
+        assert rebuilt.table() == table
+        assert cached.table() == table
+
+    def test_entry_written_with_sorted_keys_still_hits(self, results, key, tmp_path):
+        # Stores filled before entries kept the records' key order hold
+        # sorted JSON.  The checksum covers the canonical (sorted) form, so
+        # those entries must keep validating, not be quarantined.
+        result = results[key]
+        store = ResultStore(tmp_path)
+        path = store.put(key, result.spec, result)
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps(entry, sort_keys=True, indent=2) + "\n")
+        assert store.get(key, result.spec) == result
+        assert store.stats.hits == 1 and store.stats.quarantined == 0
 
 
 class TestPayloadTypes:

@@ -12,13 +12,17 @@ from repro.simulator import BernoulliLoss, GilbertElliottLoss
 
 class TestActiveNodeExperiment:
     @pytest.fixture(scope="class")
-    def result(self):
+    def run(self):
         return get_experiment("active_nodes").run(
             independent_loss_rates=(0.02, 0.08),
             num_receivers=20,
             duration_units=400,
             repetitions=2,
-        ).payload
+        )
+
+    @pytest.fixture(scope="class")
+    def result(self, run):
+        return run.payload
 
     def test_redundancy_of_one_is_feasible(self, result):
         assert result.active_node_redundancy_near_one
@@ -26,9 +30,9 @@ class TestActiveNodeExperiment:
     def test_active_node_is_lowest(self, result):
         assert result.active_node_is_lowest
 
-    def test_table_renders(self, result):
-        table = result.table()
-        assert "active-node" in table and "mean receiver rate" in table
+    def test_table_renders(self, run):
+        table = run.table()
+        assert "active-node" in table and "mean_receiver_rate" in table
 
     def test_receiver_rates_reported_for_all_protocols(self, result):
         assert set(result.mean_receiver_rate) == set(result.redundancy)
@@ -57,13 +61,17 @@ class TestActiveNodeExperiment:
 
 class TestLeaveLatencyExperiment:
     @pytest.fixture(scope="class")
-    def result(self):
+    def run(self):
         return get_experiment("leave_latency").run(
             latencies=(0.0, 2.0, 4.0),
             num_receivers=20,
             duration_units=400,
             repetitions=2,
-        ).payload
+        )
+
+    @pytest.fixture(scope="class")
+    def result(self, run):
+        return run.payload
 
     def test_redundancy_increases(self, result):
         assert result.redundancy_increases_with_latency
@@ -73,8 +81,8 @@ class TestLeaveLatencyExperiment:
         rates = result.mean_receiver_rate
         assert max(rates) - min(rates) <= 0.05 * max(rates)
 
-    def test_table_renders(self, result):
-        assert "leave latency" in result.table()
+    def test_table_renders(self, run):
+        assert "leave_latency" in run.table()
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan")], ids=["negative", "nan"])
     def test_validation(self, bad):
@@ -102,14 +110,15 @@ class TestBurstinessExperiment:
             gilbert_for_average_loss(0.99, 2.0)
 
     def test_ordering_preserved_under_burstiness(self):
-        result = get_experiment("burstiness").run(
+        run = get_experiment("burstiness").run(
             burst_lengths=(1.0, 4.0),
             num_receivers=20,
             duration_units=400,
             repetitions=2,
-        ).payload
+        )
+        result = run.payload
         assert result.ordering_preserved
-        assert "burst length" in result.table()
+        assert "mean_burst_length" in run.table()
         assert result.max_shift_from_bernoulli("coordinated") < 1.5
 
     def test_protocol_subset_is_judged_without_the_missing_protocols(self):

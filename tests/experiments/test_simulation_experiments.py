@@ -11,11 +11,12 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import get_experiment
+from repro.experiments.api import ExperimentResult
 from repro.experiments.figure8 import Figure8Panel
 
 
 @pytest.fixture(scope="module")
-def small_panel() -> Figure8Panel:
+def small_run() -> ExperimentResult:
     return get_experiment("figure8_panel").run(
         shared_loss_rate=0.0001,
         independent_loss_rates=(0.01, 0.08),
@@ -23,7 +24,12 @@ def small_panel() -> Figure8Panel:
         duration_units=500,
         repetitions=2,
         base_seed=0,
-    ).payload
+    )
+
+
+@pytest.fixture(scope="module")
+def small_panel(small_run) -> Figure8Panel:
+    return small_run.payload
 
 
 class TestFigure8Panel:
@@ -49,9 +55,9 @@ class TestFigure8Panel:
             uncoordinated = small_panel.curve("uncoordinated")[index]
             assert coordinated <= uncoordinated + 0.2
 
-    def test_table_renders(self, small_panel):
-        table = small_panel.table()
-        assert "independent link loss" in table
+    def test_table_renders(self, small_run):
+        table = small_run.table()
+        assert "independent_loss_rate" in table
         assert "coordinated" in table
 
     def test_protocol_subset_is_judged_on_what_it_ran(self):
@@ -80,15 +86,16 @@ class TestFigure8Panel:
 
 class TestLossCorrelation:
     def test_correlated_loss_lowers_redundancy(self):
-        result = get_experiment("loss_correlation").run(
+        run = get_experiment("loss_correlation").run(
             total_loss_rate=0.05,
             correlated_fractions=(0.0, 1.0),
             num_receivers=20,
             duration_units=400,
             repetitions=2,
-        ).payload
+        )
+        result = run.payload
         assert result.all_protocols_benefit_from_correlation
-        assert "fraction of loss" in result.table()
+        assert "correlated_fraction" in run.table()
 
     def test_validation(self):
         with pytest.raises(ExperimentError):

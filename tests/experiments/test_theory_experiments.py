@@ -12,6 +12,11 @@ def payload(key: str, **fields):
     return get_experiment(key).run(**fields).payload
 
 
+def table(key: str, **fields) -> str:
+    """The text form of one run: its envelope's records, rendered."""
+    return get_experiment(key).run(**fields).table()
+
+
 class TestFigure1:
     def test_matches_paper(self):
         result = payload("figure1")
@@ -21,8 +26,8 @@ class TestFigure1:
         assert result.session_link_rates["l4"] == (1.0, 1.0, 1.0)
 
     def test_table_renders(self):
-        table = payload("figure1").table()
-        assert "r2,2" in table and "fairness property" in table
+        text = table("figure1")
+        assert "r2,2" in text and "property" in text
 
 
 class TestFigure2:
@@ -40,7 +45,7 @@ class TestFigure2:
         assert all(result.multi_rate_properties.values())
 
     def test_table_renders(self):
-        assert "single-rate S1" in payload("figure2").table()
+        assert "single_rate_holds" in table("figure2")
 
 
 class TestFigure3:
@@ -58,7 +63,7 @@ class TestFigure3:
         assert result.example_b.rate_change((0, 0)) == pytest.approx(-2.0)
 
     def test_table_renders(self):
-        assert "Figure 3(a)" in payload("figure3").table()
+        assert "Figure 3(a)" in table("figure3")
 
 
 class TestFigure4:
@@ -73,7 +78,7 @@ class TestFigure4:
         assert severe.allocation.min_rate() < mild.allocation.min_rate()
 
     def test_table_renders(self):
-        assert "shared link" in payload("figure4").table()
+        assert "shared link" in table("figure4")
 
 
 class TestFigure5:
@@ -98,7 +103,7 @@ class TestFigure5:
                 assert measured == pytest.approx(analytic, rel=0.15)
 
     def test_table_renders(self):
-        assert "receivers" in payload("figure5").table()
+        assert "receivers" in table("figure5")
 
 
 class TestFigure6:
@@ -117,7 +122,8 @@ class TestFigure6:
             assert value == pytest.approx(1.0 / redundancy)
 
     def test_table_renders(self):
-        assert "m/n=0.05" in payload("figure6").table()
+        text = table("figure6")
+        assert "fraction_multi_rate" in text and "0.05" in text
 
 
 class TestFixedLayers:
@@ -128,7 +134,7 @@ class TestFixedLayers:
         assert result.unconstrained_fair_rates == pytest.approx((0.5, 0.5))
 
     def test_table_renders(self):
-        assert "no max-min fair allocation" in payload("fixed_layers").table()
+        assert "max_min_fair_exists" in table("fixed_layers")
 
 
 class TestFigure7:
@@ -144,15 +150,16 @@ class TestFigure7:
             assert coordinated <= uncoordinated + 1e-9
 
     def test_table_renders(self):
-        assert "loss split" in payload("figure7").table()
+        assert "loss split" in table("figure7")
 
 
 class TestAblations:
     def test_layer_ablation_claims(self):
-        result = payload("layer_ablation")
+        run = get_experiment("layer_ablation").run()
+        result = run.payload
         assert result.never_worse_than_single_layer
         assert result.monotone_in_layers
-        assert "layers" in result.table()
+        assert "layers" in run.table()
 
     def test_layer_ablation_validation(self):
         from repro.errors import ExperimentError
@@ -161,11 +168,12 @@ class TestAblations:
             get_experiment("layer_ablation").run(layer_counts=(2, 4))
 
     def test_mixed_sessions_lemma3(self):
-        result = payload("mixed_sessions", seed=3)
+        run = get_experiment("mixed_sessions").run(seed=3)
+        result = run.payload
         assert result.ordering_is_monotone
         assert result.theorem2_holds_throughout
         assert len(result.steps) == result.num_sessions + 1
-        assert "multi-rate sessions" in result.table()
+        assert "num_multi_rate" in run.table()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mixed_sessions_other_seeds(self, seed):
