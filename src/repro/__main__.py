@@ -247,8 +247,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print()
     if args.format == "json":
         # Always an array — consumers get one stable top-level shape whether
-        # one key or many were requested.
-        print(json.dumps(json_documents, indent=2, sort_keys=True))
+        # one key or many were requested.  Keys keep their order, so a
+        # document read back with ExperimentResult.from_dict renders the
+        # same table as the fresh run.
+        print(json.dumps(json_documents, indent=2))
     else:
         print(f"total wall time: {time.time() - start:.1f}s (jobs={args.jobs})")
     return 0
@@ -292,7 +294,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 raise ExperimentError(
                     f"cannot reach repro-serve at {args.connect}: {error}"
                 ) from None
-            print(json.dumps(response, sort_keys=True))
+            print(json.dumps(response))
             if not response.get("ok", False):
                 failed += 1
         return 2 if failed else 0

@@ -8,8 +8,8 @@ This subpackage implements the paper's primary machinery:
 * :func:`~repro.core.maxmin.max_min_fair_allocation` — the Appendix-A
   water-filling construction for arbitrary session-type mappings ``sigma``
   and arbitrary link-rate functions ``v_i``;
-* :mod:`~repro.core.unicast` / :mod:`~repro.core.singlerate` — the classic
-  unicast and single-rate (Tzeng–Siu style) baselines;
+* :mod:`~repro.core.singlerate` — the single-rate (Tzeng–Siu style)
+  baseline, and classic unicast max-min fairness as its one-receiver case;
 * :mod:`~repro.core.properties` — the four desirable fairness properties;
 * :mod:`~repro.core.ordering` — the min-unfavorability ordering ``<=_m``;
 * :mod:`~repro.core.redundancy` — link-rate functions ``v_i`` and the
@@ -53,8 +53,11 @@ from .redundancy import (
     normalized_fair_rate,
     random_join_link_rate,
 )
-from .singlerate import single_rate_max_min_fair, single_rate_session_rates
-from .unicast import unicast_max_min_fair
+from .singlerate import (
+    single_rate_max_min_fair,
+    single_rate_session_rates,
+    unicast_max_min_fair,
+)
 from .weighted import (
     normalized_rate_vector,
     rtt_weights,

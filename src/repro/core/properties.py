@@ -25,7 +25,7 @@ provided for completeness on unicast networks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..network.network import Network
 from ..network.session import ReceiverId
@@ -199,37 +199,49 @@ def same_path_receiver_fairness(
     """
     network = allocation.network
     targets = list(receivers) if receivers is not None else network.all_receiver_ids()
+    violations = [
+        PropertyViolation(
+            subject=(rid_a, rid_b),
+            description=(
+                f"receivers {network.receiver(rid_a).name} (rate {rate_a:g}) and "
+                f"{network.receiver(rid_b).name} (rate {rate_b:g}) share a "
+                "data-path but receive at different rates"
+            ),
+        )
+        for rid_a, rid_b, rate_a, rate_b in _unequal_same_path_pairs(
+            allocation, targets, allocation.rate, tolerance
+        )
+    ]
+    return PropertyReport("same-path-receiver-fairness", not violations, violations)
 
-    # Group receivers by their data-path link set; only groups of size >= 2
-    # give rise to pair constraints.
+
+def _unequal_same_path_pairs(
+    allocation: Allocation,
+    targets: Sequence[ReceiverId],
+    value: Callable[[ReceiverId], float],
+    tolerance: float,
+) -> Iterator[Tuple[ReceiverId, ReceiverId, float, float]]:
+    """Pairs of receivers with identical data-path link sets whose ``value``
+    differs, as ``(rid_a, rid_b, value_a, value_b)``, unless the one with
+    the smaller value sits at its session's maximum desired rate.  Fairness
+    Property 2 compares rates; its weighted form, rates divided by weights.
+    """
+    network = allocation.network
     groups: Dict[frozenset, List[ReceiverId]] = {}
     for rid in targets:
         groups.setdefault(network.routing.data_path_set(rid), []).append(rid)
 
-    violations: List[PropertyViolation] = []
     for group in groups.values():
-        if len(group) < 2:
-            continue
         for index, rid_a in enumerate(group):
             for rid_b in group[index + 1:]:
-                rate_a = allocation.rate(rid_a)
-                rate_b = allocation.rate(rid_b)
-                if abs(rate_a - rate_b) <= tolerance * max(1.0, rate_a, rate_b):
+                value_a = value(rid_a)
+                value_b = value(rid_b)
+                if abs(value_a - value_b) <= tolerance * max(1.0, value_a, value_b):
                     continue
-                lower, higher = (rid_a, rid_b) if rate_a < rate_b else (rid_b, rid_a)
+                lower = rid_a if value_a < value_b else rid_b
                 if _at_max_rate(network, allocation, lower, tolerance):
                     continue
-                violations.append(
-                    PropertyViolation(
-                        subject=(rid_a, rid_b),
-                        description=(
-                            f"receivers {network.receiver(rid_a).name} (rate {rate_a:g}) and "
-                            f"{network.receiver(rid_b).name} (rate {rate_b:g}) share a "
-                            "data-path but receive at different rates"
-                        ),
-                    )
-                )
-    return PropertyReport("same-path-receiver-fairness", not violations, violations)
+                yield rid_a, rid_b, value_a, value_b
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,19 @@
-"""Single-rate multicast max-min fairness (the Tzeng & Siu baseline).
+"""Single-rate max-min fairness: the Tzeng & Siu and classic unicast baselines.
 
 The paper contrasts multi-rate max-min fairness with the earlier single-rate
 definition of Tzeng and Siu, under which every receiver of a multicast
 session must receive at the session's single rate, so the session consumes
-that rate on *every* link of its multicast tree.
+that rate on *every* link of its multicast tree.  Classic unicast max-min
+fairness (Bertsekas & Gallagher), from which the paper derives its desirable
+fairness properties (Unicast Fairness Properties 1 and 2 in Section 2.1), is
+the special case in which every session has one receiver.
 
 For single-rate networks the session-rate-based definition and the paper's
 receiver-rate-based definition coincide (Section 2), so the general
 Appendix-A construction with all sessions declared single-rate yields the
 same allocation.  This module provides a direct session-level
-progressive-filling implementation so the two can be cross-validated, and a
-convenience helper that forces a network's sessions to single-rate before
-solving.
+progressive-filling implementation, deliberately independent of
+:mod:`repro.core.maxmin`, so the two can be cross-validated.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Set
 
-from ..errors import FairnessComputationError
+from ..errors import FairnessComputationError, NetworkModelError
 from ..network.network import Network
 from .allocation import Allocation, DEFAULT_TOLERANCE
 
-__all__ = ["single_rate_max_min_fair", "single_rate_session_rates"]
+__all__ = ["single_rate_max_min_fair", "single_rate_session_rates", "unicast_max_min_fair"]
 
 
 def single_rate_session_rates(
@@ -34,8 +36,10 @@ def single_rate_session_rates(
 
     The network's declared session types are ignored: every session is
     treated as single-rate, consuming its rate on every link of its multicast
-    tree (the union of its receivers' data-paths).  Returns a mapping
-    ``session_id -> rate``.
+    tree (the union of its receivers' data-paths).  The algorithm repeatedly
+    finds the bottleneck link — the link with the smallest equal share of
+    remaining capacity among its unfrozen sessions — and freezes those
+    sessions at that share.  Returns a mapping ``session_id -> rate``.
     """
     session_ids = [session.session_id for session in network.sessions]
     trees: Dict[int, Set[int]] = {
@@ -83,8 +87,11 @@ def single_rate_session_rates(
 
         increment = max(best_share, 0.0)
         _apply_increment(unfrozen, increment, rates, trees, remaining)
+        # The bottleneck's sessions freeze even when rounding leaves a few
+        # ulps of its capacity above the tolerance; so do the sessions of
+        # any other link that saturated at the same time.
         for link_id, capacity_left in remaining.items():
-            if capacity_left <= tolerance:
+            if link_id == bottleneck or capacity_left <= tolerance:
                 for i in unfrozen:
                     if link_id in trees[i]:
                         frozen.add(i)
@@ -111,6 +118,30 @@ def single_rate_max_min_fair(
     return Allocation.from_session_rates(network, session_rates)
 
 
+def unicast_max_min_fair(
+    network: Network,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> Allocation:
+    """Compute the classic unicast max-min fair allocation.
+
+    Every session of the network must be unicast (exactly one receiver),
+    so each session is one flow consuming its rate on every link of its
+    data-path: the single-rate allocation of the same network.
+
+    Raises
+    ------
+    NetworkModelError
+        If any session has more than one receiver.
+    """
+    for session in network.sessions:
+        if session.num_receivers != 1:
+            raise NetworkModelError(
+                f"unicast_max_min_fair requires unicast sessions; session "
+                f"{session.name} has {session.num_receivers} receivers"
+            )
+    return single_rate_max_min_fair(network, tolerance)
+
+
 def _apply_increment(
     unfrozen: List[int],
     increment: float,
@@ -118,6 +149,7 @@ def _apply_increment(
     trees: Dict[int, Set[int]],
     remaining: Dict[int, float],
 ) -> None:
+    """Raise every unfrozen session by ``increment`` and charge its links."""
     if increment <= 0:
         return
     for i in unfrozen:

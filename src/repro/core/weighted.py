@@ -37,7 +37,7 @@ from ..network.session import ReceiverId
 from .allocation import Allocation, DEFAULT_TOLERANCE
 from .maxmin import _merged_link_rate_functions, _water_fill, _WaterFillState
 from .ordering import ordered_vector
-from .properties import PropertyReport, PropertyViolation, _at_max_rate
+from .properties import PropertyReport, PropertyViolation, _unequal_same_path_pairs
 
 __all__ = [
     "validate_weights",
@@ -148,31 +148,20 @@ def weighted_same_path_receiver_fairness(
     """
     network = allocation.network
     weights = validate_weights(network, weights)
-    groups: Dict[frozenset, list] = {}
-    for rid in network.all_receiver_ids():
-        groups.setdefault(network.routing.data_path_set(rid), []).append(rid)
-
-    violations = []
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        for index, rid_a in enumerate(group):
-            for rid_b in group[index + 1:]:
-                norm_a = allocation.rate(rid_a) / weights[rid_a]
-                norm_b = allocation.rate(rid_b) / weights[rid_b]
-                if abs(norm_a - norm_b) <= tolerance * max(1.0, norm_a, norm_b):
-                    continue
-                lower = rid_a if norm_a < norm_b else rid_b
-                if _at_max_rate(network, allocation, lower, tolerance):
-                    continue
-                violations.append(
-                    PropertyViolation(
-                        subject=(rid_a, rid_b),
-                        description=(
-                            f"receivers {network.receiver(rid_a).name} and "
-                            f"{network.receiver(rid_b).name} share a data-path but their "
-                            f"weighted rates differ ({norm_a:g} vs {norm_b:g})"
-                        ),
-                    )
-                )
+    violations = [
+        PropertyViolation(
+            subject=(rid_a, rid_b),
+            description=(
+                f"receivers {network.receiver(rid_a).name} and "
+                f"{network.receiver(rid_b).name} share a data-path but their "
+                f"weighted rates differ ({norm_a:g} vs {norm_b:g})"
+            ),
+        )
+        for rid_a, rid_b, norm_a, norm_b in _unequal_same_path_pairs(
+            allocation,
+            network.all_receiver_ids(),
+            lambda rid: allocation.rate(rid) / weights[rid],
+            tolerance,
+        )
+    ]
     return PropertyReport("weighted-same-path-receiver-fairness", not violations, violations)

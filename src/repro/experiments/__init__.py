@@ -47,7 +47,6 @@ from .scalefree_bottleneck import (
     ScaleFreeBottleneckSpec,
     TopologyOutcome,
 )
-from .parallel import default_jobs, task_seeds
 from .registry import (
     Experiment,
     all_experiments,
@@ -114,6 +113,4 @@ __all__ = [
     "ScaleFreeBottleneckSpec",
     "ScaleFreeBottleneckResult",
     "TopologyOutcome",
-    "default_jobs",
-    "task_seeds",
 ]

@@ -35,6 +35,23 @@ class LayerAblationSpec(ExperimentSpec):
         "paper": {"layer_counts": (1, 2, 4, 8, 16, 32)},
     }
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        counts = self.layer_counts
+        if counts is not None and not (
+            isinstance(counts, (list, tuple))
+            and counts
+            and counts[0] == 1
+            and all(
+                isinstance(count, int) and not isinstance(count, bool) and count >= 1
+                for count in counts
+            )
+        ):
+            raise ExperimentError(
+                "layer_counts must be a non-empty list of positive integers starting "
+                f"with 1 (the single-layer baseline), got {counts!r}"
+            )
+
 
 #: Receiver-rate populations studied (transmission budget 1.0).
 DEFAULT_POPULATIONS = {
@@ -76,8 +93,6 @@ class LayerAblationResult:
 def body(spec: LayerAblationSpec) -> LayerAblationResult:
     """Evaluate random-join redundancy for each population and layer count."""
     layer_counts = tuple(spec.layer_counts)
-    if not layer_counts or layer_counts[0] != 1:
-        raise ExperimentError("layer_counts must start with 1 (the single-layer baseline)")
     return LayerAblationResult(
         layer_counts=layer_counts,
         max_rate=spec.max_rate,

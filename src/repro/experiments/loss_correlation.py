@@ -71,6 +71,23 @@ class LossCorrelationSpec(ExperimentSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_protocols(self.protocols)
+        # The negated range tests also reject NaN.
+        if not _is_real(self.total_loss_rate) or not 0.0 < self.total_loss_rate < 1.0:
+            raise ExperimentError(
+                f"total_loss_rate must lie in (0, 1), got {self.total_loss_rate!r}"
+            )
+        fractions = self.correlated_fractions
+        if fractions is not None and not (
+            isinstance(fractions, (list, tuple))
+            and all(_is_real(f) and 0.0 <= f <= 1.0 for f in fractions)
+        ):
+            raise ExperimentError(
+                f"correlated_fractions must be a list of fractions in [0, 1], got {fractions!r}"
+            )
+
+
+def _is_real(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -100,15 +117,9 @@ def body(spec: LossCorrelationSpec) -> LossCorrelationResult:
     protocol's whole sweep rides one stacked scan.
     """
     total_loss_rate = spec.total_loss_rate
-    if not 0.0 < total_loss_rate < 1.0:
-        raise ExperimentError(
-            f"total_loss_rate must lie in (0, 1), got {total_loss_rate}"
-        )
     fractions = tuple(spec.correlated_fractions)
     configs = []
     for fraction in fractions:
-        if not 0.0 <= fraction <= 1.0:
-            raise ExperimentError(f"fractions must lie in [0, 1], got {fraction}")
         shared = fraction * total_loss_rate
         # Keep the end-to-end loss (1 - (1-shared)(1-independent)) equal
         # to the budget as the split varies.

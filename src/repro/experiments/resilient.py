@@ -28,8 +28,8 @@ restart-from-zero:
   re-dispatched uncharged).
 * **Transient task exceptions**: bounded ``retries`` with exponential
   backoff.  Retries are **deterministically re-seeded by construction**:
-  a task's arguments (including its seeds from the shared
-  :func:`~repro.experiments.parallel.task_seeds` schedule) are fixed at
+  a task's arguments (including its seeds, spawned by
+  :func:`~repro.simulator.rng.spawn_run_entropy`) are fixed at
   submission, so a retried task re-runs bit-identically.  Backoff never
   blocks the dispatcher: a failed task is parked with a ``not_before``
   timestamp and simply not re-dispatched until it matures, while
@@ -85,7 +85,8 @@ __all__ = [
 
 
 #: Sentinel distinguishing "use the pool default" from an explicit
-#: ``None`` (which *disables* the timeout) in per-task submit overrides.
+#: ``None`` (which *disables* the timeout) in per-task submit overrides;
+#: also the value of an in-process task abandoned on a pool stop.
 _UNSET = object()
 
 #: Dispatcher poll granularity: upper bound on how long the dispatcher
@@ -172,16 +173,6 @@ def _failure(
     )
 
 
-def _sleep_backoff(attempt: int, backoff: float, max_backoff: float) -> None:
-    """Exponential backoff before re-running a failed attempt (serial paths).
-
-    The pool path never sleeps — it parks the task with a ``not_before``
-    timestamp instead (see :meth:`ResilientPool._charge`) so the
-    dispatcher stays responsive to other completions and deadlines.
-    """
-    time.sleep(_backoff_delay(attempt, backoff, max_backoff))
-
-
 def _backoff_delay(attempt: int, backoff: float, max_backoff: float) -> float:
     """Seconds a task must wait before its next attempt may dispatch."""
     if backoff <= 0.0:
@@ -214,33 +205,35 @@ def _kill_pool(executor: ProcessPoolExecutor) -> None:
             process.join(timeout=5.0)
 
 
-def _run_serial(
+def _attempt_in_process(
     function: Callable[..., Any],
-    tasks: List[Tuple],
-    indices: Sequence[int],
-    attempts: List[int],
-    results: List[Any],
+    arguments: Tuple,
+    attempts: int,
     retries: int,
     backoff: float,
     max_backoff: float,
-    on_result: Optional[Callable[[int, Any], None]],
-) -> None:
-    """In-process execution with the same retry semantics as the pool path."""
-    for index in indices:
-        while True:
-            attempts[index] += 1
-            try:
-                value = function(*tasks[index])
-            except Exception as error:
-                if attempts[index] > retries:
-                    failure = _failure(index, tasks[index], attempts[index], error)
-                    raise ExecutionError(failure.summary(), failures=(failure,)) from error
-                _sleep_backoff(attempts[index], backoff, max_backoff)
-                continue
-            results[index] = value
-            if on_result is not None:
-                on_result(index, value)
-            break
+    stopped: Callable[[], bool] = lambda: False,
+) -> Tuple[int, Any, Optional[Exception]]:
+    """Run one task in-process, retrying with backoff (the serial paths).
+
+    Backoff sleeps here; the pool path never does — it parks the task
+    with a ``not_before`` timestamp instead (see
+    :meth:`ResilientPool._charge`) so the dispatcher stays responsive.
+    ``attempts`` is what the task has already been charged.  Returns
+    ``(attempts, value, error)``: ``error`` is the last exception once
+    the retry budget is spent, and ``None`` on success.  ``stopped`` is
+    checked before every attempt; when it answers ``True`` the task is
+    abandoned and ``value`` is :data:`_UNSET`.
+    """
+    while not stopped():
+        attempts += 1
+        try:
+            return attempts, function(*arguments), None
+        except Exception as error:
+            if attempts > retries:
+                return attempts, None, error
+            time.sleep(_backoff_delay(attempts, backoff, max_backoff))
+    return attempts, _UNSET, None
 
 
 class TaskHandle:
@@ -360,8 +353,8 @@ class ResilientPool:
         check_task_limits(timeout, retries)
         self._function = function
         # Honour ``jobs`` literally: worker processes time-share on small
-        # machines, and the CLI layer already defaults to default_jobs()
-        # when the caller wants CPU-count-aware sizing.
+        # machines, so the pool never sizes itself from the CPU count
+        # (the CLI's ``--jobs`` defaults to 1).
         self._workers = max(1, jobs)
         self._default_timeout = timeout
         self._default_retries = retries
@@ -665,28 +658,25 @@ class ResilientPool:
 
         Immune to pool-level failure (the bug being routed around) but
         cannot enforce wall-clock timeouts; retry/backoff semantics match
-        :func:`_run_serial`, continuing from the attempts the task has
-        already been charged.
+        the ``jobs <= 1`` path of :func:`resilient_map` (one
+        :func:`_attempt_in_process` loop), continuing from the attempts
+        the task has already been charged.
         """
-        while True:
-            with self._lock:
-                if self._stop:
-                    self._pending.appendleft(task)  # teardown settles it
-                    return
-            task.attempts += 1
-            try:
-                value = self._function(*task.arguments)
-            except Exception as error:
-                if task.attempts > task.retries:
-                    failure = _failure(
-                        task.failure_index(), task.arguments, task.attempts, error
-                    )
-                    self._settle_failure(task, failure, ExecutionError)
-                    return
-                _sleep_backoff(task.attempts, self._backoff, self._max_backoff)
-                continue
+        task.attempts, value, error = _attempt_in_process(
+            self._function, task.arguments, task.attempts, task.retries,
+            self._backoff, self._max_backoff, stopped=self._stopping,
+        )
+        if value is _UNSET:
+            self._pending.appendleft(task)  # teardown settles it
+        elif error is not None:
+            failure = _failure(task.failure_index(), task.arguments, task.attempts, error)
+            self._settle_failure(task, failure, ExecutionError)
+        else:
             self._settle_success(task, value)
-            return
+
+    def _stopping(self) -> bool:
+        with self._lock:
+            return self._stop
 
     def _settle_success(self, task: _PoolTask, value: Any) -> None:
         if self._on_result is not None:
@@ -813,11 +803,16 @@ def resilient_map(
     tasks = list(argument_tuples)
     results: List[Any] = [None] * len(tasks)
     if jobs <= 1 or len(tasks) <= 1:
-        attempts = [0] * len(tasks)
-        _run_serial(
-            function, tasks, range(len(tasks)), attempts, results,
-            retries, backoff, max_backoff, on_result,
-        )
+        for index, arguments in enumerate(tasks):
+            attempts, value, error = _attempt_in_process(
+                function, arguments, 0, retries, backoff, max_backoff
+            )
+            if error is not None:
+                failure = _failure(index, arguments, attempts, error)
+                raise ExecutionError(failure.summary(), failures=(failure,)) from error
+            results[index] = value
+            if on_result is not None:
+                on_result(index, value)
         return results
 
     state_lock = threading.Lock()

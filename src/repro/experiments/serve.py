@@ -320,7 +320,9 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             else:
                 response = service.handle_request(payload)
             try:
-                self.wfile.write(json.dumps(response, sort_keys=True).encode("utf-8") + b"\n")
+                # Unsorted keys: a result envelope keeps its records'
+                # column order, so it renders like a fresh run.
+                self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
                 self.wfile.flush()
             except OSError:  # pragma: no cover - client went away mid-response
                 return

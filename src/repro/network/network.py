@@ -135,12 +135,6 @@ class Network:
             result.extend(session.receiver_ids)
         return result
 
-    def all_receivers(self) -> List[Receiver]:
-        result: List[Receiver] = []
-        for session in self._sessions:
-            result.extend(session.receivers)
-        return result
-
     def session_types(self) -> Dict[int, SessionType]:
         """The type mapping ``sigma`` as a dict keyed by session id."""
         return {s.session_id: s.session_type for s in self._sessions}

@@ -19,7 +19,7 @@ the sessions already placed.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from numpy.random import Generator, Philox, SeedSequence
 
@@ -115,9 +115,3 @@ def place_sessions(
         )
     return sessions
 
-
-def placement_summary(sessions: Sequence[Session]) -> Optional[str]:
-    """One-line sigma string (e.g. ``'MMSM'``) for logs and CLI output."""
-    if not sessions:
-        return None
-    return "".join(session.session_type.short for session in sessions)

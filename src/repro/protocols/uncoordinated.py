@@ -176,9 +176,3 @@ class UncoordinatedProtocol(LayeredProtocol):
 
     def scan_left(self, receivers: np.ndarray, levels_receivers: np.ndarray) -> None:
         self._rearm(receivers, levels_receivers)
-
-    @property
-    def next_join_countdown(self) -> np.ndarray:
-        """Per-receiver received packets remaining until the next join
-        (engine runs only; top-level receivers hold a large sentinel)."""
-        return self._countdown.copy()

@@ -13,9 +13,8 @@ import time
 
 import pytest
 
-from repro.errors import ExecutionError, SimulationError
+from repro.errors import ExecutionError
 from repro.experiments import run_specs
-from repro.experiments.parallel import default_jobs, task_seeds
 from repro.experiments.registry import experiment_keys, get_experiment, select_experiments
 from repro.experiments.resilient import resilient_map
 
@@ -60,37 +59,6 @@ class TestFanOut:
         # most the in-flight window (one task per worker) may have run.
         ran = len(list(tmp_path.glob("ran-*")))
         assert ran < 8, f"pending tasks were drained ({ran} of 15 ran)"
-
-    def test_default_jobs_positive(self):
-        assert default_jobs() >= 1
-
-    def test_default_jobs_respects_cpu_affinity(self):
-        # On Linux the worker count must follow the affinity mask (what a
-        # container/cgroup actually grants), not the host's CPU count.
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("platform has no CPU affinity")
-        assert default_jobs() == max(1, len(os.sched_getaffinity(0)))
-
-
-class TestTaskSeeds:
-    def test_schedule_is_deterministic_and_prefix_stable(self):
-        assert task_seeds(5, 3) == task_seeds(5, 3)
-        assert task_seeds(5, 3) == task_seeds(5, 8)[:3]
-
-    def test_entries_pairwise_distinct_across_nearby_base_seeds(self):
-        # The scheme-4 guarantee: spawn-derived schedules never collide,
-        # even for adjacent base seeds (the pre-scheme-4 ``base_seed +
-        # index`` schedule overlapped in all but one entry here).
-        pool = [seed for base in range(8) for seed in task_seeds(base, 16)]
-        assert len(set(pool)) == len(pool)
-
-    def test_entropy_is_wide(self):
-        # 128-bit spawned entropy, not small sequential integers.
-        assert all(seed > 2 ** 64 for seed in task_seeds(0, 4))
-
-    def test_rejects_empty_schedule(self):
-        with pytest.raises(SimulationError):
-            task_seeds(0, 0)
 
 
 class TestRunSpecsJobs:

@@ -163,6 +163,18 @@ class TestWarmAndCold:
             assert response["ok"] and "result" not in response
             assert response["verdict"]["ok"] is True
 
+    def test_included_result_renders_like_a_fresh_run(self, tmp_path):
+        # The response line keeps each record's key order, so the table of
+        # a result read back from a miss or a hit is the fresh run's table.
+        fresh = get_experiment("figure1").run()
+        with running_service(tmp_path) as (address, _service, _store):
+            payload = {"op": "run", "experiment": "figure1", "include_result": True}
+            for cache_state in ("miss", "hit"):
+                response = request(address, payload)
+                assert response["ok"] and response["cache"] == cache_state
+                result = ExperimentResult.from_dict(response["result"])
+                assert result.table() == fresh.table()
+
     def test_failed_run_is_a_clean_error_and_service_survives(self, tmp_path):
         log_path = str(tmp_path / "invocations.log")
         with running_service(tmp_path) as (address, _service, _store):
@@ -287,6 +299,17 @@ class TestRunRequestValidation:
             assert counters["errors"] == 1
             assert not service._inflight_tasks
         assert faults.invocations(log_path) == 0
+
+    def test_bad_spec_field_moves_no_counter(self, tmp_path):
+        with running_service(tmp_path) as (address, _service, _store):
+            payload = {"op": "run", "experiment": "layer_ablation",
+                       "spec": {"layer_counts": [2, 4]}}
+            response = request(address, payload)
+            assert response["ok"] is False
+            assert "layer_counts" in response["error"]
+            counters = request(address, {"op": "stats"}, timeout=10.0)["counters"]
+            assert counters["misses"] == 0 and counters["simulated"] == 0
+            assert counters["errors"] == 1
 
     def test_valid_knobs_still_run(self, tmp_path):
         log_path = str(tmp_path / "invocations.log")

@@ -13,6 +13,7 @@ from repro.errors import ExperimentError
 from repro.experiments import get_experiment
 from repro.experiments.api import ExperimentResult
 from repro.experiments.figure8 import Figure8Panel
+from repro.experiments.loss_correlation import LossCorrelationSpec
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,29 @@ class TestLossCorrelation:
             get_experiment("loss_correlation").run(
                 correlated_fractions=(2.0,), repetitions=1, duration_units=100
             )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"total_loss_rate": 0.0},
+            {"total_loss_rate": 1.0},
+            {"total_loss_rate": float("nan")},
+            {"total_loss_rate": "0.05"},
+            {"correlated_fractions": (0.5, 2.0)},
+            {"correlated_fractions": (-0.1,)},
+            {"correlated_fractions": (float("nan"),)},
+            {"correlated_fractions": 0.5},
+        ],
+        ids=[
+            "loss-zero", "loss-one", "loss-nan", "loss-string",
+            "fraction-above-one", "fraction-negative", "fraction-nan", "fractions-scalar",
+        ],
+    )
+    def test_bad_fields_are_spec_errors(self, overrides):
+        # Rejected when the spec is built, before anything is simulated.
+        field = next(iter(overrides))
+        with pytest.raises(ExperimentError, match=field):
+            LossCorrelationSpec(**overrides)
 
     def test_unknown_protocol_is_a_spec_error(self):
         with pytest.raises(ExperimentError, match="protocols"):

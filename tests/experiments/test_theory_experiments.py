@@ -167,6 +167,18 @@ class TestAblations:
         with pytest.raises(ExperimentError):
             get_experiment("layer_ablation").run(layer_counts=(2, 4))
 
+    @pytest.mark.parametrize(
+        "layer_counts",
+        [(), (2, 4), (1, 0), (1, -2), (1, 2.5), (1, True), 1],
+        ids=["empty", "no-baseline", "zero", "negative", "float", "bool", "scalar"],
+    )
+    def test_layer_ablation_spec_rejects_bad_layer_counts(self, layer_counts):
+        from repro.errors import ExperimentError
+        from repro.experiments.layer_ablation import LayerAblationSpec
+
+        with pytest.raises(ExperimentError, match="layer_counts"):
+            LayerAblationSpec(layer_counts=layer_counts)
+
     def test_mixed_sessions_lemma3(self):
         run = get_experiment("mixed_sessions").run(seed=3)
         result = run.payload

@@ -77,3 +77,7 @@ class TestSpawnRunEntropy:
     def test_distinct_across_bases(self):
         pool = [seed for base in range(6) for seed in spawn_run_entropy(base, 8)]
         assert len(set(pool)) == len(pool)
+
+    def test_entropy_is_wide(self):
+        # 128-bit spawned entropy, not small sequential integers.
+        assert all(seed > 2 ** 64 for seed in spawn_run_entropy(0, 4))

@@ -181,11 +181,36 @@ class TestRun:
         assert main(["run", "leave_latency", "--set", f"latencies={latencies}"]) == 2
         assert "latencies" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, override",
+        [
+            ("loss_correlation", "total_loss_rate=1.5"),
+            ("loss_correlation", "total_loss_rate=abc"),
+            ("loss_correlation", "correlated_fractions=[0.5,2.0]"),
+            ("layer_ablation", "layer_counts=[2,4]"),
+            ("layer_ablation", "layer_counts=[]"),
+        ],
+        ids=["loss-rate", "loss-rate-string", "fractions", "no-baseline", "empty"],
+    )
+    def test_run_rejects_bad_spec_fields_before_running(self, capsys, key, override):
+        assert main(["run", key, "--set", override]) == 2
+        assert override.partition("=")[0] in capsys.readouterr().err
+
     def test_main_callable_in_process(self, capsys):
         assert main(["run", "figure1", "--format", "json"]) == 0
         [data] = json.loads(capsys.readouterr().out)
         assert data["key"] == "figure1"
         assert data["verdict"]["ok"] is True
+
+    def test_json_document_renders_like_a_fresh_run(self, capsys):
+        # The printed document keeps each record's key order, so the table
+        # of a result read back from it is the fresh run's table.
+        from repro.experiments.registry import get_experiment
+
+        assert main(["run", "figure1", "--format", "json"]) == 0
+        [data] = json.loads(capsys.readouterr().out)
+        fresh = get_experiment("figure1").run()
+        assert ExperimentResult.from_dict(data).table() == fresh.table()
 
     def test_set_may_override_common_flags(self, capsys):
         # --set scale=... is an accepted spelling of --scale (the override wins).
