@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..protocols import make_protocol
 from ..simulator.star import star_redundancy_group, uniform_star
-from .api import ExperimentSpec, Verdict, check_protocols
+from .api import ExperimentSpec, Verdict, check_counts, check_protocols
 from .registry import Experiment, register
 
 __all__ = [
@@ -64,6 +64,7 @@ class ActiveNodesSpec(ExperimentSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_protocols(self.protocols, required=("active-node",))
+        check_counts(self)
 
 
 @dataclass

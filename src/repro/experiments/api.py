@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -207,6 +208,37 @@ class ExperimentSpec:
                 f"unknown {cls.__name__} fields {unknown}; expected subset of {sorted(known)}"
             )
         return cls(**{name: _freeze(value) for name, value in data.items()})
+
+
+#: Smallest value each replicated-simulation count accepts (a run needs
+#: at least two time units: the simulator's minimum duration).
+COUNT_MINIMUMS: Mapping[str, int] = {
+    "num_receivers": 1,
+    "duration_units": 2,
+    "repetitions": 1,
+}
+
+
+def is_real(value: object) -> bool:
+    """True for an int or float spec value (bools are not numbers here)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_counts(spec: ExperimentSpec) -> None:
+    """Validate a spec's simulation counts before anything is simulated.
+
+    Each of ``num_receivers``, ``duration_units`` and ``repetitions`` left
+    at ``None`` (resolved from the scale preset later) passes; anything
+    else must be an integer of at least its :data:`COUNT_MINIMUMS` entry.
+    """
+    for name, minimum in COUNT_MINIMUMS.items():
+        value = getattr(spec, name)
+        if value is not None and not (
+            isinstance(value, numbers.Integral)
+            and not isinstance(value, bool)
+            and value >= minimum
+        ):
+            raise ExperimentError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def check_protocols(protocols: Any, required: Sequence[str] = ()) -> None:

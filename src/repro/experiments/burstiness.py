@@ -27,7 +27,7 @@ from ..protocols import make_protocol
 from ..simulator import engine as session_engine
 from ..simulator.rng import spawn_run_entropy
 from ..simulator.loss import BernoulliLoss, GilbertElliottLoss, LossProcess, NoLoss
-from .api import ExperimentSpec, Verdict, check_protocols
+from .api import ExperimentSpec, Verdict, check_counts, check_protocols
 from .registry import Experiment, register
 
 __all__ = [
@@ -76,6 +76,7 @@ class BurstinessSpec(ExperimentSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_protocols(self.protocols)
+        check_counts(self)
 
 
 def gilbert_for_average_loss(average_loss: float, mean_burst_length: float) -> LossProcess:

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 from ..protocols import make_protocol
 from ..simulator.metrics import RedundancyMeasurement
 from ..simulator.star import star_redundancy_group, uniform_star
-from .api import ExperimentSpec, Verdict, check_protocols
+from .api import ExperimentSpec, Verdict, check_counts, check_protocols
 from .resilient import resilient_map
 from .registry import Experiment, register
 
@@ -89,6 +89,10 @@ class Figure8Spec(ExperimentSpec):
         },
     }
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_counts(self)
+
 
 @dataclass(frozen=True)
 class Figure8PanelSpec(ExperimentSpec):
@@ -116,6 +120,7 @@ class Figure8PanelSpec(ExperimentSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_protocols(self.protocols, required=("coordinated",))
+        check_counts(self)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from ..protocols import make_protocol
 from ..simulator.engine import LayeredSessionSimulator, simulate_session_group
 from ..simulator.rng import spawn_run_entropy
 from ..simulator.loss import BernoulliLoss, NoLoss
-from .api import ExperimentSpec, Verdict
+from .api import ExperimentSpec, Verdict, check_counts, is_real
 from .registry import Experiment, register
 
 __all__ = ["LeaveLatencySpec", "LeaveLatencyResult", "DEFAULT_LATENCIES"]
@@ -62,12 +62,15 @@ class LeaveLatencySpec(ExperimentSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        check_counts(self)
         # ``not >= 0`` also rejects NaN, which no comparison accepts.
-        if self.latencies is not None and not all(
-            latency >= 0 for latency in self.latencies
+        latencies = self.latencies
+        if latencies is not None and not (
+            isinstance(latencies, (list, tuple))
+            and all(is_real(latency) and latency >= 0 for latency in latencies)
         ):
             raise ExperimentError(
-                f"latencies must be non-negative, got {list(self.latencies)}"
+                f"latencies must be a list of non-negative numbers, got {latencies!r}"
             )
 
 

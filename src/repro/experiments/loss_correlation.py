@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import ExperimentError
 from ..protocols import make_protocol
 from ..simulator.star import star_redundancy_group, uniform_star
-from .api import ExperimentSpec, Verdict, check_protocols
+from .api import ExperimentSpec, Verdict, check_counts, check_protocols, is_real
 from .registry import Experiment, register
 
 __all__ = [
@@ -71,23 +71,20 @@ class LossCorrelationSpec(ExperimentSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_protocols(self.protocols)
+        check_counts(self)
         # The negated range tests also reject NaN.
-        if not _is_real(self.total_loss_rate) or not 0.0 < self.total_loss_rate < 1.0:
+        if not is_real(self.total_loss_rate) or not 0.0 < self.total_loss_rate < 1.0:
             raise ExperimentError(
                 f"total_loss_rate must lie in (0, 1), got {self.total_loss_rate!r}"
             )
         fractions = self.correlated_fractions
         if fractions is not None and not (
             isinstance(fractions, (list, tuple))
-            and all(_is_real(f) and 0.0 <= f <= 1.0 for f in fractions)
+            and all(is_real(f) and 0.0 <= f <= 1.0 for f in fractions)
         ):
             raise ExperimentError(
                 f"correlated_fractions must be a list of fractions in [0, 1], got {fractions!r}"
             )
-
-
-def _is_real(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass

@@ -243,9 +243,11 @@ class LayeredSessionSimulator:
     chunk_units:
         Time units the chunked engine processes per chunk (performance
         knob only; results do not depend on it).  ``None`` (the default)
-        picks 8 units — wider chunks amortise per-chunk assembly over
-        more units but enlarge the chunk's packed loss words and
-        per-column tables, and 8 balances the two.
+        sizes each scan's chunks from its stack height
+        (:func:`_default_chunk_units`): wider chunks amortise the
+        per-chunk loss-sampling calls and assembly over more units but
+        enlarge the chunk's packed loss words, which grow with the
+        stack's rows, and its per-column tables, which do not.
     """
 
     def __init__(
@@ -271,12 +273,10 @@ class LayeredSessionSimulator:
             engine = resolve_engine(engine)
         except ValueError as error:
             raise SimulationError(str(error)) from None
-        if chunk_units is None:
-            chunk_units = 8
-        if chunk_units < 1:
+        if chunk_units is not None and chunk_units < 1:
             raise SimulationError(f"chunk_units must be positive, got {chunk_units}")
         self.engine = engine
-        self.chunk_units = int(chunk_units)
+        self.chunk_units = None if chunk_units is None else int(chunk_units)
         #: Scan-window width in time units (internal performance knob of the
         #: chunked engine).  Windows never shrink below 32 packet columns
         #: (see ``_assemble_chunk``), so 0 gives the narrowest windows.
@@ -538,7 +538,7 @@ class LayeredSessionSimulator:
         measured_units = self.duration_units - self.warmup_units
         total_sender_packets = self.schedule.total_packets(self.duration_units)
 
-        for start_unit, num_units, measuring in self._chunk_plan():
+        for start_unit, num_units, measuring in self._chunk_plan(total_receivers):
             chunk = self._assemble_chunk(runs, start_unit, num_units)
             start_levels = levels.copy()
             result = self.protocol.step_chunk(chunk, levels)
@@ -587,9 +587,13 @@ class LayeredSessionSimulator:
             for run, (simulator, _context) in enumerate(runs)
         ]
 
-    def _chunk_plan(self) -> List[Tuple[int, int, bool]]:
-        """(start_unit, num_units, measuring) chunks, split at the warm-up
-        boundary so every chunk is uniformly measured or unmeasured."""
+    def _chunk_plan(self, total_rows: int) -> List[Tuple[int, int, bool]]:
+        """(start_unit, num_units, measuring) chunks of a ``total_rows``-row
+        scan, split at the warm-up boundary so every chunk is uniformly
+        measured or unmeasured."""
+        width = self.chunk_units
+        if width is None:
+            width = _default_chunk_units(total_rows, self.schedule.packets_per_unit)
         plan: List[Tuple[int, int, bool]] = []
         segments = (
             (0, self.warmup_units, False),
@@ -598,7 +602,7 @@ class LayeredSessionSimulator:
         for low, high, measuring in segments:
             unit = low
             while unit < high:
-                count = min(self.chunk_units, high - unit)
+                count = min(width, high - unit)
                 plan.append((unit, count, measuring))
                 unit += count
         return plan
@@ -705,6 +709,31 @@ class LayeredSessionSimulator:
             times=times,
             scan_window=scan_window,
         )
+
+
+#: Packed loss bits (rows x packet columns) a default-width chunk spans.
+CHUNK_BIT_BUDGET = 1 << 20
+#: Bounds of the default chunk width in time units.  The floor keeps tall
+#: stacks (a paper-scale Figure 8 sweep stacks 5,500 rows) from paying the
+#: per-chunk steps every unit or two; the cap bounds the per-column tables
+#: (``layers``, ``times``, ``cols_for_level``, ``observed_before``), which
+#: do not shrink with the rows, for short and solo stacks.
+MIN_CHUNK_UNITS = 8
+MAX_CHUNK_UNITS = 64
+
+
+def _default_chunk_units(total_rows: int, packets_per_unit: int) -> int:
+    """Chunk width of a scan over ``total_rows`` stacked receiver rows.
+
+    Every chunk costs a fixed number of Python-level steps — one
+    loss-sampling call per run (per receiver for per-receiver processes),
+    one scatter, the scan's set-up and the carriage accounting — so short
+    stacks run fastest with wide chunks, while a chunk's packed loss words
+    grow with its rows.  The width fills :data:`CHUNK_BIT_BUDGET` across
+    the stack, clamped to ``[MIN_CHUNK_UNITS, MAX_CHUNK_UNITS]``.
+    """
+    width = CHUNK_BIT_BUDGET // (total_rows * packets_per_unit)
+    return max(MIN_CHUNK_UNITS, min(MAX_CHUNK_UNITS, width))
 
 
 def _unit_start_levels(

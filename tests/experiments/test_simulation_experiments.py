@@ -1,4 +1,5 @@
-"""Smoke/shape tests for the simulation-backed experiments (Figure 8, loss correlation).
+"""Smoke/shape tests for the simulation-backed experiments (Figure 8, loss correlation),
+plus the boundary checks every replicated-simulation spec applies.
 
 These run the packet-level simulator at a reduced scale so the whole module
 stays within a few tens of seconds; the full-scale regeneration lives in the
@@ -132,3 +133,50 @@ class TestLossCorrelation:
     def test_unknown_protocol_is_a_spec_error(self):
         with pytest.raises(ExperimentError, match="protocols"):
             get_experiment("loss_correlation").make_spec(protocols=("bogus",))
+
+
+#: Every experiment whose spec carries the replicated-simulation counts.
+COUNTED_KEYS = (
+    "figure8", "figure8_panel", "burstiness", "loss_correlation",
+    "active_nodes", "leave_latency",
+)
+
+
+class TestSpecBoundaries:
+    @pytest.mark.parametrize("key", COUNTED_KEYS)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_receivers", "abc"),
+            ("num_receivers", 0),
+            ("num_receivers", True),
+            ("duration_units", 1),
+            ("duration_units", 100.0),
+            ("repetitions", 0),
+            ("repetitions", "3"),
+        ],
+        ids=[
+            "receivers-string", "receivers-zero", "receivers-bool", "duration-one",
+            "duration-float", "repetitions-zero", "repetitions-string",
+        ],
+    )
+    def test_bad_counts_are_spec_errors(self, key, field, value):
+        # Rejected when the spec is built, before any task is simulated.
+        with pytest.raises(ExperimentError, match=field):
+            get_experiment(key).make_spec(**{field: value})
+
+    @pytest.mark.parametrize("key", COUNTED_KEYS)
+    def test_smallest_counts_are_accepted(self, key):
+        spec = get_experiment(key).make_spec(
+            num_receivers=1, duration_units=2, repetitions=1
+        )
+        assert (spec.num_receivers, spec.duration_units, spec.repetitions) == (1, 2, 1)
+
+    @pytest.mark.parametrize(
+        "latencies",
+        ["abc", ("a",), (0.0, None), 1.0, (0.0, float("nan")), (0.0, -1.0), (True,)],
+        ids=["string", "string-entry", "none-entry", "scalar", "nan", "negative", "bool"],
+    )
+    def test_bad_latencies_are_spec_errors(self, latencies):
+        with pytest.raises(ExperimentError, match="latencies"):
+            get_experiment("leave_latency").make_spec(latencies=latencies)

@@ -39,6 +39,83 @@ class TestConfigurationValidation:
             )
 
 
+class TestChunkPlan:
+    """The chunk plan: the stack-height rule by default, an explicit width as given."""
+
+    ROWS = (1, 17, 100, 160, 900, 10_000)
+
+    @staticmethod
+    def _simulator(chunk_units=None, num_layers=8, duration_units=1000, warmup_units=None):
+        return LayeredSessionSimulator(
+            DeterministicProtocol(), 4, NoLoss(), NoLoss(),
+            scheme=ExponentialLayerScheme(num_layers),
+            duration_units=duration_units, warmup_units=warmup_units,
+            chunk_units=chunk_units,
+        )
+
+    @staticmethod
+    def _check_tiling(simulator, plan):
+        # The chunks tile the run in order and none crosses the warm-up
+        # boundary: each is wholly measured or wholly warm-up.
+        unit = 0
+        for start, count, measuring in plan:
+            assert start == unit and count >= 1
+            assert measuring == (start >= simulator.warmup_units)
+            assert (start < simulator.warmup_units) == (
+                start + count <= simulator.warmup_units
+            )
+            unit += count
+        assert unit == simulator.duration_units
+
+    @pytest.mark.parametrize("num_layers", (2, 6, 8, 10))
+    def test_default_widths_stay_in_bounds(self, num_layers):
+        simulator = self._simulator(num_layers=num_layers)
+        for rows in self.ROWS:
+            plan = simulator._chunk_plan(rows)
+            self._check_tiling(simulator, plan)
+            widths = {count for _start, count, _measuring in plan}
+            # Only the segment-closing chunks may be narrower than the rule.
+            assert 8 <= max(widths) <= 64
+            assert sum(count == max(widths) for _s, count, _m in plan) >= len(plan) - 2
+
+    def test_default_widths_do_not_grow_with_rows(self):
+        simulator = self._simulator()
+        widths = [
+            max(count for _start, count, _measuring in simulator._chunk_plan(rows))
+            for rows in self.ROWS
+        ]
+        assert widths == sorted(widths, reverse=True)
+        # Short stacks reach the 64-unit cap, the tallest the 8-unit floor,
+        # and the benchmark's stack heights fall in between.
+        assert widths[0] == 64 and widths[-1] == 8
+        assert simulator._chunk_plan(160)[0][1] == 51
+        assert simulator._chunk_plan(900)[0][1] == 9
+
+    @pytest.mark.parametrize("warmup_units", (0, 1, 37, 250, 999))
+    def test_no_chunk_crosses_the_warmup_boundary(self, warmup_units):
+        for chunk_units in (None, 1, 7, 64, 5000):
+            simulator = self._simulator(chunk_units, warmup_units=warmup_units)
+            for rows in (1, 160, 900):
+                self._check_tiling(simulator, simulator._chunk_plan(rows))
+
+    @pytest.mark.parametrize("chunk_units", (1, 3, 8, 13, 100))
+    def test_explicit_width_is_used_as_given(self, chunk_units):
+        simulator = self._simulator(chunk_units, duration_units=400, warmup_units=100)
+        for rows in self.ROWS:
+            plan = simulator._chunk_plan(rows)
+            self._check_tiling(simulator, plan)
+            expected = []
+            for low, high in ((0, 100), (100, 400)):
+                expected += [
+                    min(chunk_units, high - unit) for unit in range(low, high, chunk_units)
+                ]
+            assert [count for _start, count, _measuring in plan] == expected
+
+    def test_rejects_non_positive_width(self):
+        with pytest.raises(SimulationError, match="chunk_units"):
+            self._simulator(0)
+
+
 class TestLosslessBehaviour:
     def test_receivers_climb_to_top_layer_and_stay(self):
         result = simulate_layered_session(

@@ -57,11 +57,14 @@ CHUNK_ENGINES = tuple(engine for engine in ENGINES if engine != "reference")
 #: Chunk geometries of the chunked engines, as ``(chunk_units,
 #: scan_window_units)`` with ``None`` for the engine default.  Chunk and
 #: scan-window edges are performance knobs only, so every geometry must
-#: match the reference loop exactly: one-unit chunks move every chunk edge,
-#: and odd 13-unit chunks drained through the narrowest (32-column) windows
+#: match the reference loop exactly: the default sizes chunks from the
+#: stack height (64 units for these short stacks), eight-unit chunks pin
+#: the former fixed default, one-unit chunks move every chunk edge, and
+#: odd 13-unit chunks drained through the narrowest (32-column) windows
 #: move every window edge off the chunk edges.
 GEOMETRIES = {
     "default": (None, None),
+    "eight-unit": (8, None),
     "unit-chunks": (1, 1),
     "narrow-windows": (13, 0),
 }
@@ -338,8 +341,9 @@ class TestStackedRuns:
         self, protocol, engine, geometry, monkeypatch
     ):
         # The leave-latency sweep's shape: every latency (zero, sub-unit,
-        # fractional and longer than a chunk) rides one stacked scan, and
-        # each run's advertisements follow its own latency exactly.
+        # fractional and longer than the explicit chunks) rides one
+        # stacked scan, and each run's advertisements follow its own
+        # latency exactly.
         latencies = (0.0, 0.5, 2.7, 9.5)
         stacks = []
         run_batched = LayeredSessionSimulator._run_batched
@@ -384,6 +388,33 @@ class TestStackedRuns:
             ]
 
         grouped = simulate_session_group(variants(engine, geometry), [SEEDS[:3]] * 3)
+        for solo_simulator, results in zip(variants("reference"), grouped):
+            for seed, result in zip(SEEDS[:3], results):
+                assert_identical(solo_simulator.run(seed=seed), result)
+
+    @pytest.mark.parametrize("engine", CHUNK_ENGINES)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_stack_height_chunk_width_with_bursty_losses(self, protocol, engine):
+        # Nine stacked runs of 17 receivers on the 8-layer scheme: the
+        # default rule picks 53-unit chunks for the 153-row stack, so the
+        # 72 measured units end in a partial 19-unit chunk, and every
+        # per-receiver Gilbert–Elliott stream is read across those edges.
+        def variants(which):
+            processes = (
+                lambda: GilbertElliottLoss(0.02, 0.3, loss_good=0.01),
+                lambda: GilbertElliottLoss(0.1, 0.5, loss_bad=0.8),
+                lambda: BernoulliLoss(0.05),
+            )
+            return [
+                _simulator(protocol, which, num_receivers=17, num_layers=8,
+                           independent_loss=[make() for _ in range(17)])
+                for make in processes
+            ]
+
+        simulators = variants(engine)
+        plan = simulators[0]._chunk_plan(3 * len(SEEDS[:3]) * 17)
+        assert [count for _start, count, _measuring in plan] == [24, 53, 19]
+        grouped = simulate_session_group(simulators, [SEEDS[:3]] * 3)
         for solo_simulator, results in zip(variants("reference"), grouped):
             for seed, result in zip(SEEDS[:3], results):
                 assert_identical(solo_simulator.run(seed=seed), result)

@@ -11,7 +11,8 @@ disagreement to a minimal repro.  The experiment-level check asserts byte-identi
 ``canonical_json()`` envelopes, which is exactly the document the PR-6
 result store addresses and the figures are plotted from.  A separate
 property pins per-receiver Gilbert–Elliott lists to byte-identical payloads
-across ``chunk_units`` and scan-window widths as well as engines.
+across ``chunk_units`` (the default stack-height rule included) and
+scan-window widths as well as engines.
 
 The second half property-tests the multi-event chain drain's conservation
 invariants on every chunk the bit-packed scan processes: per-receiver
@@ -55,7 +56,8 @@ from repro.simulator import (
 PROTOCOLS = ("uncoordinated", "deterministic", "coordinated")
 #: The chunked engines (every registered engine but the reference loop).
 CHUNK_ENGINES = tuple(engine for engine in ENGINES if engine != "reference")
-#: Durations straddling the 8-unit chunk size and the scan-window sizes of
+#: Durations straddling the default chunk widths (8 units for tall stacks,
+#: up to 64 for the short stacks drawn here) and the scan-window sizes of
 #: the scan (windows close mid-chunk, at chunk edges, and never).
 DURATIONS = (3, 7, 8, 9, 16, 25, 33, 48, 63, 64, 65, 96, 130)
 #: Bernoulli rates; 0.3/0.5 exercise the dense multi-event drain regime.
@@ -273,7 +275,7 @@ class TestGilbertElliottChunkSplitInvariance:
         duration=st.sampled_from(DURATIONS),
         shared=loss_specs(),
         processes=st.lists(gilbert_specs(), min_size=6, max_size=6),
-        chunk_units=st.sampled_from((1, 3, 8, 13)),
+        chunk_units=st.sampled_from((None, 1, 3, 8, 13)),
         window=st.sampled_from((0, 1, 2, 5)),
         seed=st.integers(0, 2**16),
     )

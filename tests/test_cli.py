@@ -176,7 +176,10 @@ class TestRun:
         assert main(["run", key, "--set", f"protocols={protocols}"]) == 2
         assert "protocols" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("latencies", ["[0.0,NaN]", "[0.0,-1.0]"], ids=["nan", "negative"])
+    @pytest.mark.parametrize(
+        "latencies", ["[0.0,NaN]", "[0.0,-1.0]", "abc", '["a"]'],
+        ids=["nan", "negative", "string", "string-entry"],
+    )
     def test_run_rejects_invalid_latency_before_simulating(self, capsys, latencies):
         assert main(["run", "leave_latency", "--set", f"latencies={latencies}"]) == 2
         assert "latencies" in capsys.readouterr().err
@@ -189,8 +192,14 @@ class TestRun:
             ("loss_correlation", "correlated_fractions=[0.5,2.0]"),
             ("layer_ablation", "layer_counts=[2,4]"),
             ("layer_ablation", "layer_counts=[]"),
+            ("figure8_panel", "num_receivers=abc"),
+            ("figure8", "repetitions=0"),
+            ("burstiness", "duration_units=1.5"),
         ],
-        ids=["loss-rate", "loss-rate-string", "fractions", "no-baseline", "empty"],
+        ids=[
+            "loss-rate", "loss-rate-string", "fractions", "no-baseline", "empty",
+            "receivers-string", "repetitions-zero", "duration-float",
+        ],
     )
     def test_run_rejects_bad_spec_fields_before_running(self, capsys, key, override):
         assert main(["run", key, "--set", override]) == 2
