@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from scipy.special import stdtrit
-
 from ..errors import ExperimentError
 
 __all__ = [
@@ -95,8 +93,11 @@ def _t_half_width(data: Sequence[float], confidence: float) -> float:
     se = standard_error(data)
     if se == 0.0:
         return 0.0
+    # Imported here so only runs that state a confidence interval load SciPy.
     # stdtrit is the Student-t quantile scipy.stats.t.ppf computes; calling
-    # it directly keeps scipy.stats, a slow import, out of ``import repro``.
+    # it directly keeps scipy.stats, a slower import still, out as well.
+    from scipy.special import stdtrit
+
     quantile = stdtrit(len(data) - 1, 0.5 + confidence / 2.0)
     return float(quantile) * se
 

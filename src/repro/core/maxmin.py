@@ -220,15 +220,27 @@ def _bisect_increment(rate_at, level: float, capacity: float, upper: float) -> f
     """
     if upper <= 0:
         return 0.0
-    if rate_at(level + upper) <= capacity:
+    x_hi = level + upper
+    if rate_at(x_hi) <= capacity:
         return upper
+    # Once ``mid`` is small against ``level``, ``level + mid`` often rounds to
+    # the last point that fit (``x_lo``) or did not (``x_hi``).  ``rate_at``
+    # depends on its argument alone, so the outcome is known and the call is
+    # skipped; ``lo`` and ``hi`` take the same 80 steps, so the result is
+    # bit-identical.
+    x_lo = None
     lo, hi = 0.0, upper
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if rate_at(level + mid) <= capacity:
-            lo = mid
-        else:
+        x = level + mid
+        if x == x_hi:
             hi = mid
+        elif x == x_lo:
+            lo = mid
+        elif rate_at(x) <= capacity:
+            lo, x_lo = mid, x
+        else:
+            hi, x_hi = mid, x
     return lo
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order
 
 from ..errors import NetworkModelError, RoutingError
 
@@ -112,7 +110,7 @@ class NetworkGraph:
         self._incident: List[List[int]] = []  # by node index
         self._link_name_index: Dict[str, int] = {}
         self._capacities_cache: Optional[List[float]] = None
-        self._adjacency_cache: Optional[Tuple[csr_array, np.ndarray, np.ndarray]] = None
+        self._adjacency_cache: Optional[Tuple[object, np.ndarray, np.ndarray]] = None
         if nodes is not None:
             for node in nodes:
                 self.add_node(node)
@@ -239,7 +237,7 @@ class NetworkGraph:
     # ------------------------------------------------------------------
     # path finding
     # ------------------------------------------------------------------
-    def _adjacency(self) -> Tuple[csr_array, np.ndarray, np.ndarray]:
+    def _adjacency(self) -> Tuple[object, np.ndarray, np.ndarray]:
         """CSR node adjacency and a ``(parent, child) -> first link id`` map, cached.
 
         Row ``i`` holds node ``i``'s neighbours in link-id order, parallel
@@ -250,6 +248,9 @@ class NetworkGraph:
         id: ``searchsorted`` on the keys finds a hop's first link.
         """
         if self._adjacency_cache is None:
+            # Imported here so only runs that route load SciPy's sparse package.
+            from scipy.sparse import csr_array
+
             n = self.num_nodes
             degrees = [len(row) for row in self._incident]
             links = np.array([link_id for row in self._incident for link_id in row], dtype=np.int32)
@@ -295,6 +296,9 @@ class NetworkGraph:
         for target in targets:
             if target not in self._node_index:
                 raise NetworkModelError(f"unknown target node {target!r}")
+        # Imported here so only runs that route load SciPy's sparse package.
+        from scipy.sparse.csgraph import breadth_first_order
+
         adjacency, hop_keys, hop_links = self._adjacency()
         root = self._node_index[source]
         _, predecessors = breadth_first_order(adjacency, root, return_predecessors=True)
@@ -326,6 +330,9 @@ class NetworkGraph:
         """True if every node is reachable from every other node."""
         if self.num_nodes <= 1:
             return True
+        # Imported here so only runs that route load SciPy's sparse package.
+        from scipy.sparse.csgraph import breadth_first_order
+
         reached = breadth_first_order(self._adjacency()[0], 0, return_predecessors=False)
         return len(reached) == self.num_nodes
 

@@ -160,6 +160,12 @@ def _bernoulli_positions(
     return positions[: int(np.searchsorted(positions, total))]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only so instances can share it."""
+    array.setflags(write=False)
+    return array
+
+
 class GilbertElliottLoss(LossProcess):
     """Two-state bursty loss process (good/bad states with per-state loss rates).
 
@@ -198,6 +204,12 @@ class GilbertElliottLoss(LossProcess):
     #: Packets one refill covers once the chain sits in an absorbing state
     #: (``p_good_to_bad == 0``: the good state is never left).
     _ABSORBING_SPAN = 4096
+    #: Alternating per-sojourn states of a batch that starts in the good
+    #: (index 0) or bad (index 1) state; read-only, shared by every instance.
+    _BATCH_STATES = (
+        _read_only(np.arange(_SOJOURN_BATCH) % 2 == 1),
+        _read_only(np.arange(_SOJOURN_BATCH) % 2 == 0),
+    )
 
     def __init__(
         self,
@@ -220,14 +232,16 @@ class GilbertElliottLoss(LossProcess):
         self.p_bad_to_good = float(p_bad_to_good)
         self.loss_good = float(loss_good)
         self.loss_bad = float(loss_bad)
-        # Alternating per-sojourn states and switch probabilities of a
-        # batch that starts in the good (index 0) or bad (index 1) state.
-        alternating = np.arange(self._SOJOURN_BATCH) % 2 == 1
-        self._batch_states = (alternating, ~alternating)
+        # Per-sojourn switch probabilities of each batch in _BATCH_STATES;
+        # read-only, so copies share them.
         self._batch_switch = tuple(
-            np.where(states, self.p_bad_to_good, self.p_good_to_bad)
-            for states in self._batch_states
+            _read_only(np.where(states, self.p_bad_to_good, self.p_good_to_bad))
+            for states in self._BATCH_STATES
         )
+        self._reset()
+
+    def _reset(self) -> None:
+        """Start the chain afresh in the good state."""
         self._in_bad_state = False
         self._discard_carried()
 
@@ -306,7 +320,7 @@ class GilbertElliottLoss(LossProcess):
             self._tail_closed = False
         else:
             lengths = rng.geometric(self._batch_switch[state])
-            states = self._batch_states[state]
+            states = self._BATCH_STATES[state]
             if not self._tail_closed:
                 # The sojourn in progress already holds the last generated
                 # packet: by memorylessness one fewer than a fresh dwell
@@ -353,9 +367,12 @@ class GilbertElliottLoss(LossProcess):
         return stationary_bad * self.loss_bad + (1.0 - stationary_bad) * self.loss_good
 
     def copy(self) -> "GilbertElliottLoss":
-        return GilbertElliottLoss(
-            self.p_good_to_bad, self.p_bad_to_good, self.loss_good, self.loss_bad
-        )
+        # Same validated parameters and shared read-only switch arrays: only
+        # the chain state is new.
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone._reset()
+        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

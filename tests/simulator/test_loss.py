@@ -94,6 +94,17 @@ class TestGilbertElliottLoss:
         consecutive = (samples[1:] & samples[:-1]).mean()
         assert consecutive > (rate * rate) * 2
 
+    def test_shared_batch_arrays_are_read_only(self):
+        process = GilbertElliottLoss(0.1, 0.4)
+        clone = process.copy()
+        shared = list(GilbertElliottLoss._BATCH_STATES) + list(process._batch_switch)
+        for clone_switch, switch in zip(clone._batch_switch, process._batch_switch):
+            assert clone_switch is switch
+        for array in shared:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+
     def test_copy_resets_state(self):
         process = GilbertElliottLoss(0.5, 0.5)
         clone = process.copy()

@@ -95,3 +95,85 @@ def test_import_leaves_networkx_unloaded():
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+# Runs ``repro`` in-process, then prints, as its last stdout line, the SciPy
+# subpackages it loaded along the way.
+_SCIPY_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    from repro.__main__ import main
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+else:
+    import repro, repro.experiments.registry
+print()
+print(json.dumps(sorted({m.split(".")[1] if "." in m else m
+                         for m in sys.modules if m.split(".")[0] == "scipy"})))
+"""
+
+
+def _scipy_loaded_by(argv, cwd=None):
+    """SciPy subpackages loaded by ``repro <argv>`` (``None``: just the import)."""
+    import json
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=300, check=True,
+    )
+    return set(json.loads(result.stdout.strip().splitlines()[-1]))
+
+
+def test_scipy_loads_only_where_a_run_calls_it(tmp_path):
+    """SciPy is imported at its call sites: routing and confidence intervals."""
+    assert _scipy_loaded_by(None) == set()
+    assert _scipy_loaded_by(["--help"]) == set()
+    cache = str(tmp_path / "cache")
+    # The fresh run routes its networks; the store hit answers without them.
+    assert "sparse" in _scipy_loaded_by(["run", "figure1", "--cache", cache])
+    assert _scipy_loaded_by(["run", "figure1", "--cache", cache]) == set()
+    tiny = ["--set", "num_receivers=8", "--set", "duration_units=100",
+            "--set", "repetitions=2"]
+    loaded = _scipy_loaded_by(["run", "figure8_panel", *tiny])
+    assert "special" in loaded
+    assert "sparse" not in loaded
+
+
+# Starts ``repro serve`` on a thread, prints the SciPy subpackages loaded once
+# its socket is bound, then shuts it down.
+_SERVE_PROBE = """
+import json, os, sys, threading, time
+from repro.experiments.serve import request, serve
+from repro.experiments.store import ResultStore
+thread = threading.Thread(target=serve, args=(ResultStore("cache"),),
+                          kwargs={"socket_path": "serve.sock"}, daemon=True)
+thread.start()
+deadline = time.monotonic() + 60
+while not os.path.exists("serve.sock") and time.monotonic() < deadline:
+    time.sleep(0.05)
+print(json.dumps(sorted({m.split(".")[1] for m in sys.modules
+                         if m.startswith("scipy.")})))
+request("serve.sock", {"op": "shutdown"}, timeout=30)
+thread.join(timeout=60)
+"""
+
+
+def test_serve_loads_scipy_before_its_pool_forks(tmp_path):
+    """The daemon imports SciPy at start-up, so its forked workers never pay it."""
+    import json
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", _SERVE_PROBE],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300, check=True,
+    )
+    loaded = set(json.loads(result.stdout.strip().splitlines()[-1]))
+    assert {"sparse", "special"} <= loaded
