@@ -94,6 +94,17 @@ _UNSET = object()
 #: deadlines, and the stop flag.
 _POLL_SECONDS = 0.05
 
+#: True inside a pool's worker process (set by the pool's initializer).
+#: A task there that fans out again runs its inner tasks in-process: a
+#: worker never opens a pool of its own, whose processes the outer pool
+#: could not terminate on a timeout and would leave orphaned.
+_IN_POOL_WORKER = False
+
+
+def _mark_pool_worker() -> None:
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
+
 
 def check_task_limits(timeout: Any, retries: Any) -> None:
     """Validate per-task ``timeout`` (seconds, or ``None``) and ``retries``.
@@ -519,7 +530,9 @@ class ResilientPool:
             if task is None:
                 return False
             if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self._workers)
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self._workers, initializer=_mark_pool_worker
+                )
             try:
                 future = self._executor.submit(self._function, *task.arguments)
             except BrokenProcessPool:
@@ -766,7 +779,8 @@ def resilient_map(
     function, argument_tuples, jobs:
         ``function`` is applied to each argument tuple; it and all
         arguments/results must be picklable for the multi-process path.
-        ``jobs <= 1`` (or a single task) runs in-process; otherwise
+        ``jobs <= 1`` (or a single task) runs in-process, and so does any
+        call made inside a pool's worker process; otherwise
         ``min(jobs, len(argument_tuples))`` worker processes run them.
     timeout:
         Per-task wall-clock budget in seconds (pool path only).  A task
@@ -802,7 +816,7 @@ def resilient_map(
     check_task_limits(timeout, retries)
     tasks = list(argument_tuples)
     results: List[Any] = [None] * len(tasks)
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs <= 1 or len(tasks) <= 1 or _IN_POOL_WORKER:
         for index, arguments in enumerate(tasks):
             attempts, value, error = _attempt_in_process(
                 function, arguments, 0, retries, backoff, max_backoff

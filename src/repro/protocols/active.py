@@ -48,7 +48,6 @@ class ActiveNodeProtocol(LayeredProtocol):
     """Group-wide joins and leaves decided at the branch-point router."""
 
     name = "active-node"
-    supports_batched_units = True
 
     def __init__(
         self,
@@ -120,7 +119,9 @@ class ActiveNodeProtocol(LayeredProtocol):
         # The whole group joins together (stragglers catch up too).
         return np.ones_like(received)
 
-    def on_join(self, receivers: np.ndarray, levels: np.ndarray) -> None:
+    def scan_joined(self, receivers: np.ndarray, levels_receivers: np.ndarray) -> None:
+        # A group join restarts the group's count (the reference loop's
+        # join hook; the group chunk drain below keeps its own count).
         self._packets_since_group_event = 0
 
     # ------------------------------------------------------------------

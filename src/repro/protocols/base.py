@@ -54,26 +54,32 @@ _JOIN_THRESHOLDS = 2.0 ** (2.0 * (np.arange(32, dtype=np.float64) - 1.0))
 class LayeredProtocol(abc.ABC):
     """A receiver-driven layered congestion-control protocol.
 
-    Lifecycle: the simulation engine calls :meth:`reset` once per run, then
-    for every packet it delivers the reception outcome through
-    :meth:`on_congestion` (receivers that observed a loss) and
-    :meth:`on_packet_received` (receivers that got the packet), the latter
-    returning the boolean mask of receivers that decide to join an
-    additional layer.  The engine applies the leave/join level changes itself
-    and reports completed joins back through :meth:`on_join`.
+    Lifecycle: the simulation engine calls :meth:`reset` once per run
+    (then :meth:`bind_run_streams` with the run's random streams) and
+    advances the session under one of two engines.  Both report every
+    state change through the same hooks, with index arrays of the
+    receivers concerned: :meth:`scan_congested` (receivers that observed
+    a loss), :meth:`scan_left` and :meth:`scan_joined` (completed level
+    changes).
+
+    * The per-packet reference loop (``engine="reference"``, the
+      executable spec) asks the decision rules :meth:`on_packet_received`
+      (which receivers join) and :meth:`congestion_leaves` (which
+      congested receivers leave) at every packet and applies the level
+      changes itself.
+    * The default ``bitpacked`` engine calls :meth:`step_chunk` once per
+      chunk of time units.  Its default runs the packed event scan, which
+      locates each receiver's joins through :meth:`scan_chain_join_packed`
+      and credits receptions in bulk through :meth:`scan_bulk_received`.
+
+    A new protocol implements :meth:`scan_chain_join_packed`, or overrides
+    :meth:`step_chunk`, or runs with ``engine="reference"``.  With neither
+    override the default engine raises :class:`~repro.errors.ProtocolError`
+    instead of silently falling back to the per-packet loop.
     """
 
     #: Human-readable protocol name (used in experiment tables).
     name: str = "abstract"
-
-    #: Whether the protocol runs on the ``bitpacked`` engine's chunk path:
-    #: either it implements the packed ``scan_*`` hooks the default
-    #: :meth:`step_chunk` drives — one join locator,
-    #: :meth:`scan_chain_join_packed`, plus the bookkeeping mirrors — or it
-    #: overrides :meth:`step_chunk` itself.  The simulation engine falls
-    #: back to the per-packet reference loop when this is false, so custom
-    #: protocol subclasses keep working unmodified.
-    supports_batched_units: bool = False
 
     #: Whether the protocol's state is strictly per-receiver, allowing the
     #: engine to stack independently-seeded runs as receiver blocks of one
@@ -192,10 +198,13 @@ class LayeredProtocol(abc.ABC):
         join.
         """
         raise ProtocolError(
-            f"protocol {self.name!r} declares supports_batched_units but does "
-            "not implement scan_chain_join_packed()"
+            f"protocol {self.name!r} does not implement scan_chain_join_packed(); "
+            "implement it, override step_chunk(), or run with engine='reference'"
         )
 
+    # ------------------------------------------------------------------
+    # state hooks (both engines; scan_bulk_received is scan-only)
+    # ------------------------------------------------------------------
     def scan_bulk_received(self, receivers: np.ndarray, counts: np.ndarray) -> None:
         """Receivers got ``counts`` packets with no join/leave in between.
 
@@ -206,7 +215,7 @@ class LayeredProtocol(abc.ABC):
         self._received_since_event[receivers] += counts
 
     def scan_congested(self, receivers: np.ndarray) -> None:
-        """Per-receiver congestion events (mirror of :meth:`on_congestion`).
+        """Receivers that observed a congestion event.
 
         The default resets the shared join-progress counter — the paper's
         protocols restart their probe interval on every congestion signal,
@@ -215,30 +224,21 @@ class LayeredProtocol(abc.ABC):
         self._received_since_event[receivers] = 0
 
     def scan_joined(self, receivers: np.ndarray, levels_receivers: np.ndarray) -> None:
-        """Per-receiver completed joins (mirror of :meth:`on_join`,
-        collapsed with the join packet's own reception).
-        ``levels_receivers`` holds the receivers' post-join levels.
+        """Receivers that completed a join (the join packet's own reception
+        already counted); ``levels_receivers`` holds their post-join levels.
         The default resets the shared join-progress counter."""
         self._received_since_event[receivers] = 0
 
     def scan_left(self, receivers: np.ndarray, levels_receivers: np.ndarray) -> None:
-        """Per-receiver completed leaves (mirror of :meth:`on_leave`);
-        ``levels_receivers`` holds the receivers' post-leave levels.
+        """Receivers that completed a leave; ``levels_receivers`` holds
+        their post-leave levels.  Protocols that re-arm per-level
+        randomness (the Uncoordinated next-join countdown) do so here.
         The counter was already reset by the congestion signal that caused
         the leave, so the default does nothing."""
 
     # ------------------------------------------------------------------
-    # per-packet hooks
+    # per-packet decision rules (the reference loop)
     # ------------------------------------------------------------------
-    def on_congestion(self, receivers: np.ndarray, levels: np.ndarray) -> None:
-        """Receivers in the mask observed a congestion event on this packet.
-
-        The engine lowers their subscription level; the default resets the
-        shared join-progress counter (subclasses with other per-level
-        randomness override this).
-        """
-        self._received_since_event[receivers] = 0
-
     def congestion_leaves(
         self,
         congested: np.ndarray,
@@ -268,18 +268,6 @@ class LayeredProtocol(abc.ABC):
         array marks receivers that should join one additional layer now; the
         engine clamps joins at the top layer.
         """
-
-    def on_join(self, receivers: np.ndarray, levels: np.ndarray) -> None:
-        """Receivers in the mask completed a join (their level already
-        raised).  The default resets the shared join-progress counter."""
-        self._received_since_event[receivers] = 0
-
-    def on_leave(self, receivers: np.ndarray, levels: np.ndarray) -> None:
-        """Receivers in the mask completed a leave (their level already
-        lowered).  Distinct from :meth:`on_congestion`, which fires for
-        every observed congestion event whether or not a layer is dropped;
-        protocols that re-arm per-level randomness (the Uncoordinated
-        next-join countdown) do so here."""
 
     # ------------------------------------------------------------------
     # shared helpers

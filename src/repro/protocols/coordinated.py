@@ -49,7 +49,6 @@ class CoordinatedProtocol(LayeredProtocol):
     """Joins only at sender-coordinated sync points, gated on loss-free progress."""
 
     name = "coordinated"
-    supports_batched_units = True
     supports_stacked_runs = True
 
     def __init__(self, sync_threshold_fraction: float = 0.5) -> None:
@@ -85,7 +84,7 @@ class CoordinatedProtocol(LayeredProtocol):
         return received & at_sync_level & ready
 
     # ------------------------------------------------------------------
-    # packed scan hooks
+    # packed join locator
     # ------------------------------------------------------------------
     def scan_chain_join_packed(
         self, chunk, words, base_col, rows, levels_rows, gap_counts, gap_lo, gap_hi

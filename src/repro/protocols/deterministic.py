@@ -27,7 +27,6 @@ class DeterministicProtocol(LayeredProtocol):
     """Counter-based joins; leaves (and counter resets) on congestion."""
 
     name = "deterministic"
-    supports_batched_units = True
     supports_stacked_runs = True
 
     # Join-progress state (the received-since-event counter) and its
@@ -46,7 +45,7 @@ class DeterministicProtocol(LayeredProtocol):
         return received & (self._received_since_event >= thresholds)
 
     # ------------------------------------------------------------------
-    # packed scan hooks
+    # packed join locator
     # ------------------------------------------------------------------
     def scan_chain_join_packed(
         self, chunk, words, base_col, rows, levels_rows, gap_counts, gap_lo, gap_hi

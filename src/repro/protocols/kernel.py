@@ -5,39 +5,43 @@ join/leave transitions — are driven from two places: the per-packet
 reference loop (the executable spec) and the bit-packed chunk scan
 (:func:`repro.protocols.scan.scan_chunk_bitpacked`), whose one event loop
 per scan window (the chain drain) consumes every join and congestion
-event of the window.  This module holds what both share, split along a
-representation boundary:
+event of the window.  :class:`ScanKernel` owns what both share: the
+level-step invariants (a leave never below level 1; in the per-packet
+loop, a join never past the top layer), credit accounting, the hook
+dispatch order (``scan_bulk_received`` before ``scan_congested`` /
+``scan_joined`` / ``scan_left``) and the event record layout the
+simulator engine reconstructs carriage from.  Both engines report state
+changes to the protocol through the same ``scan_*`` hooks, with index
+arrays of the receivers concerned, so the conformance suite checks one
+semantics instead of two implementations.  The packed representation
+itself (``uint64`` words with masked popcounts) is
+:mod:`repro.protocols.bitpack`, which the scan calls directly.
 
-* :class:`ScanKernel` owns the *semantics*: the level-step invariants (a
-  leave never below level 1; in the per-packet loop, a join never past
-  the top layer), credit accounting, the hook dispatch order
-  (``scan_bulk_received`` before ``scan_congested`` / ``scan_joined`` /
-  ``scan_left``) and the event record layout the simulator engine
-  reconstructs carriage from.  The scan and the reference loop both drive
-  their transitions through it, so the conformance suite checks one
-  semantics instead of two implementations.
-* :class:`PackedOps` (the :data:`PACKED_OPS` singleton) owns the
-  *representation*: ``uint64`` words with masked popcounts
-  (:mod:`repro.protocols.bitpack`), plus the fused row rebuild the chain
-  drain runs after every consumed event.
+A protocol runs on the default ``bitpacked`` engine by implementing
+:meth:`~repro.protocols.base.LayeredProtocol.scan_chain_join_packed` or
+by overriding :meth:`~repro.protocols.base.LayeredProtocol.step_chunk`;
+otherwise it runs only with ``engine="reference"`` (the default engine
+raises :class:`~repro.errors.ProtocolError` rather than falling back).
 
 The engine registry (:data:`ENGINES`, :data:`ENGINE_ALIASES` and
 :func:`resolve_engine`) lives here too, as the single source of truth for
 the simulator, the experiment API, the CLI and the result store.
+:data:`PACKED_OPS` and :func:`backend_ops_for` remain from the retired
+multi-backend kernel: every engine name maps to the one packed lowering,
+the :mod:`~repro.protocols.bitpack` module, and the benchmark's
+environment stamp records that identity (``compiled_is_packed_ops``),
+which its run comparison requires to match.
 
-Changing a lowering
--------------------
 Every primitive must stay bit-exact (same columns, same counts): the
 kernel's event sequence is pinned against the reference loop by
 ``tests/simulator/test_engine_equivalence.py``,
 ``tests/protocols/test_kernel_trace.py`` and the differential fuzzer.
-An alternative lowering earns a registry entry only with a recorded
-speedup over ``bitpacked``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import ModuleType
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,7 +56,6 @@ __all__ = [
     "ENGINE_ALIASES",
     "ChunkResult",
     "KernelTrace",
-    "PackedOps",
     "PACKED_OPS",
     "ScanKernel",
     "backend_ops_for",
@@ -159,7 +162,7 @@ class KernelTrace:
 
 
 class ScanKernel:
-    """The backend-neutral protocol decision sequence for one chunk.
+    """The engine-neutral protocol decision sequence for one chunk.
 
     One instance advances one chunk: it owns the received-packet credit
     array, the level-change event records, the hook dispatch order and the
@@ -274,18 +277,19 @@ class ScanKernel:
         """
         protocol = self.protocol
         levels = self.levels
-        protocol.on_congestion(congested, levels)
+        rows = congested.nonzero()[0]
+        protocol.scan_congested(rows)
         leavers = protocol.congestion_leaves(congested, levels, packet)
         leavers = leavers & (levels > 1)
         if self.trace is not None:
-            rows = congested.nonzero()[0]
             old = levels[rows]
             self.trace.event(rows, col, "congest", old, old - leavers[rows])
         return leavers
 
     def apply_leaves(self, leavers: np.ndarray) -> None:
-        np.subtract(self.levels, 1, out=self.levels, where=leavers)
-        self.protocol.on_leave(leavers, self.levels)
+        rows = leavers.nonzero()[0]
+        self.levels[rows] -= 1
+        self.protocol.scan_left(rows, self.levels[rows])
 
     def packet_received(self, receiving: np.ndarray, col: int, top: int,
                         packet) -> np.ndarray:
@@ -307,66 +311,17 @@ class ScanKernel:
         return joins
 
     def apply_joins(self, joins: np.ndarray) -> None:
-        np.add(self.levels, 1, out=self.levels, where=joins)
-        self.protocol.on_join(joins, self.levels)
+        rows = joins.nonzero()[0]
+        self.levels[rows] += 1
+        self.protocol.scan_joined(rows, self.levels[rows])
 
 
-class PackedOps:
-    """uint64-packed words + popcount reductions: the scan's one lowering.
-
-    Thin delegation to :mod:`repro.protocols.bitpack`, plus the fused
-    :meth:`chain_rebuild` that names the chain drain's hottest
-    composition.  Every primitive must be bit-exact (same columns, same
-    counts): the cross-engine conformance matrix pins the kernel's event
-    sequence.
-    """
-
-    word_base = staticmethod(bitpack.word_base)
-    first_set = staticmethod(bitpack.first_set)
-    row_counts = staticmethod(bitpack.row_counts)
-    prefix_counts = staticmethod(bitpack.prefix_counts)
-
-    @staticmethod
-    def chain_rebuild(
-        masks_here: np.ndarray,
-        ok: np.ndarray,
-        recv: np.ndarray,
-        rows: np.ndarray,
-        ws: int,
-        levels_rows: np.ndarray,
-        pos_rows: np.ndarray,
-        edge_word: np.uint64,
-        base_ws: int,
-        bases_ws: np.ndarray,
-    ):
-        """Rebuild chained rows' packed suffix after a consumed event.
-
-        Recomputes the reception words of ``rows`` from word index ``ws``
-        onward — layer mask under each row's new level
-        (``masks_here[level, ws:]``), masked below the row's new position
-        and at the window edge, and-ed with the receivability ``ok`` —
-        writes them back into ``recv`` in place, and returns the refreshed
-        first-congestion candidate ``(has, col)`` per row.  ``base_ws`` and
-        ``bases_ws`` are the absolute columns of bit 0 of word ``ws`` and
-        of every suffix word.
-        """
-        front = bitpack.start_masks(pos_rows, base_ws, bases_ws.size, bases_ws)
-        sub = masks_here[levels_rows, ws:]
-        sub &= front
-        sub[:, -1] &= edge_word
-        recv_rows = sub & ok[rows, ws:]
-        cong = sub
-        cong ^= recv_rows
-        recv[rows, ws:] = recv_rows
-        return bitpack.first_set(cong, base_ws)
+#: The scan's one lowering: the packed-word primitives module.
+PACKED_OPS = bitpack
 
 
-#: The shared lowering singleton (the ops object is stateless).
-PACKED_OPS = PackedOps()
-
-
-def backend_ops_for(engine: str) -> PackedOps:
-    """The ops object the scan lowers the kernel with under ``engine``.
+def backend_ops_for(engine: str) -> ModuleType:
+    """The lowering the scan runs under ``engine``.
 
     Every engine name — registered or retired alias — maps to
     :data:`PACKED_OPS` (the reference loop lowers nothing); unknown names

@@ -61,11 +61,12 @@ scenarios across both engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .kernel import PACKED_OPS, ChunkResult, ScanKernel
+from . import bitpack
+from .kernel import ChunkResult, ScanKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type annotations
     from .base import LayeredProtocol
@@ -105,9 +106,8 @@ class UnitChunk:
         Absolute transmission time per column; the engine's carriage pass
         finds leave-latency drop columns in it.
     scan_window:
-        Maximum observed columns one scan iteration examines (0 =
-        unbounded).  Purely a performance knob — results are identical for
-        any value.
+        Maximum observed columns one scan window spans.  Purely a
+        performance knob — results are identical for any positive value.
     receivable_packed / layer_masks_packed:
         The loss outcomes: ``uint64`` words packing the per-receiver
         reception outcome (``~shared & ~independent``) column-wise (column
@@ -128,8 +128,8 @@ class UnitChunk:
     sync_ok: np.ndarray
     receivable_packed: np.ndarray
     layer_masks_packed: np.ndarray
-    times: Optional[np.ndarray] = None
-    scan_window: int = 0
+    times: np.ndarray
+    scan_window: int
 
     @property
     def num_packets(self) -> int:
@@ -145,7 +145,7 @@ def scan_chunk_bitpacked(
 
     The protocol participates through its one join locator,
     :meth:`~repro.protocols.base.LayeredProtocol.scan_chain_join_packed`,
-    plus the bookkeeping mirrors
+    plus the state hooks
     :meth:`~repro.protocols.base.LayeredProtocol.scan_bulk_received`,
     :meth:`~repro.protocols.base.LayeredProtocol.scan_congested`,
     :meth:`~repro.protocols.base.LayeredProtocol.scan_left` and
@@ -155,7 +155,6 @@ def scan_chunk_bitpacked(
     num_receivers = levels.size
     okp = chunk.receivable_packed
     level_masks = chunk.layer_masks_packed
-    ops = PACKED_OPS
 
     kernel = ScanKernel(
         protocol, levels, num_receivers,
@@ -163,7 +162,7 @@ def scan_chunk_bitpacked(
     )
 
     n = chunk.num_packets
-    window = chunk.scan_window or n
+    window = chunk.scan_window
     everyone = np.arange(num_receivers)
     lo = 0
     while lo < n:
@@ -190,7 +189,7 @@ def scan_chunk_bitpacked(
         w_hi = (window_end + 63) >> 6
         base_col = w_lo << 6
         num_words = w_hi - w_lo
-        bases = ops.word_base(base_col, num_words)
+        bases = bitpack.word_base(base_col, num_words)
         ok = okp[:, w_lo:w_hi]
         masks_here = level_masks[:, w_lo:w_hi]
         # Every event column lies below the window's end, so every row
@@ -211,7 +210,7 @@ def scan_chunk_bitpacked(
         # Congestion rows are consumed once, by the candidate cache; after
         # that only the cached (has_c, e_c) pair and each rebuild's fresh
         # candidates are read, so congestion rows are never stored back.
-        has_c, e_c = ops.first_set(cong, base_col)
+        has_c, e_c = bitpack.first_set(cong, base_col)
 
         # ---- drain every event of the window ----------------------------
         # Each chained row's next event is the earlier of its cached
@@ -234,7 +233,7 @@ def scan_chunk_bitpacked(
             bound = np.where(hc, e_c[chain], window_end)
             # Bits below each row's position are already cleared, so the
             # gap count is one prefix popcount at the bound.
-            n_gap = ops.prefix_counts(words, base_ws, bound)
+            n_gap = bitpack.prefix_counts(words, base_ws, bound)
             has_j, j_col, j_bulk = protocol.scan_chain_join_packed(
                 chunk, words, base_ws, chain,
                 levels[chain], n_gap, pos[chain] - 1, bound,
@@ -265,13 +264,47 @@ def scan_chunk_bitpacked(
             # Rebuild the consumed rows under their new level and position
             # — suffix words only; the words below the slid base stay zero
             # for these rows.
-            has_c[chain], e_c[chain] = ops.chain_rebuild(
+            has_c[chain], e_c[chain] = _chain_rebuild(
                 masks_here, ok, recv, chain, ws, levels[chain], pos[chain],
                 edge_word, base_ws, bases[ws:],
             )
 
         # ---- close the window: credit everyone's remaining receptions ----
-        kernel.credit(everyone, ops.row_counts(recv))
+        kernel.credit(everyone, bitpack.row_counts(recv))
         lo = window_end
 
     return kernel.result()
+
+
+def _chain_rebuild(
+    masks_here: np.ndarray,
+    ok: np.ndarray,
+    recv: np.ndarray,
+    rows: np.ndarray,
+    ws: int,
+    levels_rows: np.ndarray,
+    pos_rows: np.ndarray,
+    edge_word: np.uint64,
+    base_ws: int,
+    bases_ws: np.ndarray,
+):
+    """Rebuild chained rows' packed suffix after a consumed event.
+
+    Recomputes the reception words of ``rows`` from word index ``ws``
+    onward — layer mask under each row's new level
+    (``masks_here[level, ws:]``), masked below the row's new position and
+    at the window edge, and-ed with the receivability ``ok`` — writes them
+    back into ``recv`` in place, and returns the refreshed
+    first-congestion candidate ``(has, col)`` per row.  ``base_ws`` and
+    ``bases_ws`` are the absolute columns of bit 0 of word ``ws`` and of
+    every suffix word.
+    """
+    front = bitpack.start_masks(pos_rows, base_ws, bases_ws.size, bases_ws)
+    sub = masks_here[levels_rows, ws:]
+    sub &= front
+    sub[:, -1] &= edge_word
+    recv_rows = sub & ok[rows, ws:]
+    cong = sub
+    cong ^= recv_rows
+    recv[rows, ws:] = recv_rows
+    return bitpack.first_set(cong, base_ws)

@@ -51,7 +51,6 @@ class UncoordinatedProtocol(LayeredProtocol):
     """Random, memoryless joins; leaves on every congestion event."""
 
     name = "uncoordinated"
-    supports_batched_units = True
     supports_stacked_runs = True
 
     def _reset_state(self) -> None:
@@ -86,8 +85,11 @@ class UncoordinatedProtocol(LayeredProtocol):
         Rows at the top level consume no draw and get the sentinel; the
         rest consume one uniform each from their own stream, inverted
         through the geometric CDF: ``T = max(1, ceil(log(1-U)/log(1-q)))``
-        received packets until (and including) the joining one.
+        received packets until (and including) the joining one.  Without
+        bound streams (direct drive) there is no countdown to re-arm.
         """
+        if self._streams is None:
+            return
         assert self.scheme is not None
         top = self.scheme.num_layers
         below = levels_rows < top
@@ -102,14 +104,8 @@ class UncoordinatedProtocol(LayeredProtocol):
         ).astype(np.int64)
 
     # ------------------------------------------------------------------
-    # per-packet hooks (reference engine / direct drive)
+    # per-packet decision rule (reference engine / direct drive)
     # ------------------------------------------------------------------
-    def on_congestion(self, receivers: np.ndarray, levels: np.ndarray) -> None:
-        # The geometric countdown is memoryless: congestion alone does not
-        # re-arm it (only the leave it may cause does, via on_leave), so the
-        # base counter reset is deliberately suppressed.
-        pass
-
     def on_packet_received(
         self,
         received: np.ndarray,
@@ -127,18 +123,8 @@ class UncoordinatedProtocol(LayeredProtocol):
         self._countdown[received] -= 1
         return received & (self._countdown <= 0)
 
-    def on_join(self, receivers: np.ndarray, levels: np.ndarray) -> None:
-        if self._streams is not None:
-            rows = np.nonzero(receivers)[0]
-            self._rearm(rows, levels[rows])
-
-    def on_leave(self, receivers: np.ndarray, levels: np.ndarray) -> None:
-        if self._streams is not None:
-            rows = np.nonzero(receivers)[0]
-            self._rearm(rows, levels[rows])
-
     # ------------------------------------------------------------------
-    # packed scan hooks
+    # packed join locator and state hooks
     # ------------------------------------------------------------------
     def scan_chain_join_packed(
         self, chunk, words, base_col, rows, levels_rows, gap_counts, gap_lo, gap_hi
@@ -168,7 +154,9 @@ class UncoordinatedProtocol(LayeredProtocol):
         self._countdown[receivers] -= counts
 
     def scan_congested(self, receivers: np.ndarray) -> None:
-        # Mirror of on_congestion: the countdown survives congestion.
+        # The geometric countdown is memoryless: congestion alone does not
+        # re-arm it (only the leave it may cause does, via scan_left), so
+        # the base counter reset is deliberately suppressed.
         pass
 
     def scan_joined(self, receivers: np.ndarray, levels_receivers: np.ndarray) -> None:

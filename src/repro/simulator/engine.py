@@ -41,8 +41,10 @@ chunked engine restructures each chunk of time units as a per-receiver
 *event scan* on bit-packed matrices (see :mod:`repro.protocols.scan`)
 instead of a Python-level loop over packets, which is possible because the
 Section-4 protocols are receiver-local and the random stream is
-pre-sampled state-independently.  Protocols that do not implement the
-chunk hooks transparently fall back to the reference loop.  The retired
+pre-sampled state-independently.  A protocol without the chunk scan's
+join locator (or its own ``step_chunk``) runs only under
+``engine="reference"``; the default engine raises
+:class:`~repro.errors.ProtocolError` for it.  The retired
 names ``"batched"`` and ``"compiled"`` are accepted as aliases of
 ``"bitpacked"`` (:data:`repro.protocols.kernel.ENGINE_ALIASES`).
 
@@ -237,9 +239,9 @@ class LayeredSessionSimulator:
         uint64-packed matrices with popcount reductions; ``"reference"``
         runs the original per-packet loop.  The retired names
         ``"batched"`` and ``"compiled"`` select ``"bitpacked"``.  Results
-        are bit-for-bit identical for any seed; protocols without chunk
-        support always use the reference loop, and the active-node group
-        protocol runs its own chunk drain under ``"bitpacked"``.
+        are bit-for-bit identical for any seed.  The active-node group
+        protocol runs its own chunk drain under ``"bitpacked"``; a protocol
+        with no chunk support needs ``"reference"``.
     chunk_units:
         Time units the chunked engine processes per chunk (performance
         knob only; results do not depend on it).  ``None`` (the default)
@@ -281,8 +283,9 @@ class LayeredSessionSimulator:
         #: chunked engine).  Windows never shrink below 32 packet columns
         #: (see ``_assemble_chunk``), so 0 gives the narrowest windows.
         self.scan_window_units = 2
-        self._chunk_static: Dict[int, Tuple[np.ndarray, List[np.ndarray], np.ndarray]] = {}
-        self._packed_static: Dict[int, np.ndarray] = {}
+        #: Per chunk width: the chunk's per-column tables (see
+        #: ``_assemble_chunk``), which depend on the width alone.
+        self._chunk_static: Dict[int, tuple] = {}
         self.protocol = protocol
         self.num_receivers = num_receivers
         self.scheme = scheme if scheme is not None else ExponentialLayerScheme(8)
@@ -637,21 +640,16 @@ class LayeredSessionSimulator:
             for level in range(self.scheme.num_layers + 1):
                 np.cumsum(layers <= level, out=observed_before[level, 1:])
             offsets = np.tile(self.schedule.pattern_offsets, num_units)
-            static = (layers, cols_for_level, observed_before, offsets)
+            level_rows = np.arange(self.scheme.num_layers + 1, dtype=np.int16)
+            layer_masks_packed = bitpack.pack_bits(layers[None, :] <= level_rows[:, None])
+            static = (layers, cols_for_level, observed_before, offsets, layer_masks_packed)
             self._chunk_static[num_units] = static
-        layers, cols_for_level, observed_before, offsets = static
+        layers, cols_for_level, observed_before, offsets, layer_masks_packed = static
 
         num_runs = len(runs)
         receivers = self.num_receivers
         num_packets = num_units * packets_per_unit
         receivable_packed = bitpack.ones_rows(receivers * num_runs, num_packets)
-        layer_masks_packed = self._packed_static.get(num_units)
-        if layer_masks_packed is None:
-            level_rows = np.arange(self.scheme.num_layers + 1, dtype=np.int16)
-            layer_masks_packed = bitpack.pack_bits(
-                layers[None, :] <= level_rows[:, None]
-            )
-            self._packed_static[num_units] = layer_masks_packed
         # Losses are sparse: clear each run's sampled positions (shared
         # columns plus independent (row, column) pairs, one fused scatter)
         # out of its pre-set block of packed ``receivable`` words.
@@ -909,8 +907,8 @@ def simulate_session_group(
     block of a wider session, driven by its own streams and loss
     processes — so a whole sweep (the Figure 8 loss grid, the burstiness
     burst lengths) shares the scan's per-iteration cost.  Runs that cannot
-    stack (``engine="reference"``, protocols without chunk support, group
-    protocols such as the active node) run solo.
+    stack (``engine="reference"``, group protocols such as the active
+    node) run solo.
     """
     if len(simulators) != len(seeds):
         raise SimulationError(
@@ -937,7 +935,7 @@ def simulate_session_group(
         lead.protocol.bind_run_streams(
             [context.streams for _simulator, context in runs], lead.num_receivers
         )
-        if lead.engine == "bitpacked" and lead.protocol.supports_batched_units:
+        if lead.engine == "bitpacked":
             batch = lead._run_batched(runs)
         else:
             batch = [lead._run_reference(lead_context)]
@@ -960,11 +958,7 @@ def _stack_key(simulator: LayeredSessionSimulator) -> Optional[tuple]:
     session geometry and a behaviourally identical protocol.
     """
     protocol = simulator.protocol
-    if not (
-        simulator.engine == "bitpacked"
-        and protocol.supports_batched_units
-        and protocol.supports_stacked_runs
-    ):
+    if not (simulator.engine == "bitpacked" and protocol.supports_stacked_runs):
         return None
     schedule = simulator.schedule
     return (

@@ -27,6 +27,7 @@ from typing import Optional
 
 from repro.experiments.api import ExperimentSpec
 from repro.experiments.registry import Experiment, get_experiment, register
+from repro.experiments.resilient import resilient_map
 
 #: Fault kinds understood by :func:`inject`.
 MODES = ("none", "crash", "hang", "poison")
@@ -141,6 +142,17 @@ def rendezvous_then(
     if mode == "poison":
         raise RuntimeError(f"injected fault: rendezvous poison ({me})")
     return value * value
+
+
+def own_pid(value: int) -> int:
+    """The pid of the process that ran this task."""
+    return os.getpid()
+
+
+def fan_out_pids(value: int) -> tuple:
+    """A task that fans out again with ``jobs=2``: returns its own pid and
+    the pids its two inner tasks ran in."""
+    return os.getpid(), tuple(resilient_map(own_pid, [(0,), (1,)], jobs=2))
 
 
 def run_task_with_fault(marker: Optional[str], mode: str, key: str, spec) -> object:

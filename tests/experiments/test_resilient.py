@@ -120,6 +120,18 @@ class TestHangTimeout:
         assert isinstance(excinfo.value, ExecutionError)
 
 
+class TestNestedFanOut:
+    """A pool worker never opens a pool: a pooled task that fans out again
+    runs its inner tasks in its own process, where a timeout's terminate
+    reaches them."""
+
+    def test_pooled_task_runs_inner_tasks_in_its_own_process(self):
+        outer = resilient_map(faults.fan_out_pids, [(0,), (1,)], jobs=2)
+        for worker_pid, inner_pids in outer:
+            assert worker_pid != os.getpid()
+            assert inner_pids == (worker_pid, worker_pid)
+
+
 class TestResilientPool:
     """The persistent pool behind ``repro serve`` (and ``resilient_map``)."""
 

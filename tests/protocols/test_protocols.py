@@ -117,7 +117,7 @@ class TestDeterministicProtocol:
         received = np.array([True])
         for _ in range(3):
             protocol.on_packet_received(received, levels, make_packet())
-        protocol.on_congestion(np.array([True]), levels)
+        protocol.scan_congested(np.array([0]))
         assert protocol.received_since_event[0] == 0
         assert not protocol.on_packet_received(received, levels, make_packet())[0]
 
@@ -127,7 +127,7 @@ class TestDeterministicProtocol:
         received = np.array([True])
         joins = protocol.on_packet_received(received, levels, make_packet())
         assert joins[0]
-        protocol.on_join(joins, levels + 1)
+        protocol.scan_joined(joins.nonzero()[0], levels[joins] + 1)
         assert protocol.received_since_event[0] == 0
 
     def test_receivers_counted_independently(self):
@@ -179,7 +179,7 @@ class TestCoordinatedProtocol:
         received = np.array([True])
         for _ in range(10):
             protocol.on_packet_received(received, levels, make_packet())
-        protocol.on_congestion(np.array([True]), levels)
+        protocol.scan_congested(np.array([0]))
         joins = protocol.on_packet_received(received, levels, make_packet(sync_levels=(2,)))
         assert not joins[0]
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ProtocolError, SimulationError
 from repro.layering import ExponentialLayerScheme
 from repro.protocols import CoordinatedProtocol, DeterministicProtocol, make_protocol
+from repro.protocols.base import LayeredProtocol
 from repro.simulator import (
     BernoulliLoss,
     LayeredSessionSimulator,
@@ -37,6 +38,43 @@ class TestConfigurationValidation:
                 NoLoss(),
                 [BernoulliLoss(0.1), BernoulliLoss(0.2)],
             )
+
+
+class _CounterOnlyProtocol(LayeredProtocol):
+    """The Deterministic join rule written as a per-packet rule only: no
+    packed join locator and no ``step_chunk`` of its own."""
+
+    name = "counter-only"
+
+    def on_packet_received(self, received, levels, packet):
+        self._received_since_event[received] += 1
+        return received & (self._received_since_event >= self.join_threshold(levels))
+
+
+class TestExplicitEngineChoice:
+    """A protocol without chunk support runs only where the caller asks for
+    the per-packet loop; the default engine refuses it by name."""
+
+    @staticmethod
+    def _simulator(protocol, engine="bitpacked"):
+        return LayeredSessionSimulator(
+            protocol, 4, BernoulliLoss(0.01), BernoulliLoss(0.03),
+            duration_units=60, engine=engine,
+        )
+
+    def test_default_engine_names_the_missing_join_locator(self):
+        with pytest.raises(ProtocolError, match="scan_chain_join_packed"):
+            self._simulator(_CounterOnlyProtocol()).run(seed=3)
+
+    def test_reference_engine_runs_it(self):
+        # The shared state hooks keep the custom rule's counter exactly as
+        # the Deterministic protocol's, so the two runs agree.
+        custom = self._simulator(_CounterOnlyProtocol(), engine="reference").run(seed=3)
+        builtin = self._simulator(DeterministicProtocol(), engine="reference").run(seed=3)
+        assert custom.protocol == "counter-only"
+        assert custom.shared_link_packets == builtin.shared_link_packets
+        assert np.array_equal(custom.receiver_packets, builtin.receiver_packets)
+        assert custom.mean_subscription_level == builtin.mean_subscription_level
 
 
 class TestChunkPlan:
