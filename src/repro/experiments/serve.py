@@ -5,7 +5,10 @@ The service puts a query interface in front of a
 queries as JSON lines over a local socket (TCP on loopback, or a Unix
 domain socket) and receive one JSON response line per request.  Warm
 specs — whose content address is already in the store — are answered
-straight from disk with **zero simulator invocations**; cold specs are
+from the store with **zero simulator invocations**: the store verifies
+an entry once per file identity and serves repeat hits from memory,
+while a changed file is re-validated (and quarantined if damaged) as on
+its first read.  Cold specs are
 scheduled onto a persistent
 :class:`~repro.experiments.resilient.ResilientPool` worker pool
 (crash/hang/retry hardened, per-request timeout and retry knobs) and
@@ -23,6 +26,11 @@ Protocol (one JSON object per line, ``op`` selects the operation)::
      "timeout": 120, "retries": 1, "include_result": true}
     {"op": "stats"}
     {"op": "shutdown"}
+
+``spec`` is an object of field overrides (absent or ``null``: none) and
+``include_result`` a JSON boolean; anything else is a typed error.  A
+request line longer than :data:`MAX_REQUEST_BYTES` is refused with an
+``invalid`` error and the connection is closed.
 
 Every response carries ``ok`` (boolean), the echoed ``op``, and
 ``elapsed_seconds``; failures add ``error``.  ``run`` responses add
@@ -71,6 +79,10 @@ PROTOCOL_VERSION = 1
 
 #: Operations understood by the service.
 OPS = ("ping", "run", "stats", "experiments", "shutdown")
+
+#: Longest request line the daemon reads, newline included (ample for any
+#: spec); a longer line is refused and its connection closed.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 class _Latency:
@@ -229,8 +241,10 @@ class ExperimentService:
             experiment = get_experiment(key)
         except KeyError as error:
             raise ExperimentError(str(error.args[0])) from None
-        overrides = payload.get("spec") or {}
-        if not isinstance(overrides, dict):
+        overrides = payload.get("spec")
+        if overrides is None:
+            overrides = {}
+        elif not isinstance(overrides, dict):
             raise ExperimentError("'spec' must be a JSON object of field overrides")
         try:
             spec = experiment.spec_cls.from_dict(overrides)
@@ -238,7 +252,11 @@ class ExperimentService:
             raise
         except (TypeError, ValueError) as error:
             raise ExperimentError(f"invalid spec for {key!r}: {error}") from None
-        include_result = bool(payload.get("include_result", True))
+        include_result = payload.get("include_result", True)
+        if not isinstance(include_result, bool):
+            raise ExperimentError(
+                f"'include_result' must be a JSON boolean, got {include_result!r}"
+            )
         address = self.store.key_for(key, spec)
 
         submit_kwargs: Dict[str, Any] = {
@@ -251,24 +269,16 @@ class ExperimentService:
         with self._lock:
             if self._draining:
                 raise ExperimentError("service is shutting down; not accepting new runs")
-            cached = self.store.get(key, spec)
-            if cached is not None:
+            stored = self.store.get_envelope(key, spec, address)
+            if stored is not None:
                 self._counters["hits"] += 1
-                return self._run_response(address, "hit", cached, include_result)
-            self._counters["misses"] += 1
-            handle = self._inflight.get(address)
-            if handle is not None:
-                # An identical cold query is already simulating: join it
-                # instead of paying for a second run.
-                self._counters["coalesced"] += 1
-                cache_state = "join"
             else:
-                cache_state = "miss"
-                self._counters["simulated"] += 1
-                self._inflight_tasks[address] = (key, spec)
-                handle = self.pool.submit((key, spec), token=address, **submit_kwargs)
-                self._inflight[address] = handle
-
+                cache_state, handle = self._schedule(key, spec, address, submit_kwargs)
+        if stored is not None:
+            # The stored envelope with the requested spec echoed: the same
+            # dict as ``self.store.get(key, spec).to_dict()``.
+            envelope = dict(stored, spec=spec.to_dict())
+            return self._run_response(address, "hit", envelope, include_result)
         handle.wait()
         self.pool.check()
         with self._lock:
@@ -277,18 +287,40 @@ class ExperimentService:
                 self._inflight_tasks.pop(address, None)
         if handle.failure is not None:
             raise handle.exception()
-        return self._run_response(address, cache_state, handle.result, include_result)
+        envelope = handle.result.to_dict()
+        return self._run_response(address, cache_state, envelope, include_result)
+
+    def _schedule(
+        self, key: str, spec: Any, address: str, submit_kwargs: Dict[str, Any]
+    ) -> Tuple[str, TaskHandle]:
+        """Count a miss and join or submit its task; the caller holds the lock."""
+        self._counters["misses"] += 1
+        handle = self._inflight.get(address)
+        if handle is not None:
+            # An identical cold query is already simulating: join it
+            # instead of paying for a second run.
+            self._counters["coalesced"] += 1
+            return "join", handle
+        self._counters["simulated"] += 1
+        self._inflight_tasks[address] = (key, spec)
+        handle = self.pool.submit((key, spec), token=address, **submit_kwargs)
+        self._inflight[address] = handle
+        return "miss", handle
 
     def _run_response(
-        self, address: str, cache_state: str, result: Any, include_result: bool
+        self,
+        address: str,
+        cache_state: str,
+        envelope: Dict[str, Any],
+        include_result: bool,
     ) -> Dict[str, Any]:
         response: Dict[str, Any] = {
             "cache": cache_state,
             "address": address,
-            "verdict": result.verdict.to_dict(),
+            "verdict": envelope["verdict"],
         }
         if include_result:
-            response["result"] = result.to_dict()
+            response["result"] = envelope
         return response
 
     # -- lifecycle ----------------------------------------------------------
@@ -300,31 +332,41 @@ class ExperimentService:
         self.pool.shutdown(wait=True)
 
 
+def _invalid(error: str) -> Dict[str, Any]:
+    """The response to a request line that never reached an op."""
+    return {"ok": False, "op": "invalid", "error": error}
+
+
 class _RequestHandler(socketserver.StreamRequestHandler):
     """One thread per connection; JSON request line in, response line out."""
 
     def handle(self) -> None:  # noqa: D102 - socketserver hook
         service = self.server.service  # type: ignore[attr-defined]
-        for line in self.rfile:
-            line = line.strip()
+        while True:
+            line = self.rfile.readline(MAX_REQUEST_BYTES)
             if not line:
+                return
+            oversized = len(line) == MAX_REQUEST_BYTES and not line.endswith(b"\n")
+            if oversized:
+                response = _invalid(f"request line exceeds {MAX_REQUEST_BYTES} bytes")
+            elif not line.strip():
                 continue
-            try:
-                payload = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as error:
-                response = {
-                    "ok": False,
-                    "op": "invalid",
-                    "error": f"request is not valid JSON: {error}",
-                }
             else:
-                response = service.handle_request(payload)
+                try:
+                    payload = json.loads(line.decode("utf-8"))
+                except (UnicodeDecodeError, ValueError) as error:
+                    response = _invalid(f"request is not valid JSON: {error}")
+                else:
+                    response = service.handle_request(payload)
             try:
                 # Unsorted keys: a result envelope keeps its records'
                 # column order, so it renders like a fresh run.
                 self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
                 self.wfile.flush()
             except OSError:  # pragma: no cover - client went away mid-response
+                return
+            if oversized:
+                # The rest of the line is never read: drop the connection.
                 return
             if response.get("ok") and response.get("op") == "shutdown":
                 self.server.begin_shutdown()  # type: ignore[attr-defined]

@@ -29,10 +29,17 @@ Writes are atomic: the entry is serialised to a temporary file in the
 destination directory and published with ``os.replace``, so concurrent
 writers of the same key both succeed and readers never observe a partial
 file.  Every entry embeds a SHA-256 checksum of its result payload;
-:meth:`ResultStore.get` re-verifies it (along with the address and schema
+:meth:`ResultStore.get` verifies it (along with the address and schema
 version) and **quarantines** any entry that fails — the damaged file is
 moved into ``<root>/quarantine/`` for post-mortem and the lookup reports
 a miss, so a corrupt entry is recomputed rather than silently served.
+
+An entry is verified once per file identity: the store keeps each
+verified envelope in a bounded LRU memo stamped with the file's
+``(st_ino, st_size, st_mtime_ns)``, and a lookup whose ``os.stat`` still
+matches the stamp is answered from memory.  A changed, missing or new
+file is read and validated again (and quarantined if damaged), so the
+disk stays the source of truth.
 
 Layout::
 
@@ -43,12 +50,14 @@ Layout::
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
 import os
+from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..errors import ResultStoreError
 from .api import ExperimentResult, ExperimentSpec
@@ -59,6 +68,24 @@ __all__ = ["STORE_VERSION", "cache_key", "StoreStats", "ResultStore"]
 #: version are treated as misses (not quarantined: they are well-formed,
 #: just foreign).
 STORE_VERSION = 1
+
+#: Budget of the verified-entry memo, in bytes of entry file.  Past it the
+#: least recently used entry is dropped; a parsed envelope costs a few
+#: times its file size in memory.
+MEMO_BYTES = 8 * 1024 * 1024
+
+#: A file's identity as the memo sees it: ``(st_ino, st_size, st_mtime_ns)``.
+Stamp = Tuple[int, int, int]
+
+
+def _stamp(info: os.stat_result) -> Stamp:
+    return (info.st_ino, info.st_size, info.st_mtime_ns)
+
+
+def _read_entry(path: Path) -> Tuple[Stamp, bytes]:
+    """An entry's bytes and the identity of the file they were read from."""
+    with open(path, "rb") as handle:
+        return _stamp(os.fstat(handle.fileno())), handle.read()
 
 
 def _canonical_bytes(document: object) -> bytes:
@@ -143,6 +170,9 @@ class ResultStore:
         self.root = Path(root)
         self.rng_scheme_version = int(rng_scheme_version)
         self.stats = StoreStats()
+        # address -> (stamp, verified envelope dict), least recently used first.
+        self._memo: "OrderedDict[str, Tuple[Stamp, Dict[str, Any]]]" = OrderedDict()
+        self._memo_bytes = 0
         if self.root.exists() and not self.root.is_dir():
             raise ResultStoreError(
                 f"result store path {self.root} exists and is not a directory"
@@ -170,26 +200,41 @@ class ResultStore:
         excluded from the address, so the cached computation may have run
         under different execution knobs — the numbers are identical by
         construction, and echoing the caller's spec keeps ``--format
-        json`` output consistent with what was asked for.  Any entry that
-        fails validation (truncated file, bit flip, checksum or address
-        mismatch, wrong scheme version) is moved to the quarantine
-        directory and reported as a miss.
+        json`` output consistent with what was asked for.  An entry is
+        verified once per file identity (see :meth:`get_envelope`); any
+        entry that fails validation (truncated file, bit flip, checksum or
+        address mismatch, wrong scheme version) is moved to the quarantine
+        directory and reported as a miss.  The result's records are the
+        caller's own copies.
         """
-        address = self.key_for(experiment_key, spec)
-        path = self.entry_path(address)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            self.stats.misses += 1
+        envelope = self.get_envelope(experiment_key, spec)
+        if envelope is None:
             return None
-        status, result = self._validate(raw, address, experiment_key)
-        if status != "ok":
-            if status == "corrupt":
-                self._quarantine(path, address)
+        owned = dict(envelope, records=copy.deepcopy(envelope["records"]))
+        return dataclasses.replace(ExperimentResult.from_dict(owned), spec=spec)
+
+    def get_envelope(
+        self,
+        experiment_key: str,
+        spec: ExperimentSpec,
+        address: Optional[str] = None,
+    ) -> Optional[Dict[str, Any]]:
+        """The verified envelope dict stored for a task, or ``None`` on miss.
+
+        The dict is :meth:`ExperimentResult.to_dict` of the stored result,
+        with the spec echo *as stored*, and it is the memo's own copy:
+        read it, never mutate it.  ``address`` skips re-hashing the spec
+        when the caller already has it.  Counts a hit or a miss exactly
+        like :meth:`get`.
+        """
+        if address is None:
+            address = self.key_for(experiment_key, spec)
+        envelope = self._verified(experiment_key, address)
+        if envelope is None:
             self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return dataclasses.replace(result, spec=spec)
+        else:
+            self.stats.hits += 1
+        return envelope
 
     def __contains__(self, task) -> bool:
         """Whether ``(experiment_key, spec)`` has a *valid* entry on disk.
@@ -202,23 +247,61 @@ class ResultStore:
         """
         experiment_key, spec = task
         address = self.key_for(experiment_key, spec)
+        return self._verified(experiment_key, address) is not None
+
+    def _verified(self, experiment_key: str, address: str) -> Optional[Dict[str, Any]]:
+        """The verified envelope at ``address``, or ``None``.
+
+        One ``os.stat`` decides: a file whose identity matches the memo's
+        stamp is answered from memory; anything else is read, validated
+        and memoised (or quarantined if damaged).
+        """
         path = self.entry_path(address)
         try:
-            raw = path.read_bytes()
+            stamp = _stamp(os.stat(path))
         except OSError:
-            return False
-        status, _ = self._validate(raw, address, experiment_key)
+            self._forget(address)
+            return None
+        held = self._memo.get(address)
+        if held is not None and held[0] == stamp:
+            self._memo.move_to_end(address)
+            return held[1]
+        self._forget(address)
+        try:
+            stamp, raw = _read_entry(path)
+        except OSError:
+            return None
+        status, envelope = self._validate(raw, address, experiment_key)
         if status == "corrupt":
             self._quarantine(path, address)
-        return status == "ok"
+        if status != "ok":
+            return None
+        self._remember(address, stamp, envelope)
+        return envelope
+
+    def _remember(self, address: str, stamp: Stamp, envelope: Dict[str, Any]) -> None:
+        size = stamp[1]
+        if size > MEMO_BYTES:
+            return
+        self._memo[address] = (stamp, envelope)
+        self._memo_bytes += size
+        while self._memo_bytes > MEMO_BYTES:
+            _, (old_stamp, _) = self._memo.popitem(last=False)
+            self._memo_bytes -= old_stamp[1]
+
+    def _forget(self, address: str) -> None:
+        held = self._memo.pop(address, None)
+        if held is not None:
+            self._memo_bytes -= held[0][1]
 
     def _validate(self, raw: bytes, address: str, experiment_key: str):
-        """Verify one entry; returns ``(status, result)``.
+        """Verify one entry; returns ``(status, envelope)``.
 
-        ``status`` is ``"ok"`` (entry verified), ``"corrupt"`` (damaged —
-        the caller quarantines it), or ``"foreign"`` (well-formed but
-        written under another store layout version: a miss, left in place
-        for the build that understands it).
+        ``status`` is ``"ok"`` (entry verified; ``envelope`` is its
+        result's :meth:`~repro.experiments.api.ExperimentResult.to_dict`),
+        ``"corrupt"`` (damaged — the caller quarantines it), or
+        ``"foreign"`` (well-formed but written under another store layout
+        version: a miss, left in place for the build that understands it).
         """
         try:
             entry = json.loads(raw.decode("utf-8"))
@@ -244,7 +327,7 @@ class ResultStore:
         if result_dict.get("key") != experiment_key:
             return "corrupt", None
         try:
-            return "ok", ExperimentResult.from_dict(result_dict)
+            return "ok", ExperimentResult.from_dict(result_dict).to_dict()
         except Exception:
             return "corrupt", None
 

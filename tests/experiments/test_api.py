@@ -25,6 +25,7 @@ from repro.experiments.api import (
     Verdict,
 )
 from repro.experiments.figure8 import Figure8Spec
+from repro.experiments.serve import ExperimentService
 from repro.experiments.store import ResultStore
 from repro.simulator import RNG_SCHEME_VERSION
 
@@ -206,6 +207,44 @@ class TestEnvelope:
         path.write_text(json.dumps(entry, sort_keys=True, indent=2) + "\n")
         assert store.get(key, result.spec) == result
         assert store.stats.hits == 1 and store.stats.quarantined == 0
+
+
+    @pytest.mark.parametrize("include_result", (True, False))
+    def test_served_hit_matches_the_entry_file(self, results, key, include_result, tmp_path):
+        # `repro serve` answers a repeat hit from the store's verified memo.
+        # Its response must be the one a hit rebuilt from the entry file
+        # gives, key order included, with the requested execution knobs
+        # echoed.
+        result = results[key]
+        store = ResultStore(tmp_path)
+        path = store.put(key, result.spec, result)
+        on_disk = ExperimentResult.from_dict(json.loads(path.read_text())["result"])
+        service = ExperimentService(store)
+        try:
+            for knobs in ({}, {"jobs": 2}, {"engine": "reference"}):
+                requested = result.spec.replace(**knobs)
+                rebuilt = dataclasses.replace(on_disk, spec=requested)
+                expected = {
+                    "cache": "hit",
+                    "address": store.key_for(key, requested),
+                    "verdict": rebuilt.verdict.to_dict(),
+                }
+                if include_result:
+                    expected["result"] = rebuilt.to_dict()
+                payload = {
+                    "op": "run",
+                    "experiment": key,
+                    "spec": requested.to_dict(),
+                    "include_result": include_result,
+                }
+                for _ in range(2):  # the first read, then a memo hit
+                    response = service.handle_request(payload)
+                    assert response.pop("ok") is True
+                    del response["op"], response["elapsed_seconds"]
+                    assert json.dumps(response) == json.dumps(expected)
+        finally:
+            service.drain()
+        assert store.stats.hits == 6 and store.stats.misses == 0
 
 
 class TestPayloadTypes:

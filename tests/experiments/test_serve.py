@@ -28,6 +28,7 @@ from repro.errors import ExperimentError
 from repro.experiments.api import ExperimentResult
 from repro.experiments.registry import get_experiment, register_module
 from repro.experiments.serve import (
+    MAX_REQUEST_BYTES,
     PROTOCOL_VERSION,
     ExperimentService,
     create_server,
@@ -116,6 +117,30 @@ class TestProtocol:
                 timeout=10.0,
             )
             assert not_object["ok"] is False
+
+    def test_oversized_request_line_is_refused_and_service_survives(self, tmp_path):
+        with running_service(tmp_path) as (address, _service, _store):
+            connection = socket.create_connection(address, timeout=10.0)
+            line = b'{"op": "ping", "pad": "' + b"x" * (2 << 20) + b'"}\n'
+
+            def send():
+                try:
+                    connection.sendall(line)
+                except OSError:
+                    pass  # the daemon stops reading and closes the connection
+
+            sender = threading.Thread(target=send, daemon=True)
+            sender.start()
+            try:
+                with connection.makefile("rb") as reader:
+                    response = json.loads(reader.readline())
+            finally:
+                sender.join(10.0)
+                connection.close()
+            assert response["ok"] is False and response["op"] == "invalid"
+            assert str(MAX_REQUEST_BYTES) in response["error"]
+            pong = request(address, {"op": "ping"}, timeout=10.0)
+            assert pong["ok"] and pong["pong"]
 
     def test_request_helper_rejects_dead_service(self, tmp_path):
         with running_service(tmp_path) as (address, _service, _store):
@@ -299,6 +324,49 @@ class TestRunRequestValidation:
             assert counters["errors"] == 1
             assert not service._inflight_tasks
         assert faults.invocations(log_path) == 0
+
+    @pytest.mark.parametrize(
+        ("fields", "field"),
+        (
+            ({"spec": []}, "spec"),
+            ({"spec": 0}, "spec"),
+            ({"spec": ""}, "spec"),
+            ({"spec": False}, "spec"),
+            ({"spec": "{}"}, "spec"),
+            ({"include_result": "false"}, "include_result"),
+            ({"include_result": 0}, "include_result"),
+            ({"include_result": 1}, "include_result"),
+            ({"include_result": None}, "include_result"),
+        ),
+        ids=(
+            "spec-list", "spec-zero", "spec-empty-string", "spec-false",
+            "spec-string", "include-string", "include-zero", "include-one",
+            "include-null",
+        ),
+    )
+    def test_malformed_request_fields_move_no_counter(self, tmp_path, fields, field):
+        # A spec that is not an object, or an include_result that is not a
+        # JSON boolean, is a typed error: never the default spec, never a
+        # truthy guess.
+        log_path = str(tmp_path / "invocations.log")
+        with running_service(tmp_path) as (address, service, _store):
+            response = request(address, dict(_probe_payload(log_path), **fields))
+            assert response["ok"] is False
+            assert field in response["error"]
+            counters = request(address, {"op": "stats"}, timeout=10.0)["counters"]
+            assert counters["hits"] == 0 and counters["misses"] == 0
+            assert counters["simulated"] == 0 and counters["errors"] == 1
+            assert not service._inflight_tasks
+        assert faults.invocations(log_path) == 0
+
+    def test_null_spec_means_no_overrides(self, tmp_path):
+        with running_service(tmp_path) as (address, _service, _store):
+            absent = {"op": "run", "experiment": "figure1", "include_result": False}
+            first = request(address, absent)
+            second = request(address, dict(absent, spec=None))
+            assert first["ok"] and first["cache"] == "miss"
+            assert second["ok"] and second["cache"] == "hit"
+            assert second["address"] == first["address"]
 
     def test_bad_spec_field_moves_no_counter(self, tmp_path):
         with running_service(tmp_path) as (address, _service, _store):

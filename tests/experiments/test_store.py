@@ -3,7 +3,8 @@
 The store's promises, each provoked for real: corrupt entries (truncated
 or bit-flipped) are detected and quarantined — never served; an RNG
 scheme-version bump invalidates every hit; concurrent writers of the same
-address both succeed (atomic rename); and a resumed ``jobs=N`` sweep is
+address both succeed (atomic rename); the verified-entry memo answers only
+while an entry file keeps its identity; and a resumed ``jobs=N`` sweep is
 bit-identical to an uninterrupted ``jobs=1`` run.
 """
 
@@ -11,11 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import faults
+import repro.experiments.store as store_module
 from repro.errors import ResultStoreError
 from repro.experiments import run_specs
 from repro.experiments.api import ExperimentResult
@@ -268,6 +271,103 @@ class TestQuarantineAccounting:
             (quarantine_dir / f"{address}.{attempt}.json").touch()
         with pytest.raises(ResultStoreError, match="quarantine"):
             store.get(key, spec)
+
+
+class TestVerifiedMemo:
+    """An entry is verified once per file identity, and only that long."""
+
+    def _warm(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key, spec = _task()
+        path = store.put(key, spec, _run_one(key, spec))
+        assert store.get(key, spec) is not None  # verified and memoised
+        return store, key, spec, path
+
+    @staticmethod
+    def _count_reads(monkeypatch):
+        reads = []
+        read_entry = store_module._read_entry
+
+        def counting(path):
+            reads.append(path)
+            return read_entry(path)
+
+        monkeypatch.setattr(store_module, "_read_entry", counting)
+        return reads
+
+    def test_entry_replaced_after_a_memo_hit_is_quarantined(self, tmp_path):
+        store, key, spec, path = self._warm(tmp_path)
+        assert store.get(key, spec) is not None  # served from the memo
+        damaged = path.with_name("damaged.tmp")
+        damaged.write_bytes(b"\x00 definitely not json")
+        os.replace(damaged, path)
+        assert store.get(key, spec) is None
+        assert not path.exists() and store.stats.quarantined == 1
+        assert store.stats.hits == 2 and store.stats.misses == 1
+
+    def test_entry_truncated_in_place_is_quarantined(self, tmp_path):
+        store, key, spec, path = self._warm(tmp_path)
+        with open(path, "r+b") as handle:
+            handle.truncate(path.stat().st_size // 2)
+        assert store.get(key, spec) is None
+        assert not path.exists() and store.stats.quarantined == 1
+        assert store.stats.misses == 1
+
+    def test_deleted_entry_is_a_miss(self, tmp_path):
+        store, key, spec, path = self._warm(tmp_path)
+        path.unlink()
+        assert store.get(key, spec) is None
+        assert (key, spec) not in store
+        assert store.stats.misses == 1 and store.stats.quarantined == 0
+
+    def test_membership_agrees_with_get_throughout(self, tmp_path):
+        store, key, spec, path = self._warm(tmp_path)
+        assert (key, spec) in store and store.get(key, spec) is not None
+        path.write_bytes(b"garbage")
+        assert (key, spec) not in store and store.stats.quarantined == 1
+        assert store.get(key, spec) is None
+        store.put(key, spec, _run_one(key, spec))
+        assert (key, spec) in store and store.get(key, spec) is not None
+        path.unlink()
+        assert (key, spec) not in store and store.get(key, spec) is None
+
+    def test_least_recently_used_entry_is_evicted_past_the_budget(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        tasks = [_task(key) for key in ("figure1", "figure2", "figure4")]
+        paths = [store.put(key, spec, _run_one(key, spec)) for key, spec in tasks]
+        # Room for any two entries, not all three.
+        monkeypatch.setattr(
+            store_module, "MEMO_BYTES", sum(path.stat().st_size for path in paths) - 1
+        )
+        first, second, third = tasks
+        for task in (first, second, first, third):  # `second` is now the LRU
+            assert store.get(*task) is not None
+        reads = self._count_reads(monkeypatch)
+        assert store.get(*first) is not None and store.get(*third) is not None
+        assert reads == []
+        assert store.get(*second) is not None
+        assert reads == [paths[1]]
+
+    def test_mutating_a_returned_record_does_not_leak(self, tmp_path):
+        store, key, spec, path = self._warm(tmp_path)
+        first = store.get(key, spec)
+        pristine = json.loads(json.dumps(list(first.records)))
+        first.records[0].clear()
+        again = store.get(key, spec)
+        assert list(again.records) == pristine
+        assert store.get_envelope(key, spec)["records"] == pristine
+
+    def test_unchanged_entry_is_not_read_again(self, tmp_path, monkeypatch):
+        store, key, spec, path = self._warm(tmp_path)
+        reads = self._count_reads(monkeypatch)
+        for _ in range(3):
+            assert store.get(key, spec) is not None
+        assert (key, spec) in store
+        assert store.get_envelope(key, spec) is not None
+        assert reads == []
+        assert store.stats.hits == 5
 
 
 class TestSchemeVersionInvalidation:
